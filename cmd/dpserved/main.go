@@ -80,7 +80,7 @@ func configFromArgs(args []string) (serve.Config, string, error) {
 		window   = fs.Duration("batch-window", 2*time.Millisecond, "how long a batch waits for stragglers")
 		maxBatch = fs.Int("max-batch", 32, "max instances per SolveBatch dispatch")
 		conc     = fs.Int("concurrency", 0, "instances solved at once per batch (0 = GOMAXPROCS)")
-		cacheCap = fs.Int("cache", 4096, "solution cache entries (negative disables caching)")
+		cacheCap = fs.Int("cache", 4096, "rendered-response cache entries (negative disables caching)")
 		timeout  = fs.Duration("timeout", 30*time.Second, "server-side deadline per request")
 		poolW    = fs.Int("pool", 0, "worker pool width (0 = the process-wide default pool)")
 		calPath  = fs.String("calibration", "", "machine calibration profile from `dpbench -calibrate` (\"\" = none)")

@@ -37,56 +37,60 @@ func SegmentedLeastSquares(xs, ys []int64, penalty int64) *recurrence.Chain {
 			panic(fmt.Sprintf("problems: xs must be strictly increasing, xs[%d]=%d after %d", t, xs[t], xs[t-1]))
 		}
 	}
-	// Prefix moments over points 1..n make each segment error O(1):
-	// sx[t] = sum of xs[0..t-1], etc.
-	sx := make([]float64, n+1)
-	sy := make([]float64, n+1)
-	sxx := make([]float64, n+1)
-	sxy := make([]float64, n+1)
-	syy := make([]float64, n+1)
+	// Prefix moments over points 1..n make each segment error O(1), so
+	// F is evaluated on demand from O(n) state instead of an (n+1)^2
+	// table: mom[t] sums x, y, x², xy, y² over xs/ys[0..t-1].
+	mom := make([]moments, n+1)
 	for t := 1; t <= n; t++ {
 		x, y := float64(xs[t-1]), float64(ys[t-1])
-		sx[t] = sx[t-1] + x
-		sy[t] = sy[t-1] + y
-		sxx[t] = sxx[t-1] + x*x
-		sxy[t] = sxy[t-1] + x*y
-		syy[t] = syy[t-1] + y*y
+		p := mom[t-1]
+		mom[t] = moments{p.x + x, p.y + y, p.xx + x*x, p.xy + x*y, p.yy + y*y}
 	}
-	size := n + 1
-	tab := make([]cost.Cost, size*size)
-	for k := 0; k < n; k++ {
-		for j := k + 1; j <= n; j++ {
-			m := float64(j - k)
-			dx := sx[j] - sx[k]
-			dy := sy[j] - sy[k]
-			dxx := sxx[j] - sxx[k]
-			dxy := sxy[j] - sxy[k]
-			dyy := syy[j] - syy[k]
-			var sse float64
-			if den := m*dxx - dx*dx; den > 0 {
-				slope := (m*dxy - dx*dy) / den
-				intercept := (dy - slope*dx) / m
-				sse = dyy - intercept*dy - slope*dxy
-				if sse < 0 { // float rounding on perfect fits
-					sse = 0
-				}
-			}
-			tab[k*size+j] = cost.Cost(sse*1000+0.5) + cost.Cost(penalty)
-		}
-	}
+	pen := cost.Cost(penalty)
 	xc := append([]int64(nil), xs...)
 	yc := append([]int64(nil), ys...)
 	return &recurrence.Chain{
 		N:    n,
 		Name: fmt.Sprintf("segls-n%d", n),
-		F:    func(k, j int) cost.Cost { return tab[k*size+j] },
-		FRow: func(j, k0 int, dst []cost.Cost) {
-			for t := range dst {
-				dst[t] = tab[(k0+t)*size+j]
-			}
+		F: func(k, j int) cost.Cost {
+			var w [1]cost.Cost
+			segmentRow(mom, j, k, w[:], pen)
+			return w[0]
 		},
+		FRow:    func(j, k0 int, dst []cost.Cost) { segmentRow(mom, j, k0, dst, pen) },
 		Algebra: algebra.NameMinPlus,
 		Canon:   func() []byte { return canon("segls", xc, yc, []int64{penalty}) },
+	}
+}
+
+// moments are the prefix sums behind SegmentedLeastSquares.
+type moments struct{ x, y, xx, xy, yy float64 }
+
+// segmentRow is the segls FRow: dst[t] = F(k0+t, j), the least-squares
+// line's squared error over points k0+t+1..j in milli-units, plus the
+// segment penalty. F evaluates it on a one-element row, so the two share
+// one float expression and agree bitwise; the j-side moments load once
+// per row.
+func segmentRow(mom []moments, j, k0 int, dst []cost.Cost, penalty cost.Cost) {
+	hi := mom[j]
+	lo := mom[k0 : k0+len(dst)]
+	for t := range dst {
+		m := float64(j - k0 - t)
+		dx := hi.x - lo[t].x
+		dy := hi.y - lo[t].y
+		dxx := hi.xx - lo[t].xx
+		dxy := hi.xy - lo[t].xy
+		dyy := hi.yy - lo[t].yy
+		var sse float64
+		if den := m*dxx - dx*dx; den > 0 {
+			slope := (m*dxy - dx*dy) / den
+			intercept := (dy - slope*dx) / m
+			sse = dyy - intercept*dy - slope*dxy
+			if sse < 0 { // float rounding on perfect fits
+				sse = 0
+			}
+		}
+		dst[t] = cost.Cost(sse*1000+0.5) + penalty
 	}
 }
 

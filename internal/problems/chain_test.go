@@ -192,3 +192,93 @@ func TestChainBruteForceAgreement(t *testing.T) {
 		}
 	}
 }
+
+// eagerSegLSTable fills the full (n+1)^2 segls weight table up front,
+// one entry per (k,j) from separate prefix-sum arrays — the reference
+// the on-demand F and FRow must reproduce bitwise.
+func eagerSegLSTable(xs, ys []int64, penalty int64) []cost.Cost {
+	n := len(xs)
+	sx := make([]float64, n+1)
+	sy := make([]float64, n+1)
+	sxx := make([]float64, n+1)
+	sxy := make([]float64, n+1)
+	syy := make([]float64, n+1)
+	for t := 1; t <= n; t++ {
+		x, y := float64(xs[t-1]), float64(ys[t-1])
+		sx[t] = sx[t-1] + x
+		sy[t] = sy[t-1] + y
+		sxx[t] = sxx[t-1] + x*x
+		sxy[t] = sxy[t-1] + x*y
+		syy[t] = syy[t-1] + y*y
+	}
+	size := n + 1
+	tab := make([]cost.Cost, size*size)
+	for k := 0; k < n; k++ {
+		for j := k + 1; j <= n; j++ {
+			m := float64(j - k)
+			dx := sx[j] - sx[k]
+			dy := sy[j] - sy[k]
+			dxx := sxx[j] - sxx[k]
+			dxy := sxy[j] - sxy[k]
+			dyy := syy[j] - syy[k]
+			var sse float64
+			if den := m*dxx - dx*dx; den > 0 {
+				slope := (m*dxy - dx*dy) / den
+				intercept := (dy - slope*dx) / m
+				sse = dyy - intercept*dy - slope*dxy
+				if sse < 0 {
+					sse = 0
+				}
+			}
+			tab[k*size+j] = cost.Cost(sse*1000+0.5) + cost.Cost(penalty)
+		}
+	}
+	return tab
+}
+
+// TestSegmentedLeastSquaresMatchesEagerTable pins the on-demand F and
+// FRow of segls to the eager error table, bitwise, on noisy series and
+// on series with collinear (perfect-fit) runs, where the float rounding
+// clamp decides the answer.
+func TestSegmentedLeastSquaresMatchesEagerTable(t *testing.T) {
+	for _, n := range []int{1, 2, 48, 300} {
+		noisyX, noisyY := RandomSeries(n, int64(n))
+		lineX := make([]int64, n)
+		lineY := make([]int64, n)
+		for i := range lineX {
+			lineX[i] = int64(3*i + 1)
+			lineY[i] = int64(7*i - 50)
+			if i >= n/2 { // second collinear run with another slope
+				lineY[i] = int64(-2*i + 9*n)
+			}
+		}
+		for name, series := range map[string][2][]int64{
+			"noisy":     {noisyX, noisyY},
+			"collinear": {lineX, lineY},
+		} {
+			xs, ys := series[0], series[1]
+			const penalty = 1700
+			c := SegmentedLeastSquares(xs, ys, penalty)
+			want := eagerSegLSTable(xs, ys, penalty)
+			size := n + 1
+			row := make([]cost.Cost, n)
+			for j := 1; j <= n; j++ {
+				for k := 0; k < j; k++ {
+					if got := c.F(k, j); got != want[k*size+j] {
+						t.Fatalf("%s n=%d: F(%d,%d) = %d, eager table %d", name, n, k, j, got, want[k*size+j])
+					}
+				}
+				for _, k0 := range []int{0, j / 2, j - 1} {
+					dst := row[:j-k0]
+					c.FRow(j, k0, dst)
+					for t2, got := range dst {
+						if k := k0 + t2; got != want[k*size+j] {
+							t.Fatalf("%s n=%d: FRow(%d,%d)[%d] = %d, eager table F(%d,%d) = %d",
+								name, n, j, k0, t2, got, k, j, want[k*size+j])
+						}
+					}
+				}
+			}
+		}
+	}
+}

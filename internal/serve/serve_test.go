@@ -37,6 +37,11 @@ func postSolve(t *testing.T, url string, req *wire.Request) (*http.Response, []b
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postRaw(t, url, body)
+}
+
+func postRaw(t *testing.T, url string, body []byte) (*http.Response, []byte) {
+	t.Helper()
 	resp, err := http.Post(url+"/solve", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -10,8 +10,9 @@
 //     (RequestTimeout) joined with the client's own disconnect.
 //   - a canonical-instance cache with single-flight dedup: requests are
 //     content-addressed by the instance's canonical encoding plus the
-//     solving options, so a resident solution answers without touching
-//     the pool and identical in-flight requests fold into one solve.
+//     solving options and rendering bits, so a resident rendered
+//     response answers without touching the pool and identical in-flight
+//     requests fold into one solve.
 //   - a coalescing batcher: cache-missing flights are folded, within a
 //     BatchWindow, into SolveBatch calls on one shared pool — arrival
 //     concurrency becomes batch-level parallelism instead of goroutine
@@ -66,8 +67,10 @@ type Config struct {
 	// Concurrency bounds how many instances one SolveBatch dispatch
 	// solves at once (default GOMAXPROCS, see SolveBatch).
 	Concurrency int
-	// CacheCapacity is the solution LRU size in entries (default 4096;
-	// negative disables caching and single-flight entirely).
+	// CacheCapacity is the response LRU size in entries (default 4096;
+	// negative disables caching and single-flight entirely). Entries are
+	// rendered responses, O(n) bytes each, so residency is bounded by
+	// about CacheCapacity × O(MaxN) bytes per store.
 	CacheCapacity int
 	// RequestTimeout is the server-side deadline per admitted request
 	// (default 30s; negative = none).
@@ -119,14 +122,19 @@ type Server struct {
 	cfg Config
 	met *metrics
 
-	lru   *cache.Sharded[*sublineardp.Solution] // nil when caching disabled
-	group cache.Group[*sublineardp.Solution]
+	// The stores hold rendered responses, not solutions: an entry is the
+	// O(n) body a client receives (cost, digest, tree or path), never
+	// the O(n^2) table behind it, so only in-flight solves hold solver
+	// state. Entries are immutable once stored; every request answers
+	// from a private shallow copy carrying its own per-request fields.
+	lru   *cache.Sharded[*wire.Response] // nil when caching disabled
+	group cache.Group[*wire.Response]
 
 	// Chain requests (wire.IsChainKind) cache and single-flight in their
 	// own store, mirroring the class split in sublineardp.Cache: the two
 	// recurrence classes can never collide on an entry.
-	clru   *cache.Sharded[*sublineardp.ChainSolution] // nil when caching disabled
-	cgroup cache.Group[*sublineardp.ChainSolution]
+	clru   *cache.Sharded[*wire.Response] // nil when caching disabled
+	cgroup cache.Group[*wire.Response]
 
 	slots   chan struct{} // admission tokens; buffered to QueueDepth
 	batchCh chan *task
@@ -166,8 +174,8 @@ func New(cfg Config) (*Server, error) {
 		done:    make(chan struct{}),
 	}
 	if cfg.CacheCapacity > 0 {
-		s.lru = cache.New[*sublineardp.Solution](cfg.CacheCapacity, 16)
-		s.clru = cache.New[*sublineardp.ChainSolution](cfg.CacheCapacity, 16)
+		s.lru = cache.New[*wire.Response](cfg.CacheCapacity, 16)
+		s.clru = cache.New[*wire.Response](cfg.CacheCapacity, 16)
 	}
 	entries := func() int { return 0 }
 	if s.lru != nil {
@@ -336,20 +344,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	var resp *wire.Response
+	var shared *wire.Response
 	var route via
 	if isChain {
-		var csol *sublineardp.ChainSolution
-		csol, route, err = s.solveChain(ctx, chain, engine, &req, opts)
-		if err == nil {
-			resp = wire.NewChainResponse(&req, csol)
-		}
+		shared, route, err = s.solveChain(ctx, chain, engine, &req, opts)
 	} else {
-		var sol *sublineardp.Solution
-		sol, route, err = s.solve(ctx, in, engine, &req, opts)
-		if err == nil {
-			resp = wire.NewResponse(&req, sol)
-		}
+		shared, route, err = s.solve(ctx, in, engine, &req, opts)
 	}
 	if err != nil {
 		switch {
@@ -367,6 +367,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	// The rendered response may be resident in the cache or shared by a
+	// flight's waiters: answer from a private copy and set only the
+	// per-request fields on it.
+	resp := *shared
+	resp.ID = req.ID
 	resp.Cached = route == viaCacheHit
 	resp.Coalesced = route == viaCoalesced
 	resp.ElapsedMicros = time.Since(start).Microseconds()
@@ -374,7 +379,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// ok / clientGone / shed / rejected / timeout / solveError for the
 	// /metrics identity to balance, so the ok and hit/coalesced/solved
 	// counters only move once the response bytes are actually written.
-	blob, err := json.Marshal(resp)
+	blob, err := json.Marshal(&resp)
 	if err != nil {
 		s.met.solveErrors.Add(1)
 		writeError(w, http.StatusInternalServerError, err)
@@ -419,14 +424,26 @@ var heavyMemoryEngines = map[string]bool{
 }
 
 // solveKey content-addresses one request: the instance's canonical bytes
-// plus the option signature. Every wire-buildable instance is
-// canonicalisable, so the bool is only false for exotic custom kinds.
-func solveKey(in *sublineardp.Instance, sig string) (cache.Key, bool) {
+// plus the option signature and the request's rendering bits. Every
+// wire-buildable instance is canonicalisable, so the bool is only false
+// for exotic custom kinds.
+func solveKey(in *sublineardp.Instance, sig string, req *wire.Request) (cache.Key, bool) {
 	canon, ok := in.Canonical()
 	if !ok {
 		return cache.Key{}, false
 	}
-	return cache.NewHasher().Bytes("instance", canon).String("opts", sig).Sum(), true
+	return renderBits(cache.NewHasher().Bytes("instance", canon).String("opts", sig), req).Sum(), true
+}
+
+// renderBits keys the request fields that change the rendered body:
+// entries hold responses, so a want_tree request and its plain twin
+// solve alike but must never answer for each other, and neither must a
+// chain return_splits request and its plain twin. (An interval
+// return_splits also changes the solve, so the signature already
+// carries it.) The batching signature leaves these bits out, so
+// requests differing only in them still share a SolveBatch.
+func renderBits(h *cache.Hasher, req *wire.Request) *cache.Hasher {
+	return h.Bool("want_tree", req.WantTree).Bool("return_splits", req.ReturnSplits)
 }
 
 // optionsSig renders the solving configuration of a request into the
@@ -434,7 +451,8 @@ func solveKey(in *sublineardp.Instance, sig string) (cache.Key, bool) {
 // batcher tasks: tasks with equal signatures are safe to fold into one
 // SolveBatch call. splits mirrors the root solveKey's RecordSplits
 // keying: a split-recording solve carries reconstruction state a
-// non-recording one does not, so the two never share a cache entry
+// non-recording one does not, so the two never share a cache entry or
+// a batch group
 // (chain requests always pass false — reconstruction there reads the
 // value vector and does not change the solve).
 func optionsSig(engine string, o wire.Options, splits bool) string {
@@ -447,117 +465,95 @@ func optionsSig(engine string, o wire.Options, splits bool) string {
 }
 
 // solve runs the cache → single-flight → batcher protocol for one
-// admitted request.
-func (s *Server) solve(ctx context.Context, in *sublineardp.Instance, engine string, req *wire.Request, opts []sublineardp.Option) (*sublineardp.Solution, via, error) {
+// admitted interval request and returns its rendered response.
+func (s *Server) solve(ctx context.Context, in *sublineardp.Instance, engine string, req *wire.Request, opts []sublineardp.Option) (*wire.Response, via, error) {
 	sig := optionsSig(engine, req.Options, req.ReturnSplits)
-	key, keyed := solveKey(in, sig)
-	if s.lru == nil || !keyed {
-		sol, err := s.submit(ctx, &task{in: in, engine: engine, opts: opts, sig: sig, ctx: ctx})
-		return sol, viaSolved, err
-	}
-	if sol, ok := s.lru.Get(key); ok {
-		cp := *sol
-		return &cp, viaCacheHit, nil
-	}
-	sol, joined, err := s.group.Do(ctx, key, func(fctx context.Context) (*sublineardp.Solution, error) {
-		sol, err := s.submit(fctx, &task{in: in, engine: engine, opts: opts, sig: sig, ctx: fctx})
+	key, keyed := solveKey(in, sig, req)
+	render := func(fctx context.Context) (*wire.Response, error) {
+		r, err := s.submit(fctx, &task{in: in, engine: engine, opts: opts, sig: sig, ctx: fctx})
 		if err != nil {
 			return nil, err
 		}
-		s.lru.Add(key, sol)
-		return sol, nil
-	})
-	if err != nil {
-		return nil, viaSolved, err
+		return wire.NewResponse(req, r.sol), nil
 	}
-	// Same aliasing discipline as the root sublineardp.Cache: the
-	// pointer resident in the LRU is never handed out — every caller
-	// (leader included) gets a private shallow copy, so nothing
-	// downstream can mutate a cached entry.
-	cp := *sol
-	if joined {
-		return &cp, viaCoalesced, nil
-	}
-	return &cp, viaSolved, nil
+	return fromCache(ctx, s.lru, &s.group, key, keyed, render)
 }
 
 // chainSolveKey is solveKey for chain requests. The "chain|" signature
 // prefix (set by the caller) plus the chain's own canonical domain tags
 // keep chain entries disjoint from interval ones.
-func chainSolveKey(c *sublineardp.Chain, sig string) (cache.Key, bool) {
+func chainSolveKey(c *sublineardp.Chain, sig string, req *wire.Request) (cache.Key, bool) {
 	canon, ok := c.Canonical()
 	if !ok {
 		return cache.Key{}, false
 	}
-	return cache.NewHasher().Bytes("chain", canon).String("opts", sig).Sum(), true
+	return renderBits(cache.NewHasher().Bytes("chain", canon).String("opts", sig), req).Sum(), true
 }
 
 // solveChain runs the cache → single-flight → batcher protocol for one
 // admitted chain request, against the chain store.
-func (s *Server) solveChain(ctx context.Context, c *sublineardp.Chain, engine string, req *wire.Request, opts []sublineardp.Option) (*sublineardp.ChainSolution, via, error) {
+func (s *Server) solveChain(ctx context.Context, c *sublineardp.Chain, engine string, req *wire.Request, opts []sublineardp.Option) (*wire.Response, via, error) {
 	// The signature prefix keeps chain tasks out of interval SolveBatch
 	// groups: runGroup dispatches a group by its head task's class.
 	sig := "chain|" + optionsSig(engine, req.Options, false)
-	key, keyed := chainSolveKey(c, sig)
-	if s.clru == nil || !keyed {
-		csol, err := s.submitChain(ctx, &task{chain: c, engine: engine, opts: opts, sig: sig, ctx: ctx})
-		return csol, viaSolved, err
-	}
-	if csol, ok := s.clru.Get(key); ok {
-		cp := *csol
-		return &cp, viaCacheHit, nil
-	}
-	csol, joined, err := s.cgroup.Do(ctx, key, func(fctx context.Context) (*sublineardp.ChainSolution, error) {
-		csol, err := s.submitChain(fctx, &task{chain: c, engine: engine, opts: opts, sig: sig, ctx: fctx})
+	key, keyed := chainSolveKey(c, sig, req)
+	render := func(fctx context.Context) (*wire.Response, error) {
+		r, err := s.submit(fctx, &task{chain: c, engine: engine, opts: opts, sig: sig, ctx: fctx})
 		if err != nil {
 			return nil, err
 		}
-		s.clru.Add(key, csol)
-		return csol, nil
-	})
-	if err != nil {
-		return nil, viaSolved, err
+		return wire.NewChainResponse(req, r.csol), nil
 	}
-	cp := *csol
-	if joined {
-		return &cp, viaCoalesced, nil
-	}
-	return &cp, viaSolved, nil
+	return fromCache(ctx, s.clru, &s.cgroup, key, keyed, render)
 }
 
-// submitChain is submit for chain tasks.
-func (s *Server) submitChain(ctx context.Context, t *task) (*sublineardp.ChainSolution, error) {
-	t.res = make(chan taskResult, 1)
-	select {
-	case s.batchCh <- t:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-s.done:
-		return nil, errors.New("server shutting down")
+// fromCache answers a keyed request from the store, else from a
+// single-flight whose leader solves and renders once: the digest and
+// reconstruction are computed once per solve, never per hit or per
+// coalesced waiter, and the solution itself is garbage as soon as it is
+// rendered. The returned response is shared — callers copy it before
+// setting per-request fields.
+func fromCache(ctx context.Context, lru *cache.Sharded[*wire.Response], group *cache.Group[*wire.Response],
+	key cache.Key, keyed bool, render func(context.Context) (*wire.Response, error)) (*wire.Response, via, error) {
+	if lru == nil || !keyed {
+		resp, err := render(ctx)
+		return resp, viaSolved, err
 	}
-	select {
-	case r := <-t.res:
-		return r.csol, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	if resp, ok := lru.Get(key); ok {
+		return resp, viaCacheHit, nil
 	}
+	resp, joined, err := group.Do(ctx, key, func(fctx context.Context) (*wire.Response, error) {
+		resp, err := render(fctx)
+		if err != nil {
+			return nil, err
+		}
+		lru.Add(key, resp)
+		return resp, nil
+	})
+	switch {
+	case err != nil:
+		return nil, viaSolved, err
+	case joined:
+		return resp, viaCoalesced, nil
+	}
+	return resp, viaSolved, nil
 }
 
 // submit hands a task to the batcher and waits for its result.
-func (s *Server) submit(ctx context.Context, t *task) (*sublineardp.Solution, error) {
+func (s *Server) submit(ctx context.Context, t *task) (taskResult, error) {
 	t.res = make(chan taskResult, 1)
 	select {
 	case s.batchCh <- t:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return taskResult{}, ctx.Err()
 	case <-s.done:
-		return nil, errors.New("server shutting down")
+		return taskResult{}, errors.New("server shutting down")
 	}
 	select {
 	case r := <-t.res:
-		return r.sol, r.err
+		return r, r.err
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return taskResult{}, ctx.Err()
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 
 	"sublineardp"
 	"sublineardp/internal/btree"
@@ -567,15 +568,63 @@ func NewChainResponse(r *Request, sol *sublineardp.ChainSolution) *Response {
 // normalised upper-triangle entry in row-major order — the bitwise
 // identity of a solve result.
 func TableDigest(t *recurrence.Table) string {
-	h := sha256.New()
-	var buf [binary.MaxVarintLen64]byte
-	h.Write(buf[:binary.PutVarint(buf[:], int64(t.N))])
+	d := newDigester("")
+	d.varint(int64(t.N))
+	data, stride := t.Data(), t.Stride()
 	for i := 0; i <= t.N; i++ {
-		for j := i + 1; j <= t.N; j++ {
-			h.Write(buf[:binary.PutVarint(buf[:], int64(cost.Norm(t.At(i, j))))])
+		d.costs(data[i*stride+i+1 : (i+1)*stride])
+	}
+	return d.sum()
+}
+
+// digestChunk is the buffered digests' flush threshold: varints
+// accumulate in one local buffer and reach the hash in writes of at
+// least this many bytes, instead of one Write call per entry. The
+// hashed byte stream is exactly the per-entry one.
+const digestChunk = 4 << 10
+
+// digester is the buffered varint writer behind TableDigest,
+// VectorDigest and PathDigest.
+type digester struct {
+	h   hash.Hash
+	buf []byte // len digestChunk + MaxVarintLen64: the last varint may overrun the threshold
+	n   int    // bytes of buf pending
+}
+
+// newDigester starts a digest with the given domain tag ("" = none).
+func newDigester(tag string) *digester {
+	d := &digester{h: sha256.New(), buf: make([]byte, digestChunk+binary.MaxVarintLen64)}
+	d.n = copy(d.buf, tag)
+	return d
+}
+
+// varint appends one value.
+func (d *digester) varint(v int64) {
+	d.n += binary.PutVarint(d.buf[d.n:], v)
+	if d.n >= digestChunk {
+		d.h.Write(d.buf[:d.n])
+		d.n = 0
+	}
+}
+
+// costs appends every normalised value of vals: varint's loop for the
+// table and vector digests, with no call per entry.
+func (d *digester) costs(vals []cost.Cost) {
+	buf, n := d.buf, d.n
+	for _, c := range vals {
+		n += binary.PutVarint(buf[n:], int64(cost.Norm(c)))
+		if n >= digestChunk {
+			d.h.Write(buf[:n])
+			n = 0
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	d.n = n
+}
+
+// sum hashes the pending bytes and returns the hex digest.
+func (d *digester) sum() string {
+	d.h.Write(d.buf[:d.n])
+	return hex.EncodeToString(d.h.Sum(nil))
 }
 
 // TreeDigest returns the hex SHA-256 over a "tree" domain tag and the
@@ -593,14 +642,12 @@ func TreeDigest(t *btree.Tree) string {
 // a "path" domain tag, the breakpoint count, and every breakpoint as a
 // varint.
 func PathDigest(path []int) string {
-	h := sha256.New()
-	h.Write([]byte("path"))
-	var buf [binary.MaxVarintLen64]byte
-	h.Write(buf[:binary.PutVarint(buf[:], int64(len(path)))])
+	d := newDigester("path")
+	d.varint(int64(len(path)))
 	for _, p := range path {
-		h.Write(buf[:binary.PutVarint(buf[:], int64(p))])
+		d.varint(int64(p))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return d.sum()
 }
 
 // VectorDigest is TableDigest for chain value vectors: the hex SHA-256
@@ -608,12 +655,8 @@ func PathDigest(path []int) string {
 // value c(0..n) — so a chain digest can never collide with an interval
 // table digest even on identical payload bytes.
 func VectorDigest(v *recurrence.Vector) string {
-	h := sha256.New()
-	h.Write([]byte("chain"))
-	var buf [binary.MaxVarintLen64]byte
-	h.Write(buf[:binary.PutVarint(buf[:], int64(v.N))])
-	for j := 0; j <= v.N; j++ {
-		h.Write(buf[:binary.PutVarint(buf[:], int64(cost.Norm(v.At(j))))])
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	d := newDigester("chain")
+	d.varint(int64(v.N))
+	d.costs(v.Data()[:v.N+1])
+	return d.sum()
 }
