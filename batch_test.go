@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sublineardp"
+	"sublineardp/internal/seq"
 )
 
 // Acceptance: SolveBatch results are order-stable and complete — slot i
@@ -21,7 +22,7 @@ func TestSolveBatchOrderStableAndComplete(t *testing.T) {
 	for _, n := range []int{70, 3, 24, 81, 9, 48, 66, 5, 33, 72, 12, 57} {
 		in := sublineardp.NewShaped(sublineardp.ZigzagTree(n))
 		ins = append(ins, in)
-		want = append(want, sublineardp.SolveSequential(in).Cost())
+		want = append(want, seq.Solve(in).Cost())
 	}
 	sols, err := sublineardp.SolveBatch(context.Background(), ins,
 		sublineardp.WithConcurrency(4))
@@ -43,7 +44,7 @@ func TestSolveBatchOrderStableAndComplete(t *testing.T) {
 		}
 		wantEngine := sublineardp.EngineSequential
 		if ins[i].N > sublineardp.DefaultAutoCutoff {
-			wantEngine = sublineardp.EngineHLVBanded
+			wantEngine = sublineardp.EngineBlockedPipe
 		}
 		if sol.Engine != wantEngine {
 			t.Errorf("slot %d (n=%d): engine %q, want %q", i, ins[i].N, sol.Engine, wantEngine)
@@ -65,7 +66,7 @@ func TestSolveBatchFixedEngine(t *testing.T) {
 		if sol.Engine != sublineardp.EngineWavefront {
 			t.Errorf("slot %d: engine %q", i, sol.Engine)
 		}
-		if want := sublineardp.SolveSequential(ins[i]).Cost(); sol.Cost() != want {
+		if want := seq.Solve(ins[i]).Cost(); sol.Cost() != want {
 			t.Errorf("slot %d: cost %d, want %d", i, sol.Cost(), want)
 		}
 	}

@@ -15,12 +15,12 @@ import (
 	"sublineardp/internal/blocked"
 	"sublineardp/internal/btree"
 	"sublineardp/internal/core"
+	"sublineardp/internal/cost"
 	"sublineardp/internal/exper"
 	"sublineardp/internal/pebble"
 	"sublineardp/internal/problems"
 	"sublineardp/internal/recurrence"
 	"sublineardp/internal/rytter"
-	"sublineardp/internal/semiring"
 	"sublineardp/internal/seq"
 	"sublineardp/internal/wavefront"
 )
@@ -261,21 +261,27 @@ func BenchmarkE11ProcessorScaling(b *testing.B) {
 
 // E12 — semiring generalisation (Table E12).
 func BenchmarkE12Semirings(b *testing.B) {
-	for _, sr := range []semiring.Semiring{semiring.MinPlus{}, semiring.MaxPlus{}, semiring.BoolPlan{}} {
-		b.Run(sr.Name(), func(b *testing.B) {
-			in := &semiring.Instance{
-				N:    12,
-				Init: func(i int) int64 { return 1 },
-				F: func(i, k, j int) int64 {
-					if sr.Name() == "bool-plan" {
-						return int64((i + k + j) % 2)
+	hlv := sublineardp.MustNewSolver(sublineardp.EngineHLVDense)
+	for _, alg := range []string{algebra.NameMinPlus, algebra.NameMaxPlus, algebra.NameBoolPlan} {
+		b.Run(alg, func(b *testing.B) {
+			in := &recurrence.Instance{
+				N:       12,
+				Algebra: alg,
+				Init:    func(i int) cost.Cost { return 1 },
+				F: func(i, k, j int) cost.Cost {
+					if alg == algebra.NameBoolPlan {
+						return cost.Cost((i + k + j) % 2)
 					}
-					return int64(i + k + j)
+					return cost.Cost(i + k + j)
 				},
 			}
-			var root int64
+			var root cost.Cost
 			for i := 0; i < b.N; i++ {
-				root = semiring.SolveHLV(sr, in, 0).Root()
+				sol, err := hlv.Solve(context.Background(), in)
+				if err != nil {
+					b.Fatal(err)
+				}
+				root = sol.Cost()
 			}
 			b.ReportMetric(float64(root), "root")
 		})

@@ -6,12 +6,11 @@ import (
 
 // Calibration is a machine-local measurement of the scheduling
 // constants the auto engine and the tiled engines otherwise take from
-// compiled-in defaults: the sequential/parallel crossover
-// (DefaultAutoCutoff), the banded-HLV/blocked-pipe crossover
-// (DefaultAutoLargeCutoff), and the blocked tile edge
-// (DefaultTileSize's auto clamp). Generate one with `dpbench
-// -calibrate`, which probes the crossovers on the current machine and
-// writes DefaultCalibrationPath; apply it with WithCalibration.
+// compiled-in defaults: the sequential/blocked-pipe crossover
+// (DefaultAutoCutoff) and the blocked tile edge (DefaultTileSize's auto
+// clamp). Generate one with `dpbench -calibrate`, which probes both on
+// the current machine and writes DefaultCalibrationPath; apply it with
+// WithCalibration.
 type Calibration = calibrate.Profile
 
 // DefaultCalibrationPath is the conventional profile location written
@@ -28,12 +27,11 @@ func LoadCalibration(path string) (*Calibration, error) {
 
 // WithCalibration applies a measured calibration profile to the solve:
 // the profile's non-zero thresholds replace the compiled-in
-// DefaultAutoCutoff / DefaultAutoLargeCutoff routing constants and the
-// blocked engines' automatic tile-size choice. Knobs set explicitly by
-// their own options (WithAutoCutoff, WithAutoLargeCutoff,
-// WithTileSize) win over the profile regardless of option order, and a
-// nil profile is a no-op — callers can thread an optional profile
-// through unconditionally.
+// DefaultAutoCutoff routing constant and the blocked engines' automatic
+// tile-size choice. Knobs set explicitly by their own options
+// (WithAutoCutoff, WithTileSize) win over the profile regardless of
+// option order, and a nil profile is a no-op — callers can thread an
+// optional profile through unconditionally.
 func WithCalibration(p *Calibration) Option {
 	return func(c *Config) {
 		if p == nil {
@@ -41,9 +39,6 @@ func WithCalibration(p *Calibration) Option {
 		}
 		if p.AutoCutoff > 0 && c.AutoCutoff == 0 {
 			c.AutoCutoff = p.AutoCutoff
-		}
-		if p.AutoLargeCutoff > 0 && c.AutoLargeCutoff == 0 {
-			c.AutoLargeCutoff = p.AutoLargeCutoff
 		}
 		if p.TileSize > 0 && c.TileSize == 0 {
 			c.TileSize = p.TileSize

@@ -13,20 +13,15 @@ import (
 // in either option order, and a nil profile changes nothing.
 func TestWithCalibrationRoutesByProfile(t *testing.T) {
 	prof := &Calibration{
-		Schema:          calibrate.Schema,
-		AutoCutoff:      10,
-		AutoLargeCutoff: 20,
-		TileSize:        96,
+		Schema:     calibrate.Schema,
+		AutoCutoff: 10,
+		TileSize:   96,
 	}
-	small := problems.RandomInstance(15, 50, 1)  // default tier: sequential
-	medium := problems.RandomInstance(25, 50, 2) // default tier: sequential
+	small := problems.RandomInstance(15, 50, 1) // default tier: sequential
 
 	cfg := buildConfig([]Option{WithCalibration(prof)})
-	if got := pickAutoName(small, &cfg); got != EngineHLVBanded {
-		t.Errorf("n=15 under calibrated cutoff 10 routed to %q, want %q", got, EngineHLVBanded)
-	}
-	if got := pickAutoName(medium, &cfg); got != EngineBlockedPipe {
-		t.Errorf("n=25 under calibrated large cutoff 20 routed to %q, want %q", got, EngineBlockedPipe)
+	if got := pickAutoName(small, &cfg); got != EngineBlockedPipe {
+		t.Errorf("n=15 under calibrated cutoff 10 routed to %q, want %q", got, EngineBlockedPipe)
 	}
 	if cfg.TileSize != 96 {
 		t.Errorf("calibrated tile size not applied: %d", cfg.TileSize)
@@ -56,7 +51,7 @@ func TestWithCalibrationRoutesByProfile(t *testing.T) {
 
 func TestLoadCalibrationRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), DefaultCalibrationPath)
-	prof := &Calibration{Schema: calibrate.Schema, AutoCutoff: 32, AutoLargeCutoff: 300, TileSize: 128}
+	prof := &Calibration{Schema: calibrate.Schema, AutoCutoff: 32, TileSize: 128}
 	if err := prof.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +59,13 @@ func TestLoadCalibrationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.AutoCutoff != 32 || got.AutoLargeCutoff != 300 || got.TileSize != 128 {
+	if got.AutoCutoff != 32 || got.TileSize != 128 {
 		t.Fatalf("profile did not round-trip: %+v", got)
+	}
+	// The committed profile still loads: its auto_large_cutoff key is
+	// no longer read and must not make it invalid.
+	if _, err := LoadCalibration(DefaultCalibrationPath); err != nil {
+		t.Fatalf("committed %s: %v", DefaultCalibrationPath, err)
 	}
 	if _, err := LoadCalibration(filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Fatal("missing profile accepted")

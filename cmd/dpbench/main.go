@@ -11,7 +11,7 @@
 //	dpbench -list            # list the experiment registry
 //	dpbench -crosscheck      # batch-solve fixtures on every engine
 //	dpbench -json            # write the BENCH_core.json perf baseline
-//	dpbench -calibrate       # measure the auto-routing crossovers and
+//	dpbench -calibrate       # measure the auto-routing crossover and
 //	                         # write the CALIBRATION.json machine profile
 package main
 
@@ -32,6 +32,7 @@ import (
 	"sublineardp/internal/calibrate"
 	"sublineardp/internal/exper"
 	"sublineardp/internal/problems"
+	"sublineardp/internal/seq"
 )
 
 func main() {
@@ -43,7 +44,7 @@ func main() {
 		list    = flag.Bool("list", false, "list experiments and exit")
 		cross   = flag.Bool("crosscheck", false, "batch-solve a fixture set on every registered engine and report agreement")
 		jsonOut = flag.Bool("json", false, "benchmark the core engines and write a machine-readable perf baseline")
-		calFlag = flag.Bool("calibrate", false, "probe the auto-routing crossovers and best tile size on this machine and write a calibration profile")
+		calFlag = flag.Bool("calibrate", false, "probe the auto-routing crossover and best tile size on this machine and write a calibration profile")
 		outPath = flag.String("out", "BENCH_core.json", "output path for -json (and, when set explicitly, -calibrate)")
 		ring    = flag.String("semiring", "", "algebra the -json core bench solves under (default min-plus)")
 	)
@@ -536,7 +537,7 @@ func crosscheck(workers int) error {
 	}
 	want := make([]sublineardp.Cost, len(fixtures))
 	for i, in := range fixtures {
-		want[i] = sublineardp.SolveSequential(in).Cost()
+		want[i] = seq.Solve(in).Cost()
 	}
 
 	ctx := context.Background()
@@ -626,13 +627,13 @@ func crosscheckCached(ctx context.Context, fixtures []*sublineardp.Instance, wan
 	return nil
 }
 
-// runCalibrate measures the auto engine's routing crossovers and the
+// runCalibrate measures the auto engine's routing crossover and the
 // blocked engines' best tile edge on this machine — the same best-of-k
 // solve timing benchCore uses, pointed at the decisions the compiled-in
-// DefaultAutoCutoff / DefaultAutoLargeCutoff / DefaultTileSize constants
-// hard-code — and writes them as a calibration profile. Every threshold
-// in the profile is backed by the recorded probes, so the file is an
-// auditable measurement, not an opinion.
+// DefaultAutoCutoff / DefaultTileSize constants hard-code — and writes
+// them as a calibration profile. Every threshold in the profile is
+// backed by the recorded probes, so the file is an auditable
+// measurement, not an opinion.
 func runCalibrate(quick bool, workers int, outPath string) error {
 	prof := &calibrate.Profile{
 		Schema:     calibrate.Schema,
@@ -671,16 +672,9 @@ func runCalibrate(quick bool, workers int, outPath string) error {
 		tileN, tiles = 256, []int{32, 64, 128}
 	}
 
-	// One sweep, three engines per size: the tier ladder is
-	// sequential -> hlv-banded -> blocked-pipe, so the small cutoff is
-	// the largest size where the sequential scan still beats both
-	// parallel tiers, and the large cutoff is the largest size where the
-	// banded iteration still beats the pipelined tiles. A tier that
-	// loses by 3x at two consecutive sizes stops being probed — the
-	// banded engine's per-iteration sweeps grow fast enough that timing
-	// it at every size would dominate the calibration pass.
-	cutoff, large := 0, 0
-	bandedDead := 0
+	// One sweep, two engines per size: the cutoff is the largest size
+	// where the sequential scan still beats the pipelined tiles.
+	cutoff := 0
 	for _, n := range sizes {
 		in := problems.RandomMatrixChain(n, 50, 1).Materialize()
 		seqNs, err := timeSolve(sublineardp.EngineSequential, in)
@@ -691,38 +685,14 @@ func runCalibrate(quick bool, workers int, outPath string) error {
 		if err != nil {
 			return err
 		}
-		bandNs := int64(math.MaxInt64)
-		if bandedDead < 2 {
-			if bandNs, err = timeSolve(sublineardp.EngineHLVBanded, in); err != nil {
-				return err
-			}
-			if bandNs >= 3*pipeNs {
-				bandedDead++
-			} else {
-				bandedDead = 0
-			}
-			prof.Probes = append(prof.Probes, calibrate.Probe{
-				Kind: "cutoff", Engine: sublineardp.EngineHLVBanded, N: n, NsPerOp: bandNs})
-		}
 		prof.Probes = append(prof.Probes,
 			calibrate.Probe{Kind: "cutoff", Engine: sublineardp.EngineSequential, N: n, NsPerOp: seqNs},
 			calibrate.Probe{Kind: "cutoff", Engine: sublineardp.EngineBlockedPipe, N: n, NsPerOp: pipeNs})
-		par := pipeNs
-		if bandNs < par {
-			par = bandNs
-		}
-		if seqNs <= par {
+		if seqNs <= pipeNs {
 			cutoff = n
 		}
-		if bandNs < pipeNs {
-			large = n
-		}
-		band := "-"
-		if bandNs != math.MaxInt64 {
-			band = time.Duration(bandNs).Round(time.Microsecond).String()
-		}
-		fmt.Printf("calibrate n=%-4d sequential %-12v hlv-banded %-12s blocked-pipe %-12v\n",
-			n, time.Duration(seqNs).Round(time.Microsecond), band,
+		fmt.Printf("calibrate n=%-4d sequential %-12v blocked-pipe %-12v\n",
+			n, time.Duration(seqNs).Round(time.Microsecond),
 			time.Duration(pipeNs).Round(time.Microsecond))
 	}
 	if cutoff == 0 {
@@ -731,11 +701,7 @@ func runCalibrate(quick bool, workers int, outPath string) error {
 		// instances than this measures timer noise, not engines.
 		cutoff = sizes[0] / 2
 	}
-	if large < cutoff {
-		large = cutoff // the banded tier never won: pipe right above sequential
-	}
 	prof.AutoCutoff = cutoff
-	prof.AutoLargeCutoff = large
 
 	// Tile probe: the pipelined engine at a size where the tile edge
 	// matters, over a spread of edges around the compiled-in default.
@@ -762,7 +728,7 @@ func runCalibrate(quick bool, workers int, outPath string) error {
 	if err := prof.Save(outPath); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (auto_cutoff=%d auto_large_cutoff=%d tile_size=%d, %d probes)\n",
-		outPath, prof.AutoCutoff, prof.AutoLargeCutoff, prof.TileSize, len(prof.Probes))
+	fmt.Printf("wrote %s (auto_cutoff=%d tile_size=%d, %d probes)\n",
+		outPath, prof.AutoCutoff, prof.TileSize, len(prof.Probes))
 	return nil
 }

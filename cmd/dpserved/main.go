@@ -74,7 +74,7 @@ func configFromArgs(args []string) (serve.Config, string, error) {
 		addr     = fs.String("addr", ":8080", "listen address")
 		engine   = fs.String("engine", sublineardp.EngineAuto, "default engine for requests that name none")
 		maxN     = fs.Int("maxn", 4096, "largest accepted instance size (negative = unbounded)")
-		maxNH    = fs.Int("maxn-heavy", 64, "size limit for the O(n^4)-memory engines hlv-dense/rytter/semiring")
+		maxNH    = fs.Int("maxn-heavy", 64, "size limit for the O(n^4)-memory engines hlv-dense/rytter")
 		maxW     = fs.Int("max-workers", 256, "largest accepted per-request workers option")
 		queue    = fs.Int("queue", 256, "admission queue depth (further requests are shed with 503)")
 		window   = fs.Duration("batch-window", 2*time.Millisecond, "how long a batch waits for stragglers")

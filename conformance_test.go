@@ -401,7 +401,7 @@ func TestKnuthYaoConformanceMatrix(t *testing.T) {
 		if !in.Convex {
 			t.Fatalf("%s: matrix fixture must declare Convex", in.Name)
 		}
-		want := sublineardp.SolveSequential(in)
+		want := seq.Solve(in)
 		for _, tile := range []int{0, 1, 4, 7, 64} {
 			pruned, err := sublineardp.MustNewSolver(sublineardp.EngineBlockedKY,
 				sublineardp.WithTileSize(tile)).Solve(ctx, in)

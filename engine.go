@@ -35,12 +35,12 @@ type Engine interface {
 // Registry names of the built-in engines.
 const (
 	// EngineAuto picks an engine per instance by size: n <= AutoCutoff
-	// goes to the sequential scan, mid-sized instances to the banded HLV
-	// iteration, and n > AutoLargeCutoff to the barrier-free pipelined
-	// blocked engine (O(n^2) memory, zero wavefront barriers). The
-	// cutoffs default to the built-in constants; WithCalibration installs
-	// the measured, machine-local values a `dpbench -calibrate` pass
-	// derived.
+	// goes to the sequential scan and larger instances to the
+	// barrier-free pipelined blocked engine (O(n^2) memory, zero
+	// wavefront barriers); declared-convex min-plus instances above the
+	// cutoff take the Knuth-Yao pruned engine instead. The cutoff
+	// defaults to DefaultAutoCutoff; WithCalibration installs the
+	// measured, machine-local value a `dpbench -calibrate` pass derived.
 	EngineAuto = "auto"
 	// EngineSequential is the classic O(n^3) dynamic program (records
 	// split points, so Solution.Tree is O(n)).
@@ -81,11 +81,6 @@ const (
 	// always recorded (they are the pruning bounds), so Solution.Tree is
 	// O(n) without WithSplits.
 	EngineBlockedKY = "blocked-ky"
-	// EngineSemiring is a deprecated alias of the hlv-dense engine from
-	// when only one engine understood WithSemiring; every engine now
-	// evaluates any registered algebra. Kept registered so old clients
-	// and wire requests keep resolving.
-	EngineSemiring = "semiring"
 )
 
 var engineRegistry = struct {
@@ -141,8 +136,8 @@ type EngineInfo struct {
 // generic entry (their RegisterEngine call site is the authority on the
 // options they interpret).
 var builtinInfo = map[string]EngineInfo{
-	EngineAuto: {Description: "size-based selector: sequential at n <= cutoff, hlv-banded in the mid range, blocked above the large cutoff",
-		Options: "WithAutoCutoff, WithAutoLargeCutoff, WithSemiring + the chosen engine's options (iteration knobs apply only on the hlv tier)"},
+	EngineAuto: {Description: "size-based selector: sequential at n <= cutoff, blocked-pipe above it (blocked-ky for declared-convex min-plus instances)",
+		Options: "WithAutoCutoff, WithConvexity, WithSemiring + the chosen engine's options"},
 	EngineSequential: {Description: "classic O(n^3) dynamic program with O(n) tree reconstruction",
 		Options: "WithSemiring"},
 	EngineWavefront: {Description: "span-parallel linear-time baseline",
@@ -159,8 +154,6 @@ var builtinInfo = map[string]EngineInfo{
 		Options: "WithWorkers, WithPool, WithTileSize (block edge B), WithSemiring, WithSplits (O(n) tree reconstruction)"},
 	EngineBlockedKY: {Description: "Knuth-Yao pruned blocked wavefront: O(n^2) work on declared-convex min-plus instances, bitwise identical to blocked",
 		Options: "WithWorkers, WithPool, WithTileSize (block edge B); splits always recorded"},
-	EngineSemiring: {Description: "deprecated alias of hlv-dense (every engine honours WithSemiring now)",
-		Options: "WithSemiring, WithMaxIterations + hlv-dense options"},
 }
 
 // EngineInfos returns one EngineInfo per registered engine, sorted by
@@ -187,7 +180,6 @@ func init() {
 		rytterEngine{},
 		hlvEngine{name: EngineHLVDense, variant: core.Dense},
 		hlvEngine{name: EngineHLVBanded, variant: core.Banded},
-		hlvEngine{name: EngineSemiring, variant: core.Dense},
 		blockedEngine{},
 		blockedPipeEngine{},
 		blockedKYEngine{},
@@ -294,12 +286,10 @@ func (rytterEngine) Solve(ctx context.Context, in *Instance, cfg *Config) (*Solu
 }
 
 // hlvEngine wraps the paper's algorithm (internal/core) in either storage
-// variant. The same struct backs the deprecated "semiring" registry name
-// (dense variant), which is why the Solution echoes e.name rather than a
-// constant.
+// variant, registered once per variant under its own name.
 type hlvEngine struct {
 	name    string
-	variant Variant
+	variant core.Variant
 }
 
 func (e hlvEngine) Name() string { return e.name }
@@ -467,15 +457,13 @@ func (blockedKYEngine) Solve(ctx context.Context, in *Instance, cfg *Config) (*S
 }
 
 // autoEngine is the size-based meta-engine: small instances go to the
-// sequential scan, mid-sized ones to the banded HLV iteration, large
-// ones to the pipelined blocked engine — under any algebra, since all
-// three targets are generic. The returned Solution names the engine actually
-// chosen. Routing is purely by size: options are interpreted by the
-// chosen engine, so the iteration-discipline knobs (WithTermination,
-// WithMaxIterations, WithHistory, WithTarget) take effect only when the
-// HLV tier is selected — exactly as they always vanished on the
-// sequential tier. Callers that need per-iteration instrumentation at
-// any size should name an HLV engine explicitly.
+// sequential scan, larger ones to the pipelined blocked engine — under
+// any algebra, since both targets are generic. The returned Solution
+// names the engine actually chosen. Routing is purely by size and
+// convexity: options are interpreted by the chosen engine, so the HLV
+// iteration knobs (WithTermination, WithMaxIterations, WithHistory,
+// WithTarget) never take effect here. Callers that need per-iteration
+// instrumentation should name an HLV engine explicitly.
 type autoEngine struct{}
 
 func (autoEngine) Name() string { return EngineAuto }
@@ -486,10 +474,10 @@ func (autoEngine) Solve(ctx context.Context, in *Instance, cfg *Config) (*Soluti
 
 // pickAuto resolves the auto engine's choice for an instance. Size sets
 // the tier; a declared-convex min-plus instance above the sequential
-// cutoff takes the Knuth-Yao pruned engine instead of either parallel
-// tier (its O(n^2) work dominates both), and WithConvexity(true) forces
-// the pruned engine at every size — Solve has already rejected
-// ineligible instances by then.
+// cutoff takes the Knuth-Yao pruned engine instead of the tile tier
+// (its O(n^2) work dominates), and WithConvexity(true) forces the
+// pruned engine at every size — Solve has already rejected ineligible
+// instances by then.
 func pickAuto(in *Instance, cfg *Config) Engine {
 	name := pickAutoName(in, cfg)
 	e, ok := LookupEngine(name)
@@ -502,7 +490,7 @@ func pickAuto(in *Instance, cfg *Config) Engine {
 
 // pickAutoName is pickAuto's routing table by registry name — also what
 // SolveBatch consults to group pipe-destined instances into one shared
-// scheduler. The large tier routes to the pipelined blocked engine: same
+// scheduler. The parallel tier is the pipelined blocked engine: same
 // bitwise tables as "blocked" with the wavefront barriers gone.
 func pickAutoName(in *Instance, cfg *Config) string {
 	n := in.N
@@ -510,21 +498,12 @@ func pickAutoName(in *Instance, cfg *Config) string {
 	if cutoff <= 0 {
 		cutoff = DefaultAutoCutoff
 	}
-	large := cfg.AutoLargeCutoff
-	if large <= 0 {
-		large = DefaultAutoLargeCutoff
-	}
-	if large < cutoff {
-		large = cutoff
-	}
 	kyEligible := in.Convex && algebra.ResolveName(cfg.Semiring, in.Algebra) == algebra.NameMinPlus
 	switch {
 	case kyEligible && (cfg.Convexity || n > cutoff):
 		return EngineBlockedKY
 	case n <= cutoff:
 		return EngineSequential
-	case n <= large:
-		return EngineHLVBanded
 	default:
 		return EngineBlockedPipe
 	}

@@ -9,22 +9,28 @@ import (
 
 // The headline use: solve a matrix-chain instance with the paper's
 // parallel algorithm.
-func ExampleSolve() {
+func ExampleSolver_Solve() {
 	in := sublineardp.NewMatrixChain([]int{30, 35, 15, 5, 10, 20, 25})
-	res := sublineardp.Solve(in, sublineardp.Options{Variant: sublineardp.Banded})
-	fmt.Println(res.Cost())
-	fmt.Println(res.Iterations == sublineardp.WorstCaseIterations(in.N))
+	sol, err := sublineardp.MustNewSolver(sublineardp.EngineHLVBanded).Solve(context.Background(), in)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(sol.Cost())
+	fmt.Println(sol.Iterations == sublineardp.WorstCaseIterations(in.N))
 	// Output:
 	// 15125
 	// true
 }
 
 // The sequential baseline also reconstructs the optimal parenthesization.
-func ExampleSolveSequential() {
+func ExampleSolution_Split() {
 	in := sublineardp.NewMatrixChain([]int{10, 100, 5, 50})
-	res := sublineardp.SolveSequential(in)
-	fmt.Println(res.Cost())
-	fmt.Println(res.Split(0, 3)) // root split: (A1 A2) A3
+	sol, err := sublineardp.MustNewSolver(sublineardp.EngineSequential).Solve(context.Background(), in)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(sol.Cost())
+	fmt.Println(sol.Split(0, 3)) // root split: (A1 A2) A3
 	// Output:
 	// 7500
 	// 2
@@ -35,7 +41,11 @@ func ExampleNewOBST() {
 	alpha := []int64{1, 1} // gap weights (unsuccessful searches)
 	beta := []int64{1}     // key weights
 	in := sublineardp.NewOBST(alpha, beta)
-	fmt.Println(sublineardp.SolveSequential(in).Cost())
+	sol, err := sublineardp.MustNewSolver(sublineardp.EngineSequential).Solve(context.Background(), in)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(sol.Cost())
 	// Output:
 	// 5
 }
@@ -57,12 +67,15 @@ func ExampleNewPebbleGame() {
 // value table.
 func ExampleExtractTree() {
 	in := sublineardp.NewWeightedTriangulation([]int64{10, 100, 5, 50})
-	res := sublineardp.Solve(in, sublineardp.Options{})
-	tree, err := sublineardp.ExtractTree(in, res.Table)
+	sol, err := sublineardp.MustNewSolver(sublineardp.EngineHLVDense).Solve(context.Background(), in)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(sublineardp.TreeCost(in, tree) == res.Cost())
+	tree, err := sublineardp.ExtractTree(in, sol.Table)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(sublineardp.TreeCost(in, tree) == sol.Cost())
 	// Output:
 	// true
 }

@@ -1,8 +1,9 @@
 // Batch serving: fan a mixed stream of matrix-chain, OBST and
 // triangulation requests across the worker-pool scheduler, letting the
 // "auto" engine route each instance by size — small ones to the
-// sequential scan, large ones to the banded HLV iteration — under one
-// deadline, the shape of a production request handler.
+// sequential scan, large ones to the pipelined blocked engine, or to the
+// Knuth-Yao pruned one for the convex OBSTs — under one deadline, the
+// shape of a production request handler.
 //
 // Run with:
 //
@@ -37,19 +38,15 @@ func main() {
 	defer cancel()
 
 	start := time.Now()
-	sols, err := sublineardp.SolveBatch(ctx, batch,
-		sublineardp.WithConcurrency(4),
-		sublineardp.WithTermination(sublineardp.WStable), // adaptive stop for the HLV runs
-	)
+	sols, err := sublineardp.SolveBatch(ctx, batch, sublineardp.WithConcurrency(4))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("solved %d instances in %s (4-way concurrency)\n\n", len(sols), time.Since(start).Round(time.Millisecond))
 
-	fmt.Printf("%-28s %6s %-12s %10s %6s\n", "instance", "n", "engine", "optimum", "iters")
+	fmt.Printf("%-28s %6s %-12s %10s\n", "instance", "n", "engine", "optimum")
 	for i, sol := range sols {
-		fmt.Printf("%-28s %6d %-12s %10d %6d\n",
-			batch[i].Name, batch[i].N, sol.Engine, sol.Cost(), sol.Iterations)
+		fmt.Printf("%-28s %6d %-12s %10d\n", batch[i].Name, batch[i].N, sol.Engine, sol.Cost())
 	}
 
 	// Order stability: slot i always answers request i, so responses can

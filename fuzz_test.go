@@ -163,7 +163,7 @@ func FuzzRecordedSplitsTree(f *testing.F) {
 		} else {
 			in = problems.RandomInstance(n, 60, seed)
 		}
-		want := sublineardp.SolveSequential(in).Tree()
+		want := seq.Solve(in).Tree()
 		sol, err := sublineardp.MustNewSolver(sublineardp.EngineBlocked,
 			sublineardp.WithSplits(true), sublineardp.WithTileSize(b)).
 			Solve(context.Background(), in)

@@ -1,23 +1,22 @@
 // Package calibrate defines the machine-local performance profile that
 // replaces the library's compiled-in scheduling constants.
 //
-// The auto engine's routing thresholds (sequential below AutoCutoff,
-// banded HLV up to AutoLargeCutoff, pipelined blocked tiles above) and
-// the blocked engines' tile-edge floor were measured once on one
-// development machine and baked in as DefaultAutoCutoff = 64,
-// DefaultAutoLargeCutoff = 256 and DefaultTileSize = 64. Those numbers
-// are wrong on any box with a different core count, cache hierarchy or
-// memory bandwidth — the crossover where a parallel tier starts beating
+// The auto engine's routing threshold (sequential up to AutoCutoff,
+// pipelined blocked tiles above) and the blocked engines' tile-edge
+// floor were measured once on one development machine and baked in as
+// DefaultAutoCutoff = 64 and DefaultTileSize = 64. Those numbers are
+// wrong on any box with a different core count, cache hierarchy or
+// memory bandwidth — the crossover where the parallel tier starts beating
 // the cache-friendly sequential scan is a property of the machine, not
 // of the algorithm.
 //
-// `dpbench -calibrate` re-measures the crossovers with the same
+// `dpbench -calibrate` re-measures both with the same
 // best-of-k solve timing the BENCH_core.json baseline uses and writes
 // the result here as a small JSON profile. Loading it (root package
 // LoadCalibration + WithCalibration, or dpserved's -calibration flag)
 // makes every auto-routed solve on that machine use the measured
-// thresholds instead of the defaults. The probes that justified each
-// threshold are recorded alongside it, so a profile is auditable: the
+// values instead of the defaults. The probes that justified each
+// value are recorded alongside it, so a profile is auditable: the
 // numbers can be traced back to the ns/op measurements that chose them.
 package calibrate
 
@@ -39,7 +38,7 @@ const DefaultPath = "CALIBRATION.json"
 // × instance size → best-of-k wall time. Probes are evidence, not
 // configuration — Load never interprets them.
 type Probe struct {
-	Kind    string `json:"kind"`   // "cutoff", "large-cutoff" or "tile"
+	Kind    string `json:"kind"`   // "cutoff" or "tile"
 	Engine  string `json:"engine"` // registry engine name probed
 	N       int    `json:"n"`      // instance size
 	Tile    int    `json:"tile,omitempty"`
@@ -56,12 +55,8 @@ type Profile struct {
 	Workers    int    `json:"workers,omitempty"`
 
 	// AutoCutoff is the measured instance size at or below which the
-	// sequential scan beats the first parallel tier.
+	// sequential scan beats the pipelined blocked engine.
 	AutoCutoff int `json:"auto_cutoff,omitempty"`
-
-	// AutoLargeCutoff is the measured instance size above which the
-	// pipelined blocked engine beats the banded HLV iteration.
-	AutoLargeCutoff int `json:"auto_large_cutoff,omitempty"`
 
 	// TileSize is the measured best block edge for the blocked engines
 	// on this machine.
@@ -72,8 +67,7 @@ type Profile struct {
 }
 
 // Validate checks that the profile is structurally usable: the schema
-// matches and every calibrated threshold is coherent (non-negative, and
-// the large cutoff not below the small one when both are set).
+// matches and every calibrated value is non-negative.
 func (p *Profile) Validate() error {
 	if p == nil {
 		return fmt.Errorf("calibrate: nil profile")
@@ -81,13 +75,9 @@ func (p *Profile) Validate() error {
 	if p.Schema != Schema {
 		return fmt.Errorf("calibrate: schema %q, want %q", p.Schema, Schema)
 	}
-	if p.AutoCutoff < 0 || p.AutoLargeCutoff < 0 || p.TileSize < 0 {
-		return fmt.Errorf("calibrate: negative threshold (cutoff=%d large=%d tile=%d)",
-			p.AutoCutoff, p.AutoLargeCutoff, p.TileSize)
-	}
-	if p.AutoCutoff > 0 && p.AutoLargeCutoff > 0 && p.AutoLargeCutoff < p.AutoCutoff {
-		return fmt.Errorf("calibrate: large cutoff %d below small cutoff %d",
-			p.AutoLargeCutoff, p.AutoCutoff)
+	if p.AutoCutoff < 0 || p.TileSize < 0 {
+		return fmt.Errorf("calibrate: negative threshold (cutoff=%d tile=%d)",
+			p.AutoCutoff, p.TileSize)
 	}
 	return nil
 }

@@ -16,7 +16,6 @@ var enginePackages = []string{
 	"internal/core",
 	"internal/wavefront",
 	"internal/rytter",
-	"internal/semiring",
 }
 
 // hotPackages are the kernel/tile-body packages whose loops the

@@ -119,3 +119,21 @@ func ForbiddenSplits(n int, forbidden [][2]int) *recurrence.Instance {
 		},
 	}
 }
+
+// RandomAlgebraInstance is RandomInstance under a declared algebra, the
+// random input for cross-algebra agreement tests. Bool-plan draws every
+// f(i,k,j) from {0,1} with feasible leaves (init 1), so a root's
+// feasibility turns on the splits alone; every other algebra draws f and
+// init from [0, maxW].
+func RandomAlgebraInstance(alg string, n, maxW int, seed int64) *recurrence.Instance {
+	if alg == algebra.NameBoolPlan {
+		maxW = 1
+	}
+	in := RandomInstance(n, maxW, seed)
+	in.Name = alg + "-" + in.Name
+	in.Algebra = alg
+	if alg == algebra.NameBoolPlan {
+		in.Init = func(int) cost.Cost { return 1 }
+	}
+	return in
+}

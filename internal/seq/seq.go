@@ -233,34 +233,35 @@ func SolveKnuth(in *recurrence.Instance) *Result {
 }
 
 // BruteForce computes c(0,n) by exhaustive recursion with memoisation
-// over all parenthesizations. Exponential bookkeeping but entirely
-// independent of the DP formulation; tests use it at tiny n as ground
-// truth for everything else.
+// over all parenthesizations, under the instance's declared algebra.
+// Exponential bookkeeping but entirely independent of the DP
+// formulation; tests use it at tiny n as ground truth for everything
+// else.
 func BruteForce(in *recurrence.Instance) cost.Cost {
+	k, err := algebra.Resolve(nil, in.Algebra)
+	if err != nil {
+		panic(err)
+	}
 	n := in.N
 	size := n + 1
 	memo := make([]cost.Cost, size*size)
-	for i := range memo {
-		memo[i] = -1
-	}
+	seen := make([]bool, size*size)
 	var rec func(i, j int) cost.Cost
 	rec = func(i, j int) cost.Cost {
-		if m := memo[i*size+j]; m >= 0 {
-			return m
+		if seen[i*size+j] {
+			return memo[i*size+j]
 		}
 		var v cost.Cost
 		if j == i+1 {
 			v = in.Init(i)
 		} else {
-			v = cost.Inf
-			for k := i + 1; k < j; k++ {
-				c := cost.Add3(in.F(i, k, j), rec(i, k), rec(k, j)) //lint:allow bulkonly brute-force ground truth for tiny n; test-only by construction
-				if c < v {
-					v = c
-				}
+			v = k.Zero()
+			for kk := i + 1; kk < j; kk++ {
+				v = k.Combine(v, k.Extend3(in.F(i, kk, j), rec(i, kk), rec(kk, j))) //lint:allow bulkonly brute-force ground truth for tiny n; test-only by construction
 			}
 		}
 		memo[i*size+j] = v
+		seen[i*size+j] = true
 		return v
 	}
 	return rec(0, n)

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sublineardp/internal/algebra"
 	"sublineardp/internal/btree"
+	"sublineardp/internal/core"
 	"sublineardp/internal/cost"
 	"sublineardp/internal/problems"
 	"sublineardp/internal/recurrence"
@@ -48,6 +50,26 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 			want := BruteForce(in)
 			if got != want {
 				t.Fatalf("n=%d seed=%d: Solve=%d BruteForce=%d", n, seed, got, want)
+			}
+		}
+	}
+}
+
+// Both the sequential scan and the paper's dense HLV iteration agree
+// with the exhaustive recursion under every shipped algebra, including
+// infeasible bool-plan roots and max-plus optima.
+func TestEnginesMatchBruteForceAcrossAlgebras(t *testing.T) {
+	for _, alg := range []string{algebra.NameMinPlus, algebra.NameMaxPlus, algebra.NameBoolPlan} {
+		for seed := int64(1); seed <= 4; seed++ {
+			for n := 1; n <= 10; n++ {
+				in := problems.RandomAlgebraInstance(alg, n, 39, seed)
+				want := BruteForce(in)
+				if got := Solve(in).Cost(); got != want {
+					t.Errorf("%s: sequential %d, brute force %d", in.Name, got, want)
+				}
+				if got := core.Solve(in, core.Options{Variant: core.Dense}).Cost(); got != want {
+					t.Errorf("%s: hlv-dense %d, brute force %d", in.Name, got, want)
+				}
 			}
 		}
 	}

@@ -32,6 +32,7 @@ import (
 
 	"sublineardp"
 	"sublineardp/internal/problems"
+	"sublineardp/internal/seq"
 	"sublineardp/internal/wire"
 )
 
@@ -80,8 +81,14 @@ func (e *blockSolveEngine) Solve(ctx context.Context, in *sublineardp.Instance, 
 	return inner.Solve(ctx, in, cfg)
 }
 
-func registerBlockEngine(t *testing.T, name string) *blockSolveEngine {
+// blockEngineSeq numbers registrations: the engine registry is
+// process-global and has no Unregister, so each call takes a fresh name
+// and the suite can run more than once in one process (-count=N).
+var blockEngineSeq atomic.Int64
+
+func registerBlockEngine(t *testing.T, prefix string) *blockSolveEngine {
 	t.Helper()
+	name := fmt.Sprintf("%s-%d", prefix, blockEngineSeq.Add(1))
 	e := &blockSolveEngine{
 		name:      name,
 		entered:   make(chan struct{}, 64),
@@ -283,7 +290,7 @@ func TestE2ESingleFlightAndCacheHit(t *testing.T) {
 
 	req := &wire.Request{Kind: wire.KindMatrixChain,
 		Dims:    []int{30, 35, 15, 5, 10, 20, 25},
-		Options: wire.Options{Engine: "e2e-block"}}
+		Options: wire.Options{Engine: eng.name}}
 	body, _ := json.Marshal(req)
 
 	const concurrent = 4
@@ -401,7 +408,7 @@ func TestE2EClientDisconnectCancelsSolve(t *testing.T) {
 	base := startLoopback(t, srv)
 
 	req := &wire.Request{Kind: wire.KindMatrixChain, Dims: []int{4, 5, 6, 7},
-		Options: wire.Options{Engine: "e2e-block-cancel"}}
+		Options: wire.Options{Engine: eng.name}}
 	body, _ := json.Marshal(req)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -467,7 +474,7 @@ func TestE2EOverloadCounterIdentity(t *testing.T) {
 	// The leader occupies the only admission slot, parked inside the
 	// engine, so the server is saturated for the rest of the test.
 	leadBody, _ := json.Marshal(&wire.Request{Kind: wire.KindMatrixChain,
-		Dims: []int{4, 5, 6, 7}, Options: wire.Options{Engine: "e2e-block-overload"}})
+		Dims: []int{4, 5, 6, 7}, Options: wire.Options{Engine: eng.name}})
 	leaderDone := make(chan error, 1)
 	go func() {
 		resp, err := http.Post(base+"/solve", "application/json", bytes.NewReader(leadBody))
@@ -843,7 +850,7 @@ func TestE2EReconstructionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sublineardp.SolveSequential(in).Tree()
+	want := seq.Solve(in).Tree()
 
 	first := post(treq)
 	if first.Cached || first.Coalesced {

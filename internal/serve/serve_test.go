@@ -170,6 +170,7 @@ func TestResourcePolicyRejections(t *testing.T) {
 	rejected := []*wire.Request{
 		{Kind: wire.KindMatrixChain, Dims: bigDims, Options: wire.Options{Engine: "hlv-dense"}},
 		{Kind: wire.KindMatrixChain, Dims: bigDims, Options: wire.Options{Engine: "rytter"}},
+		// The retired "semiring" alias is an unknown engine like any other.
 		{Kind: wire.KindMatrixChain, Dims: bigDims, Options: wire.Options{Engine: "semiring"}},
 		{Kind: wire.KindMatrixChain, Dims: []int{2, 3, 4}, Options: wire.Options{Workers: 9}},
 	}
@@ -324,16 +325,15 @@ func TestBatcherCoalescesAWindow(t *testing.T) {
 }
 
 // A calibration profile attached to the server (dpserved -calibration)
-// re-routes auto solves by its measured thresholds — here a profile
-// whose tiny cutoffs push a modest request onto the pipelined tile
-// engine the defaults would never choose at that size — while a request
-// that sets the same knobs explicitly keeps its own values.
+// re-routes auto solves by its measured cutoff — here a profile whose
+// tiny cutoff pushes a modest request onto the pipelined tile engine the
+// defaults would never choose at that size — while a request that sets
+// the same knob explicitly keeps its own value.
 func TestCalibrationProfileRoutesAutoSolves(t *testing.T) {
 	_, hs := newTestServer(t, Config{Calibration: &sublineardp.Calibration{
-		Schema:          calibrate.Schema,
-		AutoCutoff:      4,
-		AutoLargeCutoff: 4,
-		TileSize:        8,
+		Schema:     calibrate.Schema,
+		AutoCutoff: 4,
+		TileSize:   8,
 	}})
 	dims := make([]int, 21) // n = 20: sequential under default routing
 	for i := range dims {
@@ -366,5 +366,35 @@ func TestCalibrationProfileRoutesAutoSolves(t *testing.T) {
 	}
 	if wr.Engine != sublineardp.EngineSequential {
 		t.Fatalf("explicit auto_cutoff lost to the server profile: engine %q", wr.Engine)
+	}
+}
+
+// The wire option auto_large_cutoff is accepted and ignored: a request
+// carrying it answers with its twin's body, from its twin's cache entry.
+func TestAutoLargeCutoffIsIgnored(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	dims := make([]int, 101) // n = 100: above the default auto cutoff
+	for i := range dims {
+		dims[i] = (i*7)%13 + 1
+	}
+	var bodies [2]wire.Response
+	for i, large := range []int{0, 4} {
+		resp, body := postSolve(t, hs.URL, &wire.Request{
+			ID: "alc", Kind: wire.KindMatrixChain, Dims: dims,
+			Options: wire.Options{AutoLargeCutoff: large},
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("auto_large_cutoff=%d: status %d: %s", large, resp.StatusCode, body)
+		}
+		bodies[i] = decodeResponse(t, body)
+	}
+	if bodies[0].Engine != sublineardp.EngineBlockedPipe {
+		t.Errorf("n=100 auto solve ran %q, want %q", bodies[0].Engine, sublineardp.EngineBlockedPipe)
+	}
+	if bodies[0].Cached || !bodies[1].Cached {
+		t.Errorf("cached = %v then %v, want a miss then a hit", bodies[0].Cached, bodies[1].Cached)
+	}
+	if got, want := stripPerRequest(t, bodies[1]), stripPerRequest(t, bodies[0]); !bytes.Equal(got, want) {
+		t.Errorf("auto_large_cutoff changed the body:\n with    %s\n without %s", got, want)
 	}
 }

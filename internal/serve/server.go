@@ -42,13 +42,13 @@ type Config struct {
 	// (default "auto").
 	Engine string
 	// MaxN rejects instances larger than this with 400 (default 4096;
-	// negative = unbounded). It bounds per-request memory for the
-	// engines the server routes to by default: a banded solve's working
-	// set grows as O(n^2.5).
+	// negative = unbounded). It bounds per-request memory: the engines
+	// the server routes to by default hold O(n^2) tables, and an
+	// explicitly named banded solve's working set grows as O(n^2.5).
 	MaxN int
 	// MaxNHeavy is the stricter size bound for the O(n^4)-memory
-	// engines a request may name explicitly — hlv-dense, rytter,
-	// semiring (default 64; negative = unbounded). Without it one
+	// engines a request may name explicitly — hlv-dense and rytter
+	// (default 64; negative = unbounded). Without it one
 	// request for hlv-dense at n=256 would try to allocate ~70 GB.
 	MaxNHeavy int
 	// MaxWorkers caps the per-request workers option (default 256;
@@ -420,7 +420,6 @@ const (
 var heavyMemoryEngines = map[string]bool{
 	sublineardp.EngineHLVDense: true,
 	sublineardp.EngineRytter:   true,
-	sublineardp.EngineSemiring: true,
 }
 
 // solveKey content-addresses one request: the instance's canonical bytes
@@ -457,9 +456,9 @@ func renderBits(h *cache.Hasher, req *wire.Request) *cache.Hasher {
 // value vector and does not change the solve).
 func optionsSig(engine string, o wire.Options, splits bool) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|%s|%s|%d|%d|%v|%d|%d|%d|%d|%v",
+	fmt.Fprintf(&b, "%s|%s|%s|%s|%d|%d|%v|%d|%d|%d|%v",
 		engine, o.Mode, o.Termination, o.Semiring, o.MaxIterations,
-		o.BandRadius, o.Window, o.TileSize, o.Workers, o.AutoCutoff, o.AutoLargeCutoff,
+		o.BandRadius, o.Window, o.TileSize, o.Workers, o.AutoCutoff,
 		splits)
 	return b.String()
 }

@@ -103,8 +103,9 @@ type Options struct {
 	TileSize   int  `json:"tile_size,omitempty"`
 	Workers    int  `json:"workers,omitempty"`
 	AutoCutoff int  `json:"auto_cutoff,omitempty"`
-	// AutoLargeCutoff is the auto engine's blocked-engine threshold
-	// (WithAutoLargeCutoff).
+	// AutoLargeCutoff is accepted and ignored, so clients that still
+	// send it keep working: such a request solves and caches exactly
+	// like its twin without the field.
 	AutoLargeCutoff int `json:"auto_large_cutoff,omitempty"`
 }
 
@@ -461,9 +462,6 @@ func (r *Request) SolverOptions() ([]sublineardp.Option, error) {
 	}
 	if o.AutoCutoff > 0 {
 		opts = append(opts, sublineardp.WithAutoCutoff(o.AutoCutoff))
-	}
-	if o.AutoLargeCutoff > 0 {
-		opts = append(opts, sublineardp.WithAutoLargeCutoff(o.AutoLargeCutoff))
 	}
 	if r.ReturnSplits && !IsChainKind(r.Kind) {
 		// Record splits during the solve so the reconstruction the

@@ -12,6 +12,7 @@ import (
 
 	"sublineardp"
 	"sublineardp/internal/problems"
+	"sublineardp/internal/seq"
 )
 
 // -update refreshes the golden fixtures. The fixtures freeze the wire
@@ -498,7 +499,7 @@ func TestResponseReconstructionTree(t *testing.T) {
 	if resp.Reconstruction == nil {
 		t.Fatal("return_splits produced no reconstruction section")
 	}
-	want := sublineardp.SolveSequential(in).Tree()
+	want := seq.Solve(in).Tree()
 	if resp.Reconstruction.Tree != want.Encode() {
 		t.Errorf("served tree %q, direct solve %q", resp.Reconstruction.Tree, want.Encode())
 	}
@@ -573,11 +574,11 @@ func TestChainResponseReconstructionPath(t *testing.T) {
 // distinguishes distinct values.
 func TestTreeAndPathDigests(t *testing.T) {
 	in := problems.MatrixChain([]int{30, 35, 15, 5, 10, 20, 25})
-	tr := sublineardp.SolveSequential(in).Tree()
+	tr := seq.Solve(in).Tree()
 	if TreeDigest(tr) != TreeDigest(tr) {
 		t.Fatal("TreeDigest not deterministic")
 	}
-	other := sublineardp.SolveSequential(problems.MatrixChain([]int{2, 9, 2, 9, 2, 9, 2})).Tree()
+	other := seq.Solve(problems.MatrixChain([]int{2, 9, 2, 9, 2, 9, 2})).Tree()
 	if TreeDigest(tr) == TreeDigest(other) {
 		t.Fatal("different trees share a digest")
 	}

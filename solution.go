@@ -35,8 +35,8 @@ type Solution struct {
 	// optimum, also available as Cost().
 	Table *Table
 
-	// Iterations is the number of parallel iterations executed (HLV,
-	// Rytter and semiring engines; zero for single-pass engines).
+	// Iterations is the number of parallel iterations executed (HLV and
+	// Rytter engines; zero for single-pass engines).
 	Iterations int
 
 	// StoppedEarly reports that a stability termination rule fired

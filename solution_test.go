@@ -7,6 +7,7 @@ import (
 
 	"sublineardp"
 	"sublineardp/internal/problems"
+	"sublineardp/internal/seq"
 )
 
 // A zero-value or error-path Solution has no table; Cost and N must
@@ -45,7 +46,7 @@ func TestSolutionNilTableGuards(t *testing.T) {
 // the answers coincide across the whole registry.
 func TestSolutionSplitAcrossEngines(t *testing.T) {
 	in := problems.RandomMatrixChain(20, 60, 4)
-	want := sublineardp.SolveSequential(in)
+	want := seq.Solve(in)
 	ctx := context.Background()
 	for _, name := range sublineardp.Engines() {
 		if _, skip := nonconformingFixtures[name]; skip {

@@ -9,12 +9,14 @@ import (
 
 	"sublineardp"
 	"sublineardp/internal/cost"
+	"sublineardp/internal/problems"
 	"sublineardp/internal/recurrence"
+	"sublineardp/internal/seq"
 )
 
 // fixtures returns the shared instances every engine must agree on:
 // one per problem family plus the zigzag worst case, small enough for
-// the O(n^4)-memory engines (rytter, hlv-dense, semiring).
+// the O(n^4)-memory engines (rytter, hlv-dense).
 func fixtures() []*sublineardp.Instance {
 	return []*sublineardp.Instance{
 		sublineardp.NewMatrixChain([]int{30, 35, 15, 5, 10, 20, 25}),
@@ -36,7 +38,6 @@ func builtinEngines() []string {
 		sublineardp.EngineRytter,
 		sublineardp.EngineHLVDense,
 		sublineardp.EngineHLVBanded,
-		sublineardp.EngineSemiring,
 	}
 }
 
@@ -44,7 +45,7 @@ func builtinEngines() []string {
 // Solver API and returns an identical Solution.Cost() on shared fixtures.
 func TestAllEnginesAgreeOnFixtures(t *testing.T) {
 	for _, in := range fixtures() {
-		want := sublineardp.SolveSequential(in).Cost()
+		want := seq.Solve(in).Cost()
 		for _, name := range builtinEngines() {
 			s, err := sublineardp.NewSolver(name)
 			if err != nil {
@@ -166,71 +167,59 @@ func TestSolveDeadlineAlreadyExpired(t *testing.T) {
 }
 
 func TestAutoEngineSelectsBySize(t *testing.T) {
-	small := sublineardp.NewShaped(sublineardp.CompleteTree(12))
-	large := sublineardp.NewShaped(sublineardp.CompleteTree(80))
 	s := sublineardp.MustNewSolver(sublineardp.EngineAuto)
 	if s.EngineName() != sublineardp.EngineAuto {
 		t.Fatalf("EngineName = %q", s.EngineName())
 	}
-	solSmall, err := s.Solve(context.Background(), small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if solSmall.Engine != sublineardp.EngineSequential {
-		t.Errorf("n=%d routed to %q, want sequential", small.N, solSmall.Engine)
-	}
-	solLarge, err := s.Solve(context.Background(), large)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if solLarge.Engine != sublineardp.EngineHLVBanded {
-		t.Errorf("n=%d routed to %q, want hlv-banded", large.N, solLarge.Engine)
+	// Two tiers: the sequential scan up to DefaultAutoCutoff, the
+	// barrier-free pipelined blocked engine above it — O(n^2) memory,
+	// zero wavefront barriers (Solution.Stats pins the latter), and the
+	// sequential table bit for bit.
+	for _, tc := range []struct {
+		n    int
+		want string
+	}{
+		{sublineardp.DefaultAutoCutoff, sublineardp.EngineSequential},
+		{sublineardp.DefaultAutoCutoff + 1, sublineardp.EngineBlockedPipe},
+		{128, sublineardp.EngineBlockedPipe},
+		{256, sublineardp.EngineBlockedPipe},
+	} {
+		in := problems.RandomMatrixChain(tc.n, 50, int64(tc.n))
+		sol, err := s.Solve(context.Background(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Engine != tc.want {
+			t.Errorf("n=%d routed to %q, want %q", tc.n, sol.Engine, tc.want)
+			continue
+		}
+		if !sol.Table.Equal(seq.Solve(in).Table) {
+			t.Errorf("n=%d: %s table differs from sequential", tc.n, sol.Engine)
+		}
+		if tc.want == sublineardp.EngineBlockedPipe && (sol.Stats.Barriers != 0 || sol.Stats.Tasks == 0) {
+			t.Errorf("n=%d: blocked-pipe stats = %+v, want 0 barriers and non-zero tasks", tc.n, sol.Stats)
+		}
 	}
 
-	// Above the large cutoff the barrier-free pipelined blocked engine
-	// takes over — O(n^2) memory and zero wavefront barriers
-	// (Solution.Stats pins the latter).
-	huge := sublineardp.NewShaped(sublineardp.CompleteTree(300))
-	solHuge, err := s.Solve(context.Background(), huge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if solHuge.Engine != sublineardp.EngineBlockedPipe {
-		t.Errorf("n=%d routed to %q, want blocked-pipe", huge.N, solHuge.Engine)
-	}
-	if solHuge.Stats.Barriers != 0 || solHuge.Stats.Tasks == 0 {
-		t.Errorf("blocked-pipe stats = %+v, want 0 barriers and non-zero tasks", solHuge.Stats)
-	}
-
-	// A custom cutoff flips the small instance to the parallel engine.
+	// A custom cutoff flips a small instance to the parallel tier.
+	small := sublineardp.NewShaped(sublineardp.CompleteTree(12))
 	tight := sublineardp.MustNewSolver(sublineardp.EngineAuto, sublineardp.WithAutoCutoff(4))
 	sol, err := tight.Solve(context.Background(), small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Engine != sublineardp.EngineHLVBanded {
-		t.Errorf("cutoff=4: n=%d routed to %q, want hlv-banded", small.N, sol.Engine)
-	}
-
-	// A custom large cutoff flips the mid-sized instance to the
-	// pipelined blocked engine.
-	wide := sublineardp.MustNewSolver(sublineardp.EngineAuto, sublineardp.WithAutoLargeCutoff(70))
-	sol, err = wide.Solve(context.Background(), large)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if sol.Engine != sublineardp.EngineBlockedPipe {
-		t.Errorf("large-cutoff=70: n=%d routed to %q, want blocked-pipe", large.N, sol.Engine)
+		t.Errorf("cutoff=4: n=%d routed to %q, want blocked-pipe", small.N, sol.Engine)
 	}
 }
 
 func TestSolutionTreeAcrossEngines(t *testing.T) {
 	in := sublineardp.NewMatrixChain([]int{30, 35, 15, 5, 10, 20, 25})
-	wantTree := sublineardp.SolveSequential(in).Tree()
+	wantTree := seq.Solve(in).Tree()
 	for _, name := range []string{
 		sublineardp.EngineSequential,
 		sublineardp.EngineHLVBanded,
-		sublineardp.EngineSemiring,
+		sublineardp.EngineHLVDense,
 	} {
 		sol, err := sublineardp.MustNewSolver(name).Solve(context.Background(), in)
 		if err != nil {
@@ -259,7 +248,7 @@ func TestSolutionTreeAcrossEngines(t *testing.T) {
 
 func TestSolverOptionsReachEngine(t *testing.T) {
 	in := sublineardp.NewShaped(sublineardp.CompleteTree(49))
-	want := sublineardp.SolveSequential(in).Table
+	want := seq.Solve(in).Table
 
 	s := sublineardp.MustNewSolver(sublineardp.EngineHLVBanded,
 		sublineardp.WithTermination(sublineardp.WStable),
@@ -299,16 +288,16 @@ func TestSolverOptionsReachEngine(t *testing.T) {
 
 func TestSemiringEngineAlgebras(t *testing.T) {
 	in := sublineardp.NewMatrixChain([]int{10, 100, 5, 50, 20})
-	minSol, err := sublineardp.MustNewSolver(sublineardp.EngineSemiring).Solve(context.Background(), in)
+	minSol, err := sublineardp.MustNewSolver(sublineardp.EngineHLVDense).Solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxSol, err := sublineardp.MustNewSolver(sublineardp.EngineSemiring,
+	maxSol, err := sublineardp.MustNewSolver(sublineardp.EngineHLVDense,
 		sublineardp.WithSemiring(sublineardp.MaxPlus)).Solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := sublineardp.SolveSequential(in).Cost(); minSol.Cost() != want {
+	if want := seq.Solve(in).Cost(); minSol.Cost() != want {
 		t.Errorf("min-plus cost %d, want %d", minSol.Cost(), want)
 	}
 	if maxSol.Cost() <= minSol.Cost() {

@@ -104,7 +104,6 @@ func solveKey(in *Instance, engineName string, cfg *Config) (cache.Key, bool) {
 		Int64("band", int64(cfg.BandRadius)).
 		Bool("window", cfg.Window).
 		Int64("autocutoff", int64(cfg.AutoCutoff)).
-		Int64("autolargecutoff", int64(cfg.AutoLargeCutoff)).
 		String("semiring", srName).
 		Bool("history", cfg.History).
 		Bool("splits", cfg.RecordSplits).

@@ -30,7 +30,6 @@ func TestSolveKeySeparatesResultAffectingOptions(t *testing.T) {
 		"band":         func(c *Config) { c.BandRadius = 7 },
 		"window":       func(c *Config) { c.Window = true },
 		"autocutoff":   func(c *Config) { c.AutoCutoff = 10 },
-		"autolarge":    func(c *Config) { c.AutoLargeCutoff = 512 },
 		"history":      func(c *Config) { c.History = true },
 		"semiring":     func(c *Config) { c.Semiring = MaxPlus },
 		"semiring2":    func(c *Config) { c.Semiring = BoolPlan },

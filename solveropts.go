@@ -9,8 +9,6 @@ import (
 // Re-exported enum types, so functional options can be used without
 // importing internal packages.
 type (
-	// Variant selects the HLV partial-weight storage scheme (Dense | Banded).
-	Variant = core.Variant
 	// Mode selects the update discipline (Synchronous | Chaotic).
 	Mode = core.Mode
 	// Termination selects the stopping rule (FixedIterations | WStable |
@@ -144,18 +142,10 @@ type Config struct {
 	Cache *Cache
 
 	// AutoCutoff is the instance size at or below which the "auto"
-	// engine picks "sequential" instead of "hlv-banded" (0 = the
+	// engine picks "sequential" instead of "blocked-pipe" (0 = the
 	// DefaultAutoCutoff). Small instances are solved faster by the
-	// cache-friendly O(n^3) scan than by any parallel iteration.
+	// cache-friendly O(n^3) scan than by any parallel schedule.
 	AutoCutoff int
-
-	// AutoLargeCutoff is the instance size above which the "auto" engine
-	// picks the work-efficient "blocked-pipe" engine instead of
-	// "hlv-banded" (0 = the DefaultAutoLargeCutoff; values below
-	// AutoCutoff clamp to it). Past this size the HLV iteration's
-	// O(n^2.5) deficit store and per-iteration sweeps lose to the
-	// O(n^2)-memory blocked tile schedule.
-	AutoLargeCutoff int
 
 	// Convexity demands the Knuth-Yao pruned path: Solve fails with
 	// ErrConvexityRequired unless the instance declares the convexity
@@ -178,13 +168,8 @@ type Config struct {
 
 // DefaultAutoCutoff is the default small-instance threshold of the
 // "auto" engine: at n <= 64 the sequential O(n^3) scan beats the
-// parallel engines' per-iteration overhead on real hardware.
+// parallel engines' scheduling overhead on real hardware.
 const DefaultAutoCutoff = 64
-
-// DefaultAutoLargeCutoff is the default large-instance threshold of the
-// "auto" engine: above n = 256 the work-efficient blocked engine
-// dominates the banded HLV iteration on both memory and wall clock.
-const DefaultAutoLargeCutoff = 256
 
 // Option configures a Solver, a single Solve call, or a SolveBatch run.
 type Option func(*Config)
@@ -257,11 +242,6 @@ func WithCache(c *Cache) Option { return func(cfg *Config) { cfg.Cache = c } }
 // engine (and SolveBatch's default scheduling) picks the sequential
 // engine (0 = DefaultAutoCutoff).
 func WithAutoCutoff(n int) Option { return func(c *Config) { c.AutoCutoff = n } }
-
-// WithAutoLargeCutoff sets the instance size above which the "auto"
-// engine routes to the work-efficient "blocked" engine instead of the
-// banded HLV iteration (0 = DefaultAutoLargeCutoff).
-func WithAutoLargeCutoff(n int) Option { return func(c *Config) { c.AutoLargeCutoff = n } }
 
 // WithConvexity demands the Knuth-Yao pruned path: the solve fails with
 // ErrConvexityRequired unless the instance declares Instance.Convex and

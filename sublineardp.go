@@ -48,8 +48,7 @@
 // conflate a min-plus solution with a max-plus one. Third-party algebras
 // register with RegisterSemiring, which validates the semiring axioms
 // mechanically, and are then held to the same engine conformance matrix
-// as the shipped ones. (The "semiring" engine name survives as a
-// deprecated alias of hlv-dense.)
+// as the shipped ones.
 //
 // SolveBatch fans many instances across a worker pool with size-based
 // engine auto-selection — the serving building block:
@@ -67,10 +66,6 @@
 // The internal packages expose the full machinery: the pebbling game of
 // Section 3 (Pebble* identifiers below), PRAM accounting, termination
 // heuristics, and the experiment harness behind cmd/dpbench.
-//
-// The package-level Solve, SolveSequential, SolveWavefront and
-// SolveRytter functions are the pre-registry API, kept as thin
-// deprecated wrappers.
 package sublineardp
 
 import (
@@ -80,9 +75,6 @@ import (
 	"sublineardp/internal/pebble"
 	"sublineardp/internal/problems"
 	"sublineardp/internal/recurrence"
-	"sublineardp/internal/rytter"
-	"sublineardp/internal/seq"
-	"sublineardp/internal/wavefront"
 )
 
 // Core data types, re-exported from the internal packages.
@@ -95,11 +87,6 @@ type (
 	Cost = cost.Cost
 	// Tree is a parenthesization tree over spans (i,j).
 	Tree = btree.Tree
-	// Options configures the parallel solver (variant, mode, termination,
-	// workers, band radius, windowed schedule, audit, history).
-	Options = core.Options
-	// Result is the parallel solver's outcome with PRAM instrumentation.
-	Result = core.Result
 	// Point is a polygon vertex for triangulation instances.
 	Point = problems.Point
 )
@@ -107,10 +94,9 @@ type (
 // Inf is the "not yet computed / unreachable" cost sentinel.
 const Inf = cost.Inf
 
-// Solver configuration constants, re-exported for Options literals.
+// HLV update disciplines and stopping rules, re-exported for WithMode
+// and WithTermination.
 const (
-	Dense           = core.Dense
-	Banded          = core.Banded
 	Synchronous     = core.Synchronous
 	Chaotic         = core.Chaotic
 	FixedIterations = core.FixedIterations
@@ -170,63 +156,6 @@ var (
 	SkewedTree = btree.LeftSkewed
 )
 
-// Solve runs the paper's parallel algorithm. The zero Options give the
-// dense Sections 2-4 algorithm; set Variant: Banded for the
-// O(n^3.5/log n)-processor variant of Section 5. Like every solve in the
-// repository it executes on the pooled runtime: kernels dispatch onto
-// the process-wide worker pool and the w'/pw' buffers recycle through
-// the shared arena, so legacy callers get the same steady-state speed as
-// the Solver API.
-//
-// Deprecated: use NewSolver(EngineHLVDense) or NewSolver(EngineHLVBanded)
-// with functional options, which adds context cancellation and the
-// unified Solution type.
-func Solve(in *Instance, opts Options) *Result { return core.Solve(in, opts) }
-
-// SequentialResult is the outcome of the O(n^3) baseline.
-type SequentialResult struct {
-	// Table is the full DP table; Table.Root() is the optimum.
-	Table *Table
-	// Work counts candidate evaluations (the sequential O(n^3)).
-	Work int64
-
-	inner *seq.Result
-}
-
-// Cost returns the optimum c(0,n).
-func (r *SequentialResult) Cost() Cost { return r.Table.Root() }
-
-// Tree reconstructs the optimal parenthesization.
-func (r *SequentialResult) Tree() *Tree { return r.inner.Tree() }
-
-// Split returns the optimal split point of node (i,j).
-func (r *SequentialResult) Split(i, j int) int { return r.inner.Split(i, j) }
-
-// SolveSequential runs the classic O(n^3) dynamic program.
-//
-// Deprecated: use NewSolver(EngineSequential); the Solution it returns
-// carries the same table, work count, tree reconstruction and splits.
-func SolveSequential(in *Instance) *SequentialResult {
-	res := seq.Solve(in)
-	return &SequentialResult{Table: res.Table, Work: res.Work, inner: res}
-}
-
-// SolveWavefront runs the span-parallel linear-time baseline on the
-// shared pooled runtime.
-//
-// Deprecated: use NewSolver(EngineWavefront, WithWorkers(workers)).
-func SolveWavefront(in *Instance, workers int) *Table {
-	return wavefront.Solve(in, wavefront.Options{Workers: workers}).Table
-}
-
-// SolveRytter runs the 1988 baseline the paper improves on, on the
-// shared pooled runtime.
-//
-// Deprecated: use NewSolver(EngineRytter, WithWorkers(workers)).
-func SolveRytter(in *Instance, workers int) *Table {
-	return rytter.Solve(in, rytter.Options{Workers: workers}).Table
-}
-
 // PebbleRule selects the square move of the Section 3 pebbling game.
 type PebbleRule = pebble.Rule
 
@@ -254,7 +183,7 @@ func PebbleBound(nLeaves int) int { return pebble.LemmaBound(nLeaves) }
 func WorstCaseIterations(n int) int { return core.DefaultIterations(n) }
 
 // ExtractTree reconstructs an optimal parenthesization from any converged
-// cost table (for example Result.Table of a parallel solve — the paper's
+// cost table (for example Solution.Table of an HLV solve — the paper's
 // algorithm computes values only; this recovers the solution). It fails
 // if the table is not a fixed point of the recurrence, e.g. when a run
 // was stopped before convergence.

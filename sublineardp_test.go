@@ -1,57 +1,26 @@
 package sublineardp_test
 
 import (
+	"context"
 	"testing"
 
 	"sublineardp"
+	"sublineardp/internal/seq"
 )
-
-func TestQuickstartFlow(t *testing.T) {
-	in := sublineardp.NewMatrixChain([]int{30, 35, 15, 5, 10, 20, 25})
-	res := sublineardp.Solve(in, sublineardp.Options{})
-	if res.Cost() != 15125 {
-		t.Fatalf("parallel cost = %d, want 15125", res.Cost())
-	}
-	seqRes := sublineardp.SolveSequential(in)
-	if seqRes.Cost() != 15125 {
-		t.Fatalf("sequential cost = %d", seqRes.Cost())
-	}
-	if !res.Table.Equal(seqRes.Table) {
-		t.Fatal("parallel and sequential tables differ")
-	}
-	tr := seqRes.Tree()
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if seqRes.Split(0, 6) != 3 {
-		t.Fatalf("root split = %d, want 3", seqRes.Split(0, 6))
-	}
-}
-
-func TestAllSolversAgreeViaFacade(t *testing.T) {
-	in := sublineardp.NewOBST([]int64{1, 2, 1, 3, 1}, []int64{10, 3, 8, 6})
-	want := sublineardp.SolveSequential(in).Table
-	if got := sublineardp.Solve(in, sublineardp.Options{Variant: sublineardp.Banded}); !got.Table.Equal(want) {
-		t.Fatal("banded mismatch")
-	}
-	if got := sublineardp.SolveWavefront(in, 2); !got.Equal(want) {
-		t.Fatal("wavefront mismatch")
-	}
-	if got := sublineardp.SolveRytter(in, 2); !got.Equal(want) {
-		t.Fatal("rytter mismatch")
-	}
-}
 
 func TestTriangulationFacade(t *testing.T) {
 	square := []sublineardp.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 100, Y: 100}, {X: 0, Y: 100}}
 	in := sublineardp.NewTriangulation(square)
-	res := sublineardp.Solve(in, sublineardp.Options{Variant: sublineardp.Banded})
-	if res.Cost() <= 0 || res.Cost() >= sublineardp.Inf {
-		t.Fatalf("degenerate triangulation cost %d", res.Cost())
+	sol, err := sublineardp.MustNewSolver(sublineardp.EngineHLVBanded).Solve(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Cost() <= 0 || sol.Cost() >= sublineardp.Inf {
+		t.Fatalf("degenerate triangulation cost %d", sol.Cost())
 	}
 	// Weight-product triangulation matches matrix chain.
 	w := sublineardp.NewWeightedTriangulation([]int64{30, 35, 15, 5, 10, 20, 25})
-	if got := sublineardp.SolveSequential(w).Cost(); got != 15125 {
+	if got := seq.Solve(w).Cost(); got != 15125 {
 		t.Fatalf("weighted triangulation = %d", got)
 	}
 }
@@ -60,13 +29,14 @@ func TestShapedAndPebbleFacade(t *testing.T) {
 	n := 36
 	tr := sublineardp.ZigzagTree(n)
 	in := sublineardp.NewShaped(tr)
-	want := sublineardp.SolveSequential(in).Table
-	res := sublineardp.Solve(in, sublineardp.Options{
-		Variant: sublineardp.Banded,
-		Target:  want,
-	})
-	if res.ConvergedAt < 0 || res.ConvergedAt > sublineardp.WorstCaseIterations(n) {
-		t.Fatalf("converged at %d, budget %d", res.ConvergedAt, sublineardp.WorstCaseIterations(n))
+	want := seq.Solve(in).Table
+	sol, err := sublineardp.MustNewSolver(sublineardp.EngineHLVBanded,
+		sublineardp.WithTarget(want)).Solve(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.ConvergedAt < 0 || sol.ConvergedAt > sublineardp.WorstCaseIterations(n) {
+		t.Fatalf("converged at %d, budget %d", sol.ConvergedAt, sublineardp.WorstCaseIterations(n))
 	}
 
 	g := sublineardp.NewPebbleGame(tr, sublineardp.PebbleHLV)
@@ -83,39 +53,31 @@ func TestShapedAndPebbleFacade(t *testing.T) {
 
 func TestExtractTreeFromParallelResult(t *testing.T) {
 	in := sublineardp.NewMatrixChain([]int{30, 35, 15, 5, 10, 20, 25})
-	res := sublineardp.Solve(in, sublineardp.Options{Variant: sublineardp.Banded})
-	tr, err := sublineardp.ExtractTree(in, res.Table)
+	sol, err := sublineardp.MustNewSolver(sublineardp.EngineHLVBanded).Solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Equal(sublineardp.SolveSequential(in).Tree()) {
+	tr, err := sublineardp.ExtractTree(in, sol.Table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tr.Equal(seq.Solve(in).Tree()) {
 		t.Fatal("parallel-extracted tree differs from sequential reconstruction")
 	}
-	if got := sublineardp.TreeCost(in, tr); got != res.Cost() {
-		t.Fatalf("tree cost %d != optimum %d", got, res.Cost())
+	if got := sublineardp.TreeCost(in, tr); got != sol.Cost() {
+		t.Fatalf("tree cost %d != optimum %d", got, sol.Cost())
 	}
 }
 
 func TestExtractTreeRejectsUnconvergedTable(t *testing.T) {
 	in := sublineardp.NewShaped(sublineardp.ZigzagTree(25))
 	// One iteration is nowhere near convergence for a zigzag instance.
-	res := sublineardp.Solve(in, sublineardp.Options{MaxIterations: 1})
-	if _, err := sublineardp.ExtractTree(in, res.Table); err == nil {
+	sol, err := sublineardp.MustNewSolver(sublineardp.EngineHLVDense,
+		sublineardp.WithMaxIterations(1)).Solve(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sublineardp.ExtractTree(in, sol.Table); err == nil {
 		t.Fatal("unconverged table accepted")
-	}
-}
-
-func TestTerminationOptionsFacade(t *testing.T) {
-	in := sublineardp.NewShaped(sublineardp.CompleteTree(49))
-	res := sublineardp.Solve(in, sublineardp.Options{
-		Variant:     sublineardp.Banded,
-		Termination: sublineardp.WStable,
-	})
-	if !res.StoppedEarly {
-		t.Fatal("balanced instance should stop early under WStable")
-	}
-	want := sublineardp.SolveSequential(in).Table
-	if !res.Table.Equal(want) {
-		t.Fatal("early stop produced wrong table")
 	}
 }
