@@ -1,3 +1,9 @@
+// Package semiring holds the cross-algebra checks of the solvers: the
+// same recurrence evaluated over min-plus, max-plus and bool-plan by the
+// sequential scan and by the paper's dense HLV iteration, each checked
+// against seq.BruteForce or against an equivalent min-plus instance.
+// The semirings themselves live in internal/algebra; this package has
+// no code of its own.
 package semiring
 
 import (
@@ -5,98 +11,32 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sublineardp/internal/algebra"
+	"sublineardp/internal/core"
 	"sublineardp/internal/cost"
 	"sublineardp/internal/problems"
+	"sublineardp/internal/recurrence"
 	"sublineardp/internal/seq"
 )
 
-func randomInstance(n int, maxW int64, seed int64) *Instance {
-	rng := rand.New(rand.NewSource(seed))
-	sz := n + 1
-	ini := make([]int64, n)
-	for i := range ini {
-		ini[i] = rng.Int63n(maxW + 1)
-	}
-	f := make([]int64, sz*sz*sz)
-	for i := range f {
-		f[i] = rng.Int63n(maxW + 1)
-	}
-	return &Instance{
-		N:    n,
-		Name: "rand",
-		Init: func(i int) int64 { return ini[i] },
-		F:    func(i, k, j int) int64 { return f[(i*sz+k)*sz+j] },
-	}
+func hlvDense(in *recurrence.Instance) *core.Result {
+	return core.Solve(in, core.Options{Variant: core.Dense})
 }
 
-// Axiom checks for each shipped semiring.
-func TestSemiringAxioms(t *testing.T) {
-	rings := []Semiring{MinPlus{}, MaxPlus{}, BoolPlan{}}
-	vals := map[string][]int64{
-		"min-plus":  {0, 1, 5, 100, posInf},
-		"max-plus":  {negInf, 0, 1, 5, 100},
-		"bool-plan": {0, 1},
-	}
-	for _, sr := range rings {
-		vs := vals[sr.Name()]
-		for _, a := range vs {
-			// Idempotency of Combine.
-			if sr.Combine(a, a) != a {
-				t.Errorf("%s: Combine(%d,%d) != %d", sr.Name(), a, a, a)
-			}
-			// Identities.
-			if sr.Combine(a, sr.Zero()) != a {
-				t.Errorf("%s: Zero not Combine-identity for %d", sr.Name(), a)
-			}
-			if sr.Extend(a, sr.One()) != a {
-				t.Errorf("%s: One not Extend-identity for %d", sr.Name(), a)
-			}
-			for _, b := range vs {
-				// Commutativity.
-				if sr.Combine(a, b) != sr.Combine(b, a) {
-					t.Errorf("%s: Combine not commutative on (%d,%d)", sr.Name(), a, b)
-				}
-				if sr.Extend(a, b) != sr.Extend(b, a) {
-					t.Errorf("%s: Extend not commutative on (%d,%d)", sr.Name(), a, b)
-				}
-				for _, c := range vs {
-					// Associativity and distributivity.
-					if sr.Combine(sr.Combine(a, b), c) != sr.Combine(a, sr.Combine(b, c)) {
-						t.Errorf("%s: Combine not associative", sr.Name())
-					}
-					if sr.Extend(sr.Extend(a, b), c) != sr.Extend(a, sr.Extend(b, c)) {
-						t.Errorf("%s: Extend not associative", sr.Name())
-					}
-					lhs := sr.Extend(a, sr.Combine(b, c))
-					rhs := sr.Combine(sr.Extend(a, b), sr.Extend(a, c))
-					if lhs != rhs {
-						t.Errorf("%s: distributivity fails on (%d,%d,%d)", sr.Name(), a, b, c)
-					}
-				}
-			}
-		}
-	}
-}
-
-// Min-plus over the semiring machinery must agree with the primary
-// min-plus pipeline (internal/seq) on the same instances.
+// Min-plus declared explicitly on the instance must agree with the
+// default (undeclared) min-plus pipeline on the same instances.
 func TestMinPlusMatchesPrimaryPipeline(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		n := 4 + int(seed)
 		primary := problems.RandomInstance(n, 40, seed)
-		mirrored := &Instance{
-			N:    n,
-			Init: func(i int) int64 { return int64(primary.Init(i)) },
-			F:    func(i, k, j int) int64 { return int64(primary.F(i, k, j)) },
-		}
+		declared := problems.RandomInstance(n, 40, seed)
+		declared.Algebra = algebra.NameMinPlus
 		want := seq.Solve(primary).Cost()
-		gotSeq := SolveSeq(MinPlus{}, mirrored)
-		if cost.Cost(gotSeq[0*(n+1)+n]) != want {
-			t.Fatalf("seed %d: semiring seq %d != primary %d", seed, gotSeq[0*(n+1)+n], want)
+		if got := seq.Solve(declared).Cost(); got != want {
+			t.Fatalf("seed %d: declared min-plus sequential %d != primary %d", seed, got, want)
 		}
-		gotPar := SolveHLV(MinPlus{}, mirrored, 0)
-		if cost.Cost(gotPar.Root()) != want {
-			t.Fatalf("seed %d: semiring hlv %d != primary %d", seed, gotPar.Root(), want)
+		if got := hlvDense(declared).Cost(); got != want {
+			t.Fatalf("seed %d: declared min-plus hlv-dense %d != primary %d", seed, got, want)
 		}
 	}
 }
@@ -107,18 +47,18 @@ func TestMinPlusMatchesPrimaryPipeline(t *testing.T) {
 func TestMaxPlusAgainstBruteForce(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		n := 3 + int(seed%6)
-		in := randomInstance(n, 50, seed)
-		want := BruteForce(MaxPlus{}, in)
-		if got := SolveSeq(MaxPlus{}, in)[0*(n+1)+n]; got != want {
-			t.Fatalf("seed %d: maxplus seq %d != brute %d", seed, got, want)
+		in := problems.RandomAlgebraInstance(algebra.NameMaxPlus, n, 50, seed)
+		want := seq.BruteForce(in)
+		if got := seq.Solve(in).Cost(); got != want {
+			t.Fatalf("seed %d: max-plus sequential %d != brute %d", seed, got, want)
 		}
-		if got := SolveHLV(MaxPlus{}, in, 0).Root(); got != want {
-			t.Fatalf("seed %d: maxplus hlv %d != brute %d", seed, got, want)
+		if got := hlvDense(in).Cost(); got != want {
+			t.Fatalf("seed %d: max-plus hlv-dense %d != brute %d", seed, got, want)
 		}
 	}
 }
 
-// Bool feasibility: allowed splits form a random subset; the semiring
+// Bool feasibility: allowed splits form a random subset; the bool-plan
 // answer must match "does the min-plus optimum avoid Inf" on the
 // equivalent forbidden-split instance.
 func TestBoolPlanMatchesInfeasibilityOfMinPlus(t *testing.T) {
@@ -130,29 +70,30 @@ func TestBoolPlanMatchesInfeasibilityOfMinPlus(t *testing.T) {
 		for i := range allowed {
 			allowed[i] = rng.Intn(3) > 0 // ~2/3 of splits allowed
 		}
-		boolIn := &Instance{
-			N:    n,
-			Init: func(i int) int64 { return 1 },
-			F: func(i, k, j int) int64 {
+		boolIn := &recurrence.Instance{
+			N:       n,
+			Algebra: algebra.NameBoolPlan,
+			Init:    func(int) cost.Cost { return 1 },
+			F: func(i, k, j int) cost.Cost {
 				if allowed[(i*sz+k)*sz+j] {
 					return 1
 				}
 				return 0
 			},
 		}
-		minIn := &Instance{
+		minIn := &recurrence.Instance{
 			N:    n,
-			Init: func(i int) int64 { return 0 },
-			F: func(i, k, j int) int64 {
+			Init: func(int) cost.Cost { return 0 },
+			F: func(i, k, j int) cost.Cost {
 				if allowed[(i*sz+k)*sz+j] {
 					return 0
 				}
-				return posInf
+				return cost.Inf
 			},
 		}
-		feasible := SolveHLV(BoolPlan{}, boolIn, 0).Root() == 1
-		minCost := SolveHLV(MinPlus{}, minIn, 0).Root()
-		if feasible != (minCost < posInf) {
+		feasible := hlvDense(boolIn).Cost() == 1
+		minCost := hlvDense(minIn).Cost()
+		if feasible != (minCost < cost.Inf) {
 			t.Fatalf("seed %d: bool=%v but min-plus=%d", seed, feasible, minCost)
 		}
 	}
@@ -161,60 +102,31 @@ func TestBoolPlanMatchesInfeasibilityOfMinPlus(t *testing.T) {
 // The parallel solver must converge within the lemma budget for every
 // semiring, not just reach the answer eventually.
 func TestConvergenceWithinBudgetAllRings(t *testing.T) {
-	rings := []Semiring{MinPlus{}, MaxPlus{}, BoolPlan{}}
-	for _, sr := range rings {
+	const n = 9
+	budget := core.DefaultIterations(n)
+	for _, alg := range []string{algebra.NameMinPlus, algebra.NameMaxPlus, algebra.NameBoolPlan} {
 		for seed := int64(0); seed < 4; seed++ {
-			n := 9
-			in := randomInstance(n, 30, seed)
-			if sr.Name() == "bool-plan" {
-				base := in.F
-				in = &Instance{N: n,
-					Init: func(i int) int64 { return 1 },
-					F:    func(i, k, j int) int64 { return base(i, k, j) % 2 },
-				}
+			in := problems.RandomAlgebraInstance(alg, n, 30, seed)
+			want := seq.BruteForce(in)
+			got := hlvDense(in)
+			if got.Iterations > budget {
+				t.Fatalf("%s seed %d: ran %d iterations, budget %d", alg, seed, got.Iterations, budget)
 			}
-			want := BruteForce(sr, in)
-			got := SolveHLV(sr, in, 0)
-			if got.Root() != want {
+			if got.Cost() != want {
 				t.Fatalf("%s seed %d: %d != %d after %d iterations",
-					sr.Name(), seed, got.Root(), want, got.Iterations)
+					alg, seed, got.Cost(), want, got.Iterations)
 			}
 		}
 	}
 }
 
-func TestValidate(t *testing.T) {
-	if err := (&Instance{N: 0}).Validate(); err == nil {
-		t.Fatal("N=0 accepted")
-	}
-	if err := (&Instance{N: 3}).Validate(); err == nil {
-		t.Fatal("nil callbacks accepted")
-	}
-	if err := randomInstance(4, 10, 1).Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: for min-plus, the semiring solver agrees with brute force on
-// arbitrary random instances.
+// Property: for min-plus, hlv-dense agrees with brute force on arbitrary
+// random instances.
 func TestMinPlusProperty(t *testing.T) {
 	f := func(seed int64, nn uint8) bool {
 		n := int(nn)%7 + 2
-		in := randomInstance(n, 40, seed)
-		return SolveHLV(MinPlus{}, in, 0).Root() == BruteForce(MinPlus{}, in)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: max-plus root is always >= min-plus root on the same
-// nonnegative instance (max over trees dominates min over trees).
-func TestMaxDominatesMinProperty(t *testing.T) {
-	f := func(seed int64, nn uint8) bool {
-		n := int(nn)%7 + 2
-		in := randomInstance(n, 40, seed)
-		return SolveHLV(MaxPlus{}, in, 0).Root() >= SolveHLV(MinPlus{}, in, 0).Root()
+		in := problems.RandomAlgebraInstance(algebra.NameMinPlus, n, 40, seed)
+		return hlvDense(in).Cost() == seq.BruteForce(in)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
