@@ -14,9 +14,12 @@ import (
 // SolveBatch fans a slice of instances across a worker pool — the
 // building block for serving many requests at once. Scheduling is by
 // engine name (WithEngine; the default "auto" routes each instance by
-// size: small ones to the cache-friendly sequential scan, large ones to
-// the banded HLV iteration), and WithConcurrency bounds how many
-// instances are in flight at once (default GOMAXPROCS).
+// size and convexity: small ones to the cache-friendly sequential scan,
+// large ones to blocked-pipe, or to blocked-ky when they declare
+// convexity under min-plus), and WithConcurrency bounds how many
+// instances are in flight at once (default GOMAXPROCS). Two or more
+// instances bound for the tile engines (blocked, blocked-pipe,
+// blocked-ky) share one task graph, so their solves overlap.
 //
 // The whole batch runs on one persistent worker pool — WithPool's if
 // given, else the process-wide shared pool: the batch fan-out claims
@@ -73,13 +76,15 @@ func SolveBatch(ctx context.Context, instances []*Instance, opts ...Option) ([]*
 	}
 	errs := make([]error, len(instances))
 
-	// Cross-solve overlap: two or more instances destined for the
-	// pipelined blocked engine seed their tile graphs into one shared
-	// scheduler (blocked.SolvePipeBatchCtx) instead of running as fenced
-	// per-instance solves — one solve's tail tiles fill another's head.
-	// Only the plain path overlaps: a cache, a convergence target, or a
-	// convexity contract each need the per-instance Solve protocol.
+	// Cross-solve overlap: two or more instances destined for a tile
+	// engine seed their tile graphs into one shared scheduler
+	// (blocked.SolvePipeBatchCtx) instead of running one after another —
+	// one solve's tail tiles fill another's head. Only the plain path
+	// overlaps: a cache, a convergence target, or a convexity contract
+	// each need the per-instance Solve protocol, and so does an
+	// ineligible blocked-ky instance, whose error that protocol reports.
 	var pipeIdx []int
+	pipeEngine := make([]string, len(instances))
 	inPipe := make([]bool, len(instances))
 	if cfg.Cache == nil && cfg.Target == nil && !cfg.Convexity {
 		for i, in := range instances {
@@ -90,8 +95,10 @@ func SolveBatch(ctx context.Context, instances []*Instance, opts ...Option) ([]*
 			if name == EngineAuto {
 				name = pickAutoName(in, &cfg)
 			}
-			if name == EngineBlockedPipe {
+			if name == EngineBlocked || name == EngineBlockedPipe ||
+				name == EngineBlockedKY && kyGate(&cfg, in) == nil {
 				pipeIdx = append(pipeIdx, i)
+				pipeEngine[i] = name
 			}
 		}
 		if len(pipeIdx) >= 2 {
@@ -107,7 +114,7 @@ func SolveBatch(ctx context.Context, instances []*Instance, opts ...Option) ([]*
 	if pipeIdx != nil {
 		items := make([]blocked.BatchItem, len(pipeIdx))
 		for k, i := range pipeIdx {
-			items[k] = blocked.BatchItem{In: instances[i]}
+			items[k] = blocked.BatchItem{In: instances[i], KY: pipeEngine[i] == EngineBlockedKY}
 		}
 		pipeDone = make(chan struct{})
 		go func() {
@@ -126,7 +133,7 @@ func SolveBatch(ctx context.Context, instances []*Instance, opts ...Option) ([]*
 					errs[i] = fmt.Errorf("instance %d (%s): %w", i, instances[i].Name, perrs[k])
 					continue
 				}
-				sol := blockedSolution(EngineBlockedPipe, instances[i], &cfg, results[k])
+				sol := blockedSolution(pipeEngine[i], instances[i], &cfg, results[k])
 				// The group ran as one graph; each solution reports the
 				// group's wall clock (and its joint Stats view).
 				sol.Elapsed = elapsed

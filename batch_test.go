@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"sublineardp"
+	"sublineardp/internal/algebra"
+	"sublineardp/internal/problems"
 	"sublineardp/internal/seq"
 )
 
@@ -136,7 +138,7 @@ func TestSolveBatchCancellation(t *testing.T) {
 // equals the sum of the two solo pipelined runs (tile-task counts are
 // deterministic functions of n and the tile size, so the equality can
 // only hold if both graphs drained through one scheduler). Tables stay
-// bitwise identical to the fenced blocked engine, and a mid-flight
+// bitwise identical to the sequential engine, and a mid-flight
 // cancellation must leave the pool reusable: the same batch re-run on
 // the same pool afterwards still passes every assertion.
 func TestPipelinedOverlapBatch(t *testing.T) {
@@ -154,10 +156,8 @@ func TestPipelinedOverlapBatch(t *testing.T) {
 		}
 		return sol
 	}
-	wantA := mustSolve(insA, sublineardp.WithEngine(sublineardp.EngineBlocked),
-		sublineardp.WithTileSize(tile))
-	wantB := mustSolve(insB, sublineardp.WithEngine(sublineardp.EngineBlocked),
-		sublineardp.WithTileSize(tile))
+	wantA := mustSolve(insA, sublineardp.WithEngine(sublineardp.EngineSequential))
+	wantB := mustSolve(insB, sublineardp.WithEngine(sublineardp.EngineSequential))
 
 	// Solo pipelined runs, for the deterministic task-count baseline.
 	soloOpts := []sublineardp.Option{
@@ -182,7 +182,7 @@ func TestPipelinedOverlapBatch(t *testing.T) {
 			sd, wd := sol.Table.Data(), want.Table.Data()
 			for c := range sd {
 				if sd[c] != wd[c] {
-					t.Fatalf("slot %d diverges from the fenced blocked table bitwise: %v",
+					t.Fatalf("slot %d diverges from the sequential table bitwise: %v",
 						i, sol.Table.Diff(want.Table, 3))
 				}
 			}
@@ -260,4 +260,57 @@ func chainDims(n, maxD int, seed int64) []int {
 		dims[i] = r.Intn(maxD) + 1
 	}
 	return dims
+}
+
+// Every tile engine shares one graph in a batch: auto sends declared-
+// convex OBSTs to blocked-ky and min-plus, max-plus and bool-plan chains
+// to blocked-pipe, and all of them seed one scheduler. Every slot must be
+// bitwise equal to the sequential engine — values and splits — and
+// report the joint, barrier-free scheduler view.
+func TestSolveBatchMixedTileEngines(t *testing.T) {
+	ins := []*sublineardp.Instance{
+		problems.RandomOBST(99, 50, 1),
+		problems.RandomAlgebraInstance(algebra.NameMinPlus, 90, 60, 2),
+		problems.RandomOBST(140, 40, 3),
+		problems.RandomAlgebraInstance(algebra.NameMaxPlus, 80, 60, 4),
+		problems.RandomAlgebraInstance(algebra.NameBoolPlan, 96, 60, 5),
+	}
+	wantEngine := []string{sublineardp.EngineBlockedKY, sublineardp.EngineBlockedPipe,
+		sublineardp.EngineBlockedKY, sublineardp.EngineBlockedPipe, sublineardp.EngineBlockedPipe}
+	pool := sublineardp.NewPool(2)
+	defer pool.Close()
+	sols, err := sublineardp.SolveBatch(context.Background(), ins,
+		sublineardp.WithPool(pool), sublineardp.WithSplits(true), sublineardp.WithTileSize(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, in := range ins {
+		sol := sols[i]
+		if sol.Engine != wantEngine[i] {
+			t.Errorf("%s: routed to %q, want %q", in.Name, sol.Engine, wantEngine[i])
+		}
+		want, err := sublineardp.MustNewSolver(sublineardp.EngineSequential).Solve(context.Background(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sd, wd := sol.Table.Data(), want.Table.Data()
+		for c := range sd {
+			if sd[c] != wd[c] {
+				t.Fatalf("%s: table diverges from sequential bitwise: %v", in.Name, sol.Table.Diff(want.Table, 3))
+			}
+		}
+		for a := 0; a <= in.N; a++ {
+			for b := a + 2; b <= in.N; b++ {
+				if g, e := sol.Split(a, b), want.Split(a, b); g != e {
+					t.Fatalf("%s: split(%d,%d) = %d, sequential %d", in.Name, a, b, g, e)
+				}
+			}
+		}
+		if sol.Stats.Tasks == 0 || sol.Stats.Barriers != 0 {
+			t.Errorf("%s: scheduler view %+v, want tasks > 0 and no barrier", in.Name, sol.Stats)
+		}
+		if sol.Stats != sols[0].Stats {
+			t.Errorf("%s: Stats %+v differ from slot 0's %+v: not one shared graph", in.Name, sol.Stats, sols[0].Stats)
+		}
+	}
 }

@@ -322,7 +322,8 @@ func BenchmarkE13RuntimeServing(b *testing.B) {
 
 // E14 — the blocked engine past the HLV ceiling: one full solve per
 // iteration at sizes no partial-weight engine can load (hlv-dense would
-// need ~70 GB at n=256, ~18 TB at n=1024). Instances stay on their
+// need ~70 GB at n=256, ~18 TB at n=1024). "blocked" names the tile
+// task graph (blocked.SolvePipe), the engine the registry alias runs. Instances stay on their
 // constructor closure/FPanel form — an O(n^3) materialised F table
 // would itself be the memory ceiling here — so this measures exactly
 // what a serving process pays for a cold large instance. The CI bench
@@ -336,11 +337,11 @@ func BenchmarkE14BlockedLargeN(b *testing.B) {
 		b.Run(fmt.Sprintf("engine=blocked/n=%d", c.n), func(b *testing.B) {
 			in := problems.RandomMatrixChain(c.n, 50, 1)
 			opts := blocked.Options{TileSize: c.tile}
-			blocked.Solve(in, opts) // warm the shared pool
+			blocked.SolvePipe(in, opts) // warm the shared pool
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				blocked.Solve(in, opts)
+				blocked.SolvePipe(in, opts)
 			}
 		})
 	}
@@ -392,7 +393,7 @@ func BenchmarkE16PathExtraction(b *testing.B) {
 	kern := algebra.MinPlus{}
 	for _, n := range []int{1024, 4096} {
 		in := problems.RandomMatrixChain(n, 50, 1)
-		res := blocked.Solve(in, blocked.Options{RecordSplits: true})
+		res := blocked.SolvePipe(in, blocked.Options{RecordSplits: true})
 		b.Run(fmt.Sprintf("mode=recorded/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -442,9 +443,10 @@ func BenchmarkE16PathExtraction(b *testing.B) {
 // E17 — the Knuth-Yao pruned engine: the O(n^2)-work claim measured
 // and asserted. Each pruned solve's charged work must stay inside the
 // 4*n^2 envelope (the telescoping windows cost ~2 candidates per cell;
-// the factor-4 slack absorbs clamping at the borders), and at the sizes
-// where the unpruned engine also runs, the pruned candidate count must
-// be strictly below the unpruned one. n=4096 — a ~25 s unpruned solve —
+// the factor-4 slack absorbs clamping at the borders) and equal
+// seq.SolveKnuth's count exactly, and at the sizes where the unpruned
+// engine also runs, the pruned candidate count must be strictly below
+// the unpruned one. n=4096 — a ~25 s unpruned solve —
 // is the headline interactive win, so only the pruned engine runs
 // there. The CI bench job smokes this at -benchtime 1x; BENCH_core.json
 // carries the committed blocked-ky trajectory.
@@ -466,6 +468,9 @@ func BenchmarkE17KnuthYao(b *testing.B) {
 			if limit := 4 * int64(in.N) * int64(in.N); prunedWork > limit {
 				b.Fatalf("n=%d: pruned work %d exceeds the 4n^2 envelope %d", in.N, prunedWork, limit)
 			}
+			if knuth := seq.SolveKnuth(in).Work; prunedWork != knuth {
+				b.Fatalf("n=%d: pruned work %d, seq.SolveKnuth %d", in.N, prunedWork, knuth)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -476,43 +481,9 @@ func BenchmarkE17KnuthYao(b *testing.B) {
 			continue
 		}
 		b.Run(fmt.Sprintf("engine=blocked-unpruned/n=%d", c.n), func(b *testing.B) {
-			res := blocked.Solve(in, opts)
+			res := blocked.SolvePipe(in, opts)
 			if unprunedWork := res.Acct.Work - int64(in.N); prunedWork >= unprunedWork {
 				b.Fatalf("n=%d: pruned work %d not below unpruned %d", in.N, prunedWork, unprunedWork)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				blocked.Solve(in, opts)
-			}
-		})
-	}
-}
-
-// E18 — the pipelined blocked engine: the barrier-free dependency-
-// counter schedule against the fenced wavefront it replaces, at the E14
-// sizes, plus the overlap only a shared scheduler can express — the
-// same two instances run fenced back-to-back and as one jointly-seeded
-// tile graph. Each pipelined run re-asserts its contract before timing:
-// zero barriers on the scheduler counters. The CI bench job smokes this
-// at -benchtime 1x; BENCH_core.json carries the committed blocked-pipe
-// and batch2 trajectories.
-func BenchmarkE18Pipelined(b *testing.B) {
-	opts := blocked.Options{Workers: 4} // the BENCH_core.json convention
-	for _, n := range []int{256, 1024} {
-		in := problems.RandomMatrixChain(n, 50, 1)
-		b.Run(fmt.Sprintf("engine=blocked/n=%d", n), func(b *testing.B) {
-			blocked.Solve(in, opts) // warm the shared pool
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				blocked.Solve(in, opts)
-			}
-		})
-		b.Run(fmt.Sprintf("engine=blocked-pipe/n=%d", n), func(b *testing.B) {
-			res := blocked.SolvePipe(in, opts) // warm the pool; pin the contract
-			if res.Stats.Barriers != 0 {
-				b.Fatalf("n=%d: pipelined solve crossed %d barriers, want 0", n, res.Stats.Barriers)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -521,18 +492,52 @@ func BenchmarkE18Pipelined(b *testing.B) {
 			}
 		})
 	}
+}
+
+// E18 — the tile task graph: the barrier-free dependency-counter
+// schedule of blocked-pipe at the E14 sizes and of blocked-ky on OBSTs
+// of the same sizes, plus the overlap only a shared scheduler can
+// express — the same two instances run back to back ("fenced") and as
+// one jointly-seeded tile graph. Each single run re-asserts its
+// contract before timing: zero barriers on the scheduler counters. The
+// CI bench job smokes this at -benchtime 1x; BENCH_core.json carries the
+// committed blocked-pipe and batch2 trajectories.
+func BenchmarkE18Pipelined(b *testing.B) {
+	opts := blocked.Options{Workers: 4} // the BENCH_core.json convention
+	for _, n := range []int{256, 1024} {
+		for _, c := range []struct {
+			engine string
+			in     *sublineardp.Instance
+			solve  func(*sublineardp.Instance, blocked.Options) *blocked.Result
+		}{
+			{"blocked-pipe", problems.RandomMatrixChain(n, 50, 1), blocked.SolvePipe},
+			{"blocked-ky", problems.RandomOBST(n-1, 50, 1), blocked.SolveKY},
+		} {
+			b.Run(fmt.Sprintf("engine=%s/n=%d", c.engine, n), func(b *testing.B) {
+				res := c.solve(c.in, opts) // warm the pool; pin the contract
+				if res.Stats.Barriers != 0 {
+					b.Fatalf("n=%d: %s solve crossed %d barriers, want 0", n, c.engine, res.Stats.Barriers)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.solve(c.in, opts)
+				}
+			})
+		}
+	}
 
 	insA := problems.RandomMatrixChain(512, 50, 1)
 	insB := problems.RandomMatrixChain(512, 50, 2)
 	items := []blocked.BatchItem{{In: insA}, {In: insB}}
 	ctx := context.Background()
 	b.Run("mode=batch2-fenced/n=512", func(b *testing.B) {
-		blocked.Solve(insA, opts)
+		blocked.SolvePipe(insA, opts)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			blocked.Solve(insA, opts)
-			blocked.Solve(insB, opts)
+			blocked.SolvePipe(insA, opts)
+			blocked.SolvePipe(insB, opts)
 		}
 	})
 	b.Run("mode=batch2-overlapped/n=512", func(b *testing.B) {

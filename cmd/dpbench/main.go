@@ -166,7 +166,7 @@ const maxMaterializeN = 1024
 // and size on the pooled runtime (a warm-up solve populates the pool and
 // buffer arena first, as in a serving process) and writes the JSON
 // artifact the CI perf-regression job uploads. hlv-dense stops at n=64:
-// its O(n^4) double buffer needs ~70 GB at n=256. The blocked engine is
+// its O(n^4) double buffer needs ~70 GB at n=256. The blocked-pipe engine is
 // the large-size track (n=1024 where the sequential baseline still
 // finishes, n=4096 where it is the only practical engine here).
 func benchCore(quick bool, workers int, outPath, ring string) error {
@@ -186,15 +186,15 @@ func benchCore(quick bool, workers int, outPath, ring string) error {
 		{sublineardp.EngineSequential, []int{32, 48, 64, 128, 256, 1024}},
 		{sublineardp.EngineHLVDense, []int{32, 48, 64}},
 		{sublineardp.EngineHLVBanded, []int{64, 128, 256}},
+		{sublineardp.EngineBlockedPipe, []int{256, 1024, 4096}},
 	}
-	blockedSizes := []int{256, 1024, 4096}
 	if quick {
 		configs = []config{
 			{sublineardp.EngineSequential, []int{16, 32, 64}},
 			{sublineardp.EngineHLVDense, []int{16, 32}},
 			{sublineardp.EngineHLVBanded, []int{32, 64}},
+			{sublineardp.EngineBlockedPipe, []int{64, 128}},
 		}
-		blockedSizes = []int{64, 128}
 	}
 
 	file := benchFile{
@@ -252,89 +252,6 @@ func benchCore(quick bool, workers int, outPath, ring string) error {
 		}
 	}
 
-	// Blocked track: the barrier wavefront vs its pipelined twin. The
-	// two engines do the same candidate work in the same kernels, so the
-	// delta under measurement is a few percent — far below this VM's
-	// minute-to-minute drift. Three defences: the engines alternate
-	// single-solve rounds (sub-second granularity, so both sample the
-	// same weather), the order within a round flips every round (no
-	// phase bias against a periodic throttle), and the best round per
-	// engine is kept (one-sided noise: the minimum estimates true cost).
-	// testing.Benchmark's multi-second mean-of-N windows measured the
-	// hypervisor, not the schedulers. Bytes/allocs come from MemStats
-	// deltas around a solo solve, which is all AllocsPerOp does anyway.
-	{
-		type pair struct {
-			engine string
-			solver *sublineardp.Solver
-			best   benchEntry
-		}
-		for _, n := range blockedSizes {
-			pairs := make([]*pair, 0, 2)
-			for _, engine := range []string{sublineardp.EngineBlocked, sublineardp.EngineBlockedPipe} {
-				solver, err := sublineardp.NewSolver(engine,
-					append([]sublineardp.Option{sublineardp.WithWorkers(workers)}, ringOpts...)...)
-				if err != nil {
-					return err
-				}
-				pairs = append(pairs, &pair{engine: engine, solver: solver})
-			}
-			in := problems.RandomMatrixChain(n, 50, 1)
-			if n <= maxMaterializeN {
-				if n >= 512 {
-					gb := 8 * float64(n+1) * float64(n+1) * float64(n+1) / (1 << 30)
-					fmt.Printf("%-12s n=%-4d materializing flat F table (~%.1f GB transient)\n", "blocked*", n, gb)
-				}
-				in = in.Materialize()
-			}
-			for _, p := range pairs {
-				runtime.GC()
-				var m0, m1 runtime.MemStats
-				runtime.ReadMemStats(&m0)
-				warm, err := p.solver.Solve(ctx, in) // populates pool + arena
-				if err != nil {
-					return fmt.Errorf("%s n=%d: %w", p.engine, n, err)
-				}
-				runtime.ReadMemStats(&m1)
-				p.best = benchEntry{
-					Engine:      p.engine,
-					N:           n,
-					Iterations:  warm.Iterations,
-					BytesPerOp:  int64(m1.TotalAlloc - m0.TotalAlloc),
-					AllocsPerOp: int64(m1.Mallocs - m0.Mallocs),
-				}
-			}
-			rounds := 10 // cheap sizes: more rounds buy noise immunity
-			if n > maxMaterializeN {
-				rounds = 4 // ~20 s/op rounds: four is already minutes
-			}
-			for round := 0; round < rounds; round++ {
-				for i := range pairs {
-					p := pairs[i]
-					if round%2 == 1 {
-						p = pairs[len(pairs)-1-i]
-					}
-					runtime.GC()
-					start := time.Now()
-					if _, err := p.solver.Solve(ctx, in); err != nil {
-						return fmt.Errorf("%s n=%d: %w", p.engine, n, err)
-					}
-					if ns := time.Since(start).Nanoseconds(); p.best.NsPerOp == 0 || ns < p.best.NsPerOp {
-						p.best.NsPerOp = ns
-					}
-				}
-			}
-			for _, p := range pairs {
-				if base, ok := seqNs[n]; ok && p.best.NsPerOp > 0 {
-					p.best.SpeedupVsSequential = float64(base) / float64(p.best.NsPerOp)
-				}
-				file.Results = append(file.Results, p.best)
-				fmt.Printf("%-12s n=%-4d %12d ns/op %10d B/op %6d allocs/op\n",
-					p.engine, n, p.best.NsPerOp, p.best.BytesPerOp, p.best.AllocsPerOp)
-			}
-		}
-	}
-
 	// Knuth-Yao track: the pruned blocked engine on declared-convex OBST
 	// instances — the matrixchain family the other tracks share does not
 	// satisfy the quadrangle inequality in this recurrence form, so the
@@ -381,13 +298,12 @@ func benchCore(quick bool, workers int, outPath, ring string) error {
 		}
 	}
 
-	// Overlapped-batch track: the same two instances pushed through
-	// SolveBatch under the fenced blocked engine (two back-to-back tiled
-	// solves) and under the pipelined engine, which seeds both tile
-	// graphs into one shared counter scheduler. The pipe row beating the
-	// blocked row is the cross-solve overlap headline: the second
-	// instance's head tiles fill the scheduler gaps left by the first
-	// one's draining tail diagonals.
+	// Overlapped-batch track: the same two instances run as two
+	// back-to-back blocked-pipe solves ("fenced") and pushed through
+	// SolveBatch, which seeds both tile graphs into one shared counter
+	// scheduler. The overlapped row beating the fenced row is the
+	// cross-solve overlap headline: the second instance's head tiles
+	// fill the scheduler gaps left by the first one's draining tail.
 	batchN := 1024
 	if quick {
 		batchN = 128
@@ -401,55 +317,73 @@ func benchCore(quick bool, workers int, outPath, ring string) error {
 			batchIns[i] = in.Materialize()
 		}
 	}
-	// Measured like the blocked pair above — alternating single-dispatch
-	// rounds with flipping order, best kept — and for the same reason:
-	// the fenced-vs-overlapped delta is a fraction of the VM's
-	// minute-to-minute drift, so the rounds must see the same weather.
+	// The fenced-vs-overlapped delta is a fraction of this VM's
+	// minute-to-minute drift, so the two modes alternate single-dispatch
+	// rounds (sub-second granularity, so both sample the same weather),
+	// the order within a round flips every round (no phase bias against
+	// a periodic throttle), and the best round per mode is kept
+	// (one-sided noise: the minimum estimates true cost). Bytes/allocs
+	// come from MemStats deltas around a solo run.
 	{
-		batchEngines := []string{sublineardp.EngineBlocked, sublineardp.EngineBlockedPipe}
-		batchOpts := func(engine string) []sublineardp.Option {
-			return append([]sublineardp.Option{
-				sublineardp.WithEngine(engine), sublineardp.WithWorkers(workers),
-			}, ringOpts...)
+		pipeOpts := append([]sublineardp.Option{
+			sublineardp.WithEngine(sublineardp.EngineBlockedPipe), sublineardp.WithWorkers(workers),
+		}, ringOpts...)
+		solver, err := sublineardp.NewSolver(sublineardp.EngineBlockedPipe, pipeOpts...)
+		if err != nil {
+			return err
 		}
-		best := map[string]benchEntry{}
-		for _, engine := range batchEngines {
+		modes := []struct {
+			name string
+			run  func() error
+		}{
+			{"batch2-fenced", func() error {
+				for _, in := range batchIns {
+					if _, err := solver.Solve(ctx, in); err != nil {
+						return err
+					}
+				}
+				return nil
+			}},
+			{"batch2-" + sublineardp.EngineBlockedPipe, func() error {
+				_, err := sublineardp.SolveBatch(ctx, batchIns, pipeOpts...)
+				return err
+			}},
+		}
+		best := make([]benchEntry, len(modes))
+		for i, m := range modes {
 			runtime.GC()
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
-			if _, err := sublineardp.SolveBatch(ctx, batchIns, batchOpts(engine)...); err != nil {
-				return fmt.Errorf("batch2-%s n=%d: %w", engine, batchN, err)
+			if err := m.run(); err != nil {
+				return fmt.Errorf("%s n=%d: %w", m.name, batchN, err)
 			}
 			runtime.ReadMemStats(&m1)
-			best[engine] = benchEntry{
-				Engine:      "batch2-" + engine,
+			best[i] = benchEntry{
+				Engine:      m.name,
 				N:           batchN,
 				BytesPerOp:  int64(m1.TotalAlloc - m0.TotalAlloc),
 				AllocsPerOp: int64(m1.Mallocs - m0.Mallocs),
 			}
 		}
 		for round := 0; round < 6; round++ {
-			for i := range batchEngines {
-				engine := batchEngines[i]
+			for k := range modes {
+				i := k
 				if round%2 == 1 {
-					engine = batchEngines[len(batchEngines)-1-i]
+					i = len(modes) - 1 - k
 				}
 				runtime.GC()
 				start := time.Now()
-				if _, err := sublineardp.SolveBatch(ctx, batchIns, batchOpts(engine)...); err != nil {
-					return fmt.Errorf("batch2-%s n=%d: %w", engine, batchN, err)
+				if err := modes[i].run(); err != nil {
+					return fmt.Errorf("%s n=%d: %w", modes[i].name, batchN, err)
 				}
-				if ns := time.Since(start).Nanoseconds(); best[engine].NsPerOp == 0 || ns < best[engine].NsPerOp {
-					e := best[engine]
-					e.NsPerOp = ns
-					best[engine] = e
+				if ns := time.Since(start).Nanoseconds(); best[i].NsPerOp == 0 || ns < best[i].NsPerOp {
+					best[i].NsPerOp = ns
 				}
 			}
 		}
-		for _, engine := range batchEngines {
-			entry := best[engine]
+		for _, entry := range best {
 			file.Results = append(file.Results, entry)
-			fmt.Printf("%-16s n=%-4d %12d ns/op %10d B/op %6d allocs/op\n",
+			fmt.Printf("%-20s n=%-4d %12d ns/op %10d B/op %6d allocs/op\n",
 				entry.Engine, batchN, entry.NsPerOp, entry.BytesPerOp, entry.AllocsPerOp)
 		}
 	}

@@ -511,7 +511,7 @@ func TestConvexityRouting(t *testing.T) {
 
 // The pipelined-engine conformance matrix: blocked-pipe × every
 // registered algebra × the tile-edge sweep must be bitwise identical —
-// values AND recorded splits — to the fenced blocked engine, with the
+// values AND recorded splits — to the sequential engine, with the
 // fixed point certified under the algebra and the scheduler counters
 // proving the run was barrier-free. The dependency-counter schedule has
 // no way to cheat this: executing any tile before its last input is
@@ -537,23 +537,22 @@ func TestPipelinedConformanceMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s tile=%d: pipe: %v", algName, in.Name, tile, err)
 				}
-				fenced, err := sublineardp.MustNewSolver(sublineardp.EngineBlocked,
-					sublineardp.WithTileSize(tile), sublineardp.WithSemiring(sr),
-					sublineardp.WithSplits(true)).Solve(ctx, in)
+				want, err := sublineardp.MustNewSolver(sublineardp.EngineSequential,
+					sublineardp.WithSemiring(sr)).Solve(ctx, in)
 				if err != nil {
-					t.Fatalf("%s/%s tile=%d: blocked: %v", algName, in.Name, tile, err)
+					t.Fatalf("%s/%s tile=%d: sequential: %v", algName, in.Name, tile, err)
 				}
-				pd, fd := piped.Table.Data(), fenced.Table.Data()
+				pd, wd := piped.Table.Data(), want.Table.Data()
 				for c := range pd {
-					if pd[c] != fd[c] {
-						t.Fatalf("%s/%s tile=%d: pipelined table diverges from blocked bitwise: %v",
-							algName, in.Name, tile, piped.Table.Diff(fenced.Table, 3))
+					if pd[c] != wd[c] {
+						t.Fatalf("%s/%s tile=%d: pipelined table diverges from sequential bitwise: %v",
+							algName, in.Name, tile, piped.Table.Diff(want.Table, 3))
 					}
 				}
 				for i := 0; i <= in.N; i++ {
 					for j := i + 2; j <= in.N; j++ {
-						if g, e := piped.Split(i, j), fenced.Split(i, j); g != e {
-							t.Fatalf("%s/%s tile=%d: split(%d,%d) = %d, blocked %d",
+						if g, e := piped.Split(i, j), want.Split(i, j); g != e {
+							t.Fatalf("%s/%s tile=%d: split(%d,%d) = %d, sequential %d",
 								algName, in.Name, tile, i, j, g, e)
 						}
 					}

@@ -36,8 +36,8 @@ type Engine interface {
 const (
 	// EngineAuto picks an engine per instance by size: n <= AutoCutoff
 	// goes to the sequential scan and larger instances to the
-	// barrier-free pipelined blocked engine (O(n^2) memory, zero
-	// wavefront barriers); declared-convex min-plus instances above the
+	// blocked-pipe tile engine (O(n^2) memory, no barriers);
+	// declared-convex min-plus instances above the
 	// cutoff take the Knuth-Yao pruned engine instead. The cutoff
 	// defaults to DefaultAutoCutoff; WithCalibration installs the
 	// measured, machine-local value a `dpbench -calibrate` pass derived.
@@ -56,23 +56,22 @@ const (
 	// EngineHLVBanded is the headline Section 5 algorithm storing only
 	// deficits within the 2*ceil(sqrt n) band.
 	EngineHLVBanded = "hlv-banded"
-	// EngineBlocked is the work-efficient blocked engine: B x B tiles in
-	// anti-diagonal block-wavefront order, O(n^3) work and O(n^2) memory
-	// — the large-instance engine (n = 1024-4096 and beyond) where the
-	// HLV partial-weight arrays cannot even be allocated.
+	// EngineBlocked is an alias of EngineBlockedPipe: the same engine
+	// under its original name, which its Solutions report.
 	EngineBlocked = "blocked"
-	// EngineBlockedPipe is the barrier-free pipelined blocked engine: the
-	// same tile decomposition as "blocked", executed as a dependency
-	// graph — every tile carries an atomic in-degree counter derived from
-	// the phase-A/phase-B read sets and dispatches the moment it drops to
-	// zero, so anti-diagonals stream into each other with no wavefront
-	// barriers (Solution.Stats reports 0 where "blocked" reports
-	// 2(nb−1)). Tables and recorded splits are bitwise identical to
-	// "blocked". SolveBatch seeds multiple instances' tile graphs into
-	// one shared scheduler so independent solves overlap on one pool.
+	// EngineBlockedPipe is the work-efficient blocked engine: B x B
+	// tiles, O(n^3) work and O(n^2) memory — the large-instance engine
+	// (n = 1024-4096 and beyond) where the HLV partial-weight arrays
+	// cannot even be allocated. The tiles run as a dependency graph:
+	// every tile carries an atomic in-degree counter derived from its
+	// read sets and dispatches the moment it drops to zero, so there are
+	// no barriers. Tables and recorded splits are bitwise identical to
+	// the sequential engine's. SolveBatch seeds multiple instances' tile
+	// graphs into one shared scheduler so independent solves overlap on
+	// one pool.
 	EngineBlockedPipe = "blocked-pipe"
 	// EngineBlockedKY is the Knuth-Yao pruned blocked engine: the same
-	// tile wavefront as "blocked", but each cell scans only the candidate
+	// tile graph as "blocked-pipe", but each cell scans only the candidate
 	// window bounded by its neighbours' recorded splits — O(n^2) total
 	// work instead of O(n^3), with the value table and split matrix
 	// bitwise identical to the unpruned engine. Only instances declaring
@@ -148,11 +147,11 @@ var builtinInfo = map[string]EngineInfo{
 		Options: "WithWorkers, WithPool, WithTileSize, WithMode, WithTermination, WithMaxIterations, WithTarget, WithHistory, WithSemiring"},
 	EngineHLVBanded: {Description: "paper Section 5: deficits within 2*ceil(sqrt n), tiled pooled kernels",
 		Options: "WithWorkers, WithPool, WithTileSize, WithMode, WithTermination, WithMaxIterations, WithBandRadius, WithWindow, WithTarget, WithHistory, WithSemiring"},
-	EngineBlocked: {Description: "work-efficient blocked wavefront: O(n^3) work, O(n^2) memory, solves n >= 1024",
+	EngineBlocked: {Description: "alias of blocked-pipe",
+		Options: "as blocked-pipe"},
+	EngineBlockedPipe: {Description: "work-efficient blocked engine on a barrier-free tile task graph: O(n^3) work, O(n^2) memory, solves n >= 1024; overlaps independent solves in SolveBatch",
 		Options: "WithWorkers, WithPool, WithTileSize (block edge B), WithSemiring, WithSplits (O(n) tree reconstruction)"},
-	EngineBlockedPipe: {Description: "barrier-free pipelined blocked engine: per-tile dependency counters, 0 barriers, bitwise identical to blocked; overlaps independent solves in SolveBatch",
-		Options: "WithWorkers, WithPool, WithTileSize (block edge B), WithSemiring, WithSplits (O(n) tree reconstruction)"},
-	EngineBlockedKY: {Description: "Knuth-Yao pruned blocked wavefront: O(n^2) work on declared-convex min-plus instances, bitwise identical to blocked",
+	EngineBlockedKY: {Description: "Knuth-Yao pruned blocked engine on the same task graph: O(n^2) work on declared-convex min-plus instances, bitwise identical to sequential",
 		Options: "WithWorkers, WithPool, WithTileSize (block edge B); splits always recorded"},
 }
 
@@ -180,8 +179,8 @@ func init() {
 		rytterEngine{},
 		hlvEngine{name: EngineHLVDense, variant: core.Dense},
 		hlvEngine{name: EngineHLVBanded, variant: core.Banded},
-		blockedEngine{},
-		blockedPipeEngine{},
+		blockedPipeEngine{name: EngineBlocked},
+		blockedPipeEngine{name: EngineBlockedPipe},
 		blockedKYEngine{},
 	} {
 		if err := RegisterEngine(e); err != nil {
@@ -326,31 +325,8 @@ func (e hlvEngine) Solve(ctx context.Context, in *Instance, cfg *Config) (*Solut
 	}, nil
 }
 
-// blockedEngine wraps the work-efficient blocked wavefront of
-// internal/blocked: the engine that breaks the HLV n=64 memory ceiling
-// (O(n^2) memory, O(n^3) work) and therefore the auto choice for large
-// instances.
-type blockedEngine struct{}
-
-func (blockedEngine) Name() string { return EngineBlocked }
-
-func (blockedEngine) Solve(ctx context.Context, in *Instance, cfg *Config) (*Solution, error) {
-	res, err := blocked.SolveCtx(ctx, in, blocked.Options{
-		Workers:      cfg.Workers,
-		Pool:         cfg.Pool,
-		TileSize:     cfg.TileSize,
-		Semiring:     cfg.Semiring,
-		RecordSplits: cfg.RecordSplits,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return blockedSolution(EngineBlocked, in, cfg, res), nil
-}
-
 // blockedSolution shapes a blocked.Result into a Solution — shared by
-// the barrier ("blocked") and pipelined ("blocked-pipe") engines, whose
-// results are bitwise interchangeable.
+// the tile engines and SolveBatch's overlapped group.
 func blockedSolution(engine string, in *Instance, cfg *Config, res *blocked.Result) *Solution {
 	sol := &Solution{
 		Engine:      engine,
@@ -374,17 +350,15 @@ func blockedSolution(engine string, in *Instance, cfg *Config, res *blocked.Resu
 	return sol
 }
 
-// blockedPipeEngine wraps the barrier-free pipelined driver of
-// internal/blocked: the same tile decomposition as blockedEngine run as
-// a dependency graph, bitwise-identical tables and splits, zero
-// barriers on Solution.Stats. SolveBatch routes groups of pipe-destined
-// instances through blocked.SolvePipeBatchCtx so their graphs share one
-// scheduler.
-type blockedPipeEngine struct{}
+// blockedPipeEngine wraps the tile task graph of internal/blocked,
+// registered under "blocked-pipe" and its alias "blocked". SolveBatch
+// routes groups of tile-destined instances through
+// blocked.SolvePipeBatchCtx so their graphs share one scheduler.
+type blockedPipeEngine struct{ name string }
 
-func (blockedPipeEngine) Name() string { return EngineBlockedPipe }
+func (e blockedPipeEngine) Name() string { return e.name }
 
-func (blockedPipeEngine) Solve(ctx context.Context, in *Instance, cfg *Config) (*Solution, error) {
+func (e blockedPipeEngine) Solve(ctx context.Context, in *Instance, cfg *Config) (*Solution, error) {
 	res, err := blocked.SolvePipeCtx(ctx, in, blocked.Options{
 		Workers:      cfg.Workers,
 		Pool:         cfg.Pool,
@@ -395,7 +369,7 @@ func (blockedPipeEngine) Solve(ctx context.Context, in *Instance, cfg *Config) (
 	if err != nil {
 		return nil, err
 	}
-	return blockedSolution(EngineBlockedPipe, in, cfg, res), nil
+	return blockedSolution(e.name, in, cfg, res), nil
 }
 
 // ErrConvexityRequired reports a solve that demanded Knuth-Yao pruning
@@ -406,7 +380,7 @@ func (blockedPipeEngine) Solve(ctx context.Context, in *Instance, cfg *Config) (
 // eligibility should test with errors.Is.
 var ErrConvexityRequired = errors.New("sublineardp: Knuth-Yao pruning requires a declared-convex min-plus instance")
 
-// blockedKYEngine wraps the Knuth-Yao pruned blocked wavefront of
+// blockedKYEngine wraps the Knuth-Yao pruned tile graph of
 // internal/blocked: O(n^2) work on declared-convex min-plus instances,
 // bitwise identical tables and splits to the unpruned engine.
 type blockedKYEngine struct{}
@@ -414,18 +388,8 @@ type blockedKYEngine struct{}
 func (blockedKYEngine) Name() string { return EngineBlockedKY }
 
 func (blockedKYEngine) Solve(ctx context.Context, in *Instance, cfg *Config) (*Solution, error) {
-	// Gate here with the package sentinel rather than relying on the
-	// internal error alone, so the registry boundary has one stable
-	// errors.Is target (the internal cause is kept in the chain).
-	sr, err := resolveSemiring(cfg, in)
-	if err != nil {
+	if err := kyGate(cfg, in); err != nil {
 		return nil, err
-	}
-	if !in.Convex {
-		return nil, fmt.Errorf("%w (instance %q does not declare Convex)", ErrConvexityRequired, in.Name)
-	}
-	if sr.Name() != algebra.NameMinPlus {
-		return nil, fmt.Errorf("%w (instance %q resolves to algebra %q)", ErrConvexityRequired, in.Name, sr.Name())
 	}
 	res, err := blocked.SolveKYCtx(ctx, in, blocked.Options{
 		Workers:  cfg.Workers,
@@ -434,26 +398,24 @@ func (blockedKYEngine) Solve(ctx context.Context, in *Instance, cfg *Config) (*S
 		Semiring: cfg.Semiring,
 	})
 	if err != nil {
-		if errors.Is(err, blocked.ErrNotConvex) {
-			// Unreachable after the gate above; kept so the sentinel
-			// survives even if the internal eligibility rules tighten.
-			return nil, fmt.Errorf("%w: %w", ErrConvexityRequired, err)
-		}
 		return nil, err
 	}
-	return &Solution{
-		Engine:      EngineBlockedKY,
-		Algebra:     sr.Name(),
-		Table:       res.Table,
-		Acct:        res.Acct,
-		Stats:       res.Stats,
-		ConvergedAt: -1,
-		instance:    in,
-		splits:      res.Split,
-		treeFn: func() (*Tree, error) {
-			return recurrence.TreeFromSplits(in.N, res.Split)
-		},
-	}, nil
+	return blockedSolution(EngineBlockedKY, in, cfg, res), nil
+}
+
+// kyGate reports ErrConvexityRequired for an instance the pruned engine
+// cannot take — the check behind the blocked-ky engine, WithConvexity
+// and SolveBatch's grouping. Gating here with the package sentinel,
+// rather than relying on blocked.ErrNotConvex, gives the registry
+// boundary one stable errors.Is target.
+func kyGate(cfg *Config, in *Instance) error {
+	if !in.Convex {
+		return fmt.Errorf("%w (instance %q does not declare Convex)", ErrConvexityRequired, in.Name)
+	}
+	if name := algebra.ResolveName(cfg.Semiring, in.Algebra); name != algebra.NameMinPlus {
+		return fmt.Errorf("%w (instance %q resolves to algebra %q)", ErrConvexityRequired, in.Name, name)
+	}
+	return nil
 }
 
 // autoEngine is the size-based meta-engine: small instances go to the
@@ -489,9 +451,8 @@ func pickAuto(in *Instance, cfg *Config) Engine {
 }
 
 // pickAutoName is pickAuto's routing table by registry name — also what
-// SolveBatch consults to group pipe-destined instances into one shared
-// scheduler. The parallel tier is the pipelined blocked engine: same
-// bitwise tables as "blocked" with the wavefront barriers gone.
+// SolveBatch consults to group tile-destined instances into one shared
+// scheduler.
 func pickAutoName(in *Instance, cfg *Config) string {
 	n := in.N
 	cutoff := cfg.AutoCutoff

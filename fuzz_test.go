@@ -185,7 +185,7 @@ func FuzzRecordedSplitsTree(f *testing.F) {
 // on random declared-convex instances (OBST weights and density-built
 // RandomConvex vectors) across the same tile-boundary shapes as
 // FuzzBlockedMatchesSequential, the pruned engine must be *bitwise*
-// identical to the unpruned recording engine — value table AND split
+// identical to the unpruned sequential DP — value table AND split
 // matrix — while charging exactly seq.SolveKnuth's pruned candidate
 // count. Shaped spine instances do not declare convexity and must take
 // the rejection path, at both the internal and the registry boundary.
@@ -223,20 +223,20 @@ func FuzzKnuthYaoMatchesBlocked(f *testing.F) {
 			in = problems.RandomConvex(n, 20, seed)
 		}
 		n = in.N
-		want := blocked.Solve(in, blocked.Options{TileSize: b, RecordSplits: true})
+		want := seq.Solve(in)
 		knuth := seq.SolveKnuth(in)
 		got := blocked.SolveKY(in, blocked.Options{TileSize: b})
 		wd, gd := want.Table.Data(), got.Table.Data()
 		for c := range wd {
 			if wd[c] != gd[c] {
-				t.Fatalf("pruned B=%d diverges from blocked bitwise on %s B=%d seed=%d: %v",
+				t.Fatalf("pruned B=%d diverges from sequential bitwise on %s B=%d seed=%d: %v",
 					b, in.Name, b, seed, got.Table.Diff(want.Table, 3))
 			}
 		}
 		for i := 0; i <= n; i++ {
 			for j := i + 1; j <= n; j++ {
 				if g, e := got.Split(i, j), want.Split(i, j); g != e {
-					t.Fatalf("pruned split(%d,%d) = %d, unpruned recorded %d (%s B=%d seed=%d)",
+					t.Fatalf("pruned split(%d,%d) = %d, sequential recorded %d (%s B=%d seed=%d)",
 						i, j, g, e, in.Name, b, seed)
 				}
 				if g, e := got.Table.At(i, j), knuth.Table.At(i, j); g != e {
@@ -370,13 +370,14 @@ func FuzzParseNeverPanics(f *testing.F) {
 
 func newSeededRand(seed int64) *mrand.Rand { return mrand.New(mrand.NewSource(seed)) }
 
-// FuzzPipelinedMatchesBlocked pins the dependency-counter schedule to
-// the barrier-fenced one it replaces: on arbitrary seeded instances and
-// tile sizes — boundary-aligned, off-by-one, single-tile, one index per
-// block — the pipelined engine's value table AND recorded splits must be
-// bitwise identical to blocked's. The counter graph admits every
-// topological order of the tile DAG; this wall is what forces all of
-// them to compute the same candidate sequences.
+// FuzzPipelinedMatchesBlocked pins the dependency-counter schedule — the
+// one parallel schedule of the blocked engines — to the sequential DP:
+// on arbitrary seeded instances and tile sizes — boundary-aligned,
+// off-by-one, single-tile, one index per block — the pipelined engine's
+// value table AND recorded splits must be bitwise identical to seq's.
+// The counter graph admits every topological order of the tile DAG;
+// this wall is what forces all of them to compute the same candidate
+// sequences.
 func FuzzPipelinedMatchesBlocked(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(4), false) // n%B == 0
 	f.Add(int64(2), uint8(17), uint8(4), false) // n%B == 1
@@ -394,20 +395,21 @@ func FuzzPipelinedMatchesBlocked(f *testing.F) {
 		} else {
 			in = problems.RandomInstance(n, 60, seed)
 		}
-		opt := blocked.Options{TileSize: b, RecordSplits: true}
-		want := blocked.Solve(in, opt)
-		got := blocked.SolvePipe(in, opt)
+		want := seq.Solve(in)
+		got := blocked.SolvePipe(in, blocked.Options{TileSize: b, RecordSplits: true})
 		wd, gd := want.Table.Data(), got.Table.Data()
 		for c := range wd {
 			if wd[c] != gd[c] {
-				t.Fatalf("pipelined B=%d diverges from blocked bitwise on n=%d seed=%d shaped=%v: %v",
+				t.Fatalf("pipelined B=%d diverges from sequential bitwise on n=%d seed=%d shaped=%v: %v",
 					b, n, seed, shaped, got.Table.Diff(want.Table, 3))
 			}
 		}
-		for idx := range want.Splits {
-			if got.Splits[idx] != want.Splits[idx] {
-				t.Fatalf("pipelined B=%d split %d = %d, blocked %d (n=%d seed=%d shaped=%v)",
-					b, idx, got.Splits[idx], want.Splits[idx], n, seed, shaped)
+		for i := 0; i <= n; i++ {
+			for j := i + 1; j <= n; j++ {
+				if g, e := got.Split(i, j), want.Split(i, j); g != e {
+					t.Fatalf("pipelined B=%d split(%d,%d) = %d, sequential %d (n=%d seed=%d shaped=%v)",
+						b, i, j, g, e, n, seed, shaped)
+				}
 			}
 		}
 		if rep := verify.Table(in, got.Table); !rep.OK() {

@@ -1,9 +1,8 @@
 // Package blocked implements the work-efficient blocked parallel engine
 // for recurrence (*): the c(i,j) triangle is partitioned into B×B tiles
-// processed in anti-diagonal block-wavefront order, so the whole solve
-// costs the sequential O(n^3) work and O(n^2) memory — one flat cost
-// table, no partial-weight arrays — while exposing (n/B)^2-way
-// parallelism per wavefront.
+// scheduled as a dependency graph, so the whole solve costs the
+// sequential O(n^3) work and O(n^2) memory — one flat cost table, no
+// partial-weight arrays — while exposing (n/B)^2-way parallelism.
 //
 // This is the engine the paper's HLV scheme is missing at scale: HLV
 // buys O(sqrt n · log n) parallel *time* by paying O(n^4) work and
@@ -15,26 +14,35 @@
 // n = 1024–4096 solves comfortably where hlv-dense cannot even allocate
 // n = 256.
 //
-// # Schedule
+// # Tiles
 //
 // Indices 0..n are split into nb = ceil((n+1)/B) blocks. Tile (I,J)
 // holds the cells (i,j) with i in block I, j in block J. A cell's
 // candidates k lie in blocks I..J, so tile (I,J) depends only on tiles
-// (I,K) and (K,J) with strictly smaller block distance — every tile of
-// block-diagonal d = J-I is independent once diagonals < d are final.
-// Per diagonal the engine runs two pooled phases:
+// (I,K) and (K,J) with strictly smaller block distance. Each tile runs
+// two kinds of unit:
 //
-//   - phase A (d >= 2): off-tile accumulation. For every tile row i and
+//   - phase A (J−I >= 2): off-tile accumulation. For every tile row i and
 //     every strictly interior block K, one RelaxSplitPanel call folds the
 //     whole k-run of block K into the row — a GEMM-shaped sweep whose
 //     three streams (destination row, left factors, right row) are
 //     contiguous or scalar, which is what makes the engine faster per
 //     candidate than the column-striding sequential scan.
-//   - phase B: in-tile closure. Each tile serialises its own cells in
+//   - phase B: in-tile closure. The tile serialises its own cells in
 //     dependency order (rows bottom-up, splits left to right) and applies
 //     every in-tile split as a forward j-run relaxation, so even the
-//     closure sweeps contiguous panels; all tiles of the diagonal close
-//     in parallel.
+//     closure sweeps contiguous panels.
+//
+// The Knuth–Yao variant (SolveKYCtx) skips phase A and closes each tile
+// cell by cell under split-monotonicity windows.
+//
+// # Schedules
+//
+// There is one parallel schedule, the task graph of pipeline.go: every
+// tile carries an in-degree counter and its units run the moment their
+// inputs are final, with no barrier anywhere, and several solves can
+// share one graph. Solve is the serial reference: the same units in
+// diagonal order on the calling goroutine.
 //
 // The bulk primitives evaluate the instance's F inside the kernel body
 // (RelaxSplitPanel), or consume a pre-evaluated f run when the instance
@@ -45,14 +53,13 @@
 // multiset and Combine is associative, commutative and idempotent.
 //
 // TileSize is the engine's processor knob: B ~ n/(4p) (the auto
-// default) spreads p workers across a wavefront, larger B trades
-// parallelism for lower barrier count (2(nb-1) barriers total) and
-// better in-tile and f-run locality.
+// default) gives p workers about four ready tiles each, larger B trades
+// parallelism for fewer, longer tasks and better in-tile and f-run
+// locality.
 package blocked
 
 import (
 	"context"
-	"fmt"
 
 	"sublineardp/internal/algebra"
 	"sublineardp/internal/cost"
@@ -67,22 +74,16 @@ import (
 const DefaultTileSize = 64
 
 // maxAutoTileSize caps the auto-sized block edge: past ~512 the f-run
-// locality gains flatten while the barrier count is already tiny.
+// locality gains flatten while the task count is already tiny.
 const maxAutoTileSize = 512
-
-// fbufArena recycles the per-worker f-run scratch (length B) across
-// work units and solves: phase dispatch claims single-unit chunks for
-// cancellation latency, so without recycling each claimed tile row
-// would allocate a fresh buffer.
-var fbufArena parutil.Arena[cost.Cost]
 
 // Options configures a blocked solve. The zero value is a valid default
 // configuration.
 type Options struct {
-	// Workers is the goroutine count per pooled phase (0 = pool width).
+	// Workers is the task graph's drain width (0 = pool width).
 	Workers int
-	// Pool is the persistent worker pool the wavefront phases dispatch
-	// onto (nil = the process-wide shared pool).
+	// Pool is the persistent worker pool the task graph drains on (nil =
+	// the process-wide shared pool).
 	Pool *parutil.Pool
 	// TileSize is the block edge B. Non-positive values select the auto
 	// size (~(n+1)/(4·procs) clamped to [DefaultTileSize,
@@ -114,10 +115,10 @@ type Result struct {
 	// c(i,j), or -1 for leaves and spans no candidate reaches — exactly
 	// the sequential reference's smallest-k choice, under every algebra.
 	Splits []int32
-	// Stats is the solve's scheduler observability snapshot: barrier
-	// count (2(nb−1) for the wavefront driver, 0 for the pipelined one),
-	// barrier-tail idle nanoseconds, and executed work units. For an
-	// overlapped batch every Result carries the shared scheduler's view.
+	// Stats is the solve's scheduler observability snapshot: executed
+	// graph tasks and drain-worker idle nanoseconds (zero for the serial
+	// Solve, which runs no scheduler). For an overlapped batch every
+	// Result carries the shared scheduler's view.
 	Stats parutil.StatsView
 }
 
@@ -135,8 +136,8 @@ func (r *Result) Split(i, j int) int {
 
 // EffectiveTileSize resolves the block edge a solve of size n runs
 // with on a machine with procs usable processors. An explicit tile
-// wins; otherwise B targets about four wavefront tiles per processor
-// ((n+1)/(4·procs) — enough tiles to balance, few enough barriers and
+// wins; otherwise B targets about four ready tiles per processor
+// ((n+1)/(4·procs) — enough tiles to balance, few enough tasks and
 // long enough contiguous f runs), clamped to
 // [DefaultTileSize, maxAutoTileSize]. On few cores this grows B with n
 // (locality is all that matters); on wide machines it shrinks toward
@@ -161,115 +162,49 @@ func EffectiveTileSize(n, tile, procs int) int {
 	return b
 }
 
-// Solve runs the blocked engine; the result table equals the sequential
-// DP table bitwise (the conformance matrix and fuzz rails pin this).
+// Solve is the serial reference of the tile engines: for each block
+// diagonal, for each tile, phase A on each row and then the closure, all
+// on the calling goroutine. It has no pool and no barriers: it ignores
+// Options.Workers and Options.Pool, and sizes the auto tile edge for one
+// processor. Its table and recorded splits equal the sequential DP's
+// bitwise, as do the parallel engines'; the point of keeping it is a
+// reference that shares no scheduler code with them. It panics on the
+// only reachable error (an unregistered instance algebra).
 func Solve(in *recurrence.Instance, opt Options) *Result {
 	res, err := SolveCtx(context.Background(), in, opt)
 	if err != nil {
-		// Only reachable for an unregistered instance algebra; the
-		// background context never cancels.
 		panic(err)
 	}
 	return res
 }
 
-// SolveCtx is Solve with cooperative cancellation: the worker pool
-// re-checks the context before each claimed work unit (one tile row in
-// phase A, one tile in phase B), so cancellation latency is bounded by
-// one in-flight tile row rather than one wavefront. That per-unit poll
-// is the only one — the driver does not double-poll per diagonal or per
-// cell.
+// SolveCtx is Solve with cooperative cancellation, polled once per tile.
 func SolveCtx(ctx context.Context, in *recurrence.Instance, opt Options) (*Result, error) {
-	if in == nil || in.N < 1 {
-		panic(fmt.Sprintf("blocked: invalid instance %+v", in))
-	}
-	k, err := algebra.Resolve(opt.Semiring, in.Algebra)
+	ts, err := newTiles(in, opt, 1, false)
 	if err != nil {
 		return nil, err
 	}
-	// Instantiate the generic driver at the concrete type of each shipped
-	// semiring so the bulk primitives dispatch to their specialised
-	// bodies; promoted third-party algebras run through the interface.
-	switch sr := k.(type) {
-	case algebra.MinPlus:
-		return run(ctx, sr, in, opt)
-	case algebra.MaxPlus:
-		return run(ctx, sr, in, opt)
-	case algebra.BoolPlan:
-		return run(ctx, sr, in, opt)
-	default:
-		return run[algebra.Kernel](ctx, k, in, opt)
-	}
-}
-
-// run is the block-wavefront driver at one concrete algebra type. The
-// tile machinery (seeding, panel folds, in-tile closure) lives in
-// tileSolver and is shared verbatim with the pipelined driver; this
-// function owns only the barrier-stepped schedule — per diagonal, one
-// fenced phase-A dispatch then one fenced phase-B dispatch, 2(nb−1)
-// barriers total, each recorded on the solve's Stats.
-func run[S algebra.Kernel](ctx context.Context, sr S, in *recurrence.Instance, opt Options) (*Result, error) {
-	n := in.N
-	pool, workers, procs := poolAndProcs(opt)
-	b := EffectiveTileSize(n, opt.TileSize, procs)
-
-	ts := newTileSolver(sr, in, b, opt.RecordSplits)
-	nb, size := ts.nb, ts.size
-	res := ts.res
-	st := &parutil.Stats{}
-	defer func() { res.Stats = st.View() }()
-
+	b, nb := ts.geometry()
+	fbuf := make([]cost.Cost, b)
+	var aWork, bWork int64
 	for d := 0; d < nb; d++ {
-		tiles := nb - d
-
-		// Phase A: fold the strictly interior split blocks into every
-		// tile row of the diagonal, all rows in parallel. Row blocks of
-		// d >= 1 tiles are always full (only block nb-1 can be short),
-		// so unit u maps to tile u/b, row u%b. The pool polls ctx before
-		// each claimed row; no extra per-diagonal poll is needed.
-		if d >= 2 {
-			units := tiles * b
-			aWork, err := pool.SumInt64StatsCtx(ctx, st, workers, units, 1, func(ulo, uhi int) int64 {
-				fbuf := fbufArena.Get(b)
-				defer fbufArena.Put(fbuf)
-				var cnt int64
-				for u := ulo; u < uhi; u++ {
-					I := u / b
-					cnt += ts.foldRowInterior(fbuf, ts.lo(I)+u%b, I, I+d)
-				}
-				return cnt
-			})
-			if err != nil {
+		for I := 0; I+d < nb; I++ {
+			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			aCells := int64(b) * (int64(tiles-1)*int64(b) + int64(ts.hi(nb-1)-ts.lo(nb-1)))
-			res.Acct.ChargeReduce(aCells, int64(d-1)*int64(b), aWork)
-		}
-
-		// Phase B: close every tile of the diagonal in parallel.
-		bWork, err := pool.SumInt64StatsCtx(ctx, st, workers, tiles, 1, func(tlo, thi int) int64 {
-			fbuf := fbufArena.Get(b)
-			defer fbufArena.Put(fbuf)
-			var cnt int64
-			for t := tlo; t < thi; t++ {
-				cnt += ts.closeTile(fbuf, t, t+d)
+			if d >= 2 {
+				for i := ts.lo(I); i < ts.hi(I); i++ {
+					aWork += ts.foldRowInterior(fbuf, i, I, I+d)
+				}
 			}
-			return cnt
-		})
-		if err != nil {
-			return nil, err
-		}
-		if bWork > 0 {
-			// Charged as one synchronous fold per diagonal; the true
-			// in-tile closure depth is the O(B) dependency chain the
-			// package comment (and DESIGN.md's knob map) documents.
-			res.Acct.ChargeReduce(closedCells(d, b, nb, size), 2*int64(b), bWork)
+			bWork += ts.closeTile(fbuf, I, I+d)
 		}
 	}
-	return res, nil
+	ts.charge(aWork, bWork)
+	return ts.result(), nil
 }
 
-// closedCells counts the cells phase B relaxes on block-diagonal d —
+// closedCells counts the cells the closure relaxes on block-diagonal d —
 // tile areas minus the leaf and empty spans the closure skips.
 func closedCells(d, b, nb, size int) int64 {
 	lastLen := int64(size - (nb-1)*b)

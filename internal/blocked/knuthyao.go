@@ -2,38 +2,22 @@ package blocked
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"runtime"
 
-	"sublineardp/internal/algebra"
-	"sublineardp/internal/cost"
-	"sublineardp/internal/parutil"
 	"sublineardp/internal/recurrence"
 )
 
-// ErrNotConvex reports a Knuth–Yao solve of an instance that is not
-// eligible for pruning: either it does not declare recurrence
-// (*)'s convexity conditions (Instance.Convex) or the effective algebra
-// is not min-plus — the only algebra the split-monotonicity theorem is
-// stated for. The root layer wraps it in its ErrConvexityRequired
-// sentinel.
-var ErrNotConvex = errors.New("blocked: Knuth–Yao pruning requires a declared-convex min-plus instance")
-
 // SolveKYCtx runs the Knuth–Yao pruned blocked engine: the same tile
-// wavefront as SolveCtx, but every cell (i,j) scans only the candidate
+// graph as SolvePipeCtx, but every cell (i,j) scans only the candidate
 // window
 //
 //	[ max(split(i,j-1), i+1) , split(i+1,j) ]
 //
 // that Knuth's split-monotonicity theorem bounds the optimal split
-// into. Both neighbour splits are final before the cell closes (they
-// lie on earlier block diagonals, on a lower row of the same tile, or
-// earlier in the same row), so the pruned sweep needs no phase-A panel
-// folds at all: each tile closes cell by cell with exact per-cell
-// bounds, tiles of a diagonal in parallel. The windows telescope along
+// into (closeTileKY). The pruned sweep needs no phase-A panel folds at
+// all: each tile closes cell by cell with exact per-cell bounds, tiles
+// in parallel as their predecessors finish. The windows telescope along
 // every row and column, so total work is O(n^2) — identically
-// seq.SolveKnuth's count — instead of O(n^3), while PR 7's smallest-k
+// seq.SolveKnuth's count — instead of O(n^3), while the smallest-k
 // tie discipline keeps the value table AND the split matrix bitwise
 // identical to the unpruned engine (and to the sequential reference):
 // the smallest optimal split is always inside the window, and no
@@ -45,27 +29,8 @@ var ErrNotConvex = errors.New("blocked: Knuth–Yao pruning requires a declared-
 // caller picked the pruned engine, and silently falling back to the
 // O(n^3) path would misreport both work and intent.
 func SolveKYCtx(ctx context.Context, in *recurrence.Instance, opt Options) (*Result, error) {
-	if in == nil || in.N < 1 {
-		panic(fmt.Sprintf("blocked: invalid instance %+v", in))
-	}
-	k, err := algebra.Resolve(opt.Semiring, in.Algebra)
-	if err != nil {
-		return nil, err
-	}
-	if !in.Convex {
-		return nil, fmt.Errorf("%w (instance %q does not declare Convex)", ErrNotConvex, in.Name)
-	}
-	if k.Name() != algebra.NameMinPlus {
-		return nil, fmt.Errorf("%w (instance %q resolves to algebra %q)", ErrNotConvex, in.Name, k.Name())
-	}
-	// Same concrete-type dispatch as SolveCtx: the shipped min-plus gets
-	// its specialised cell body; a third-party kernel that names itself
-	// min-plus (tests use a wrapped one to pin generic dispatch) runs
-	// through the interface.
-	if sr, ok := k.(algebra.MinPlus); ok {
-		return runKY(ctx, sr, in, opt)
-	}
-	return runKY[algebra.Kernel](ctx, k, in, opt)
+	res, errs := SolvePipeBatchCtx(ctx, []BatchItem{{In: in, KY: true}}, opt)
+	return res[0], errs[0]
 }
 
 // SolveKY is SolveKYCtx without cancellation, panicking on ineligible
@@ -76,132 +41,4 @@ func SolveKY(in *recurrence.Instance, opt Options) *Result {
 		panic(err)
 	}
 	return res
-}
-
-// runKY is the pruned block-wavefront driver. Compared to run it has no
-// phase A: with O(1)-wide candidate windows there are no GEMM-shaped
-// interior panels left to fold, and row-level clipped panel bounds would
-// readmit O(n^2·B) work — per-cell exact bounds are both tighter and
-// simpler. Tiles of a diagonal still close in parallel; within a tile,
-// rows run bottom-up and j ascends, exactly the dependency order the
-// bounds need.
-func runKY[S algebra.Kernel](ctx context.Context, sr S, in *recurrence.Instance, opt Options) (*Result, error) {
-	n := in.N
-	pool, workers, procs := poolAndProcs(opt)
-	b := EffectiveTileSize(n, opt.TileSize, procs)
-	size := n + 1
-	nb := (size + b - 1) / b
-
-	tbl := recurrence.NewTable(n)
-	data, stride := tbl.Data(), tbl.Stride()
-	if zero := sr.Zero(); zero != cost.Inf {
-		// Unreachable for the shipped min-plus (Zero == Inf ==
-		// NewTable's fill); kept for kernels that rename Zero while
-		// claiming min-plus semantics.
-		for i := 0; i < n; i++ {
-			row := i * stride
-			for j := i + 1; j <= n; j++ {
-				data[row+j] = zero
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		data[i*stride+i+1] = in.Init(i)
-	}
-	splits := make([]int32, len(data))
-	for i := range splits {
-		splits[i] = -1
-	}
-
-	f := algebra.SplitFunc(in.F)
-	res := &Result{Table: tbl, TileSize: b, Splits: splits}
-	res.Acct.ChargeUnit(int64(n)) // the leaf init step
-
-	lo := func(B int) int { return B * b }
-	hi := func(B int) int {
-		v := (B + 1) * b
-		if v > size {
-			v = size
-		}
-		return v
-	}
-
-	// closeTileKY closes tile (I,J) cell by cell under the Knuth window
-	// and returns its candidate count. The bound logic mirrors
-	// seq.SolveKnuth line for line, with one representational shim: seq
-	// seeds leaf splits with the sentinel i where the matrix here keeps
-	// -1 — both clamp to the same effective window (lo -> i+1; hi < lo
-	// -> j-1 = i+1 on span-2 cells), so the counted work is identical.
-	closeTileKY := func(I, J int) int64 {
-		i0, i1 := lo(I), hi(I)
-		j0, j1 := lo(J), hi(J)
-		var work int64
-		for i := i1 - 1; i >= i0; i-- {
-			js := j0
-			if js < i+2 {
-				js = i + 2 // skip the lower triangle and the leaf
-			}
-			for j := js; j < j1; j++ {
-				klo := int(splits[i*stride+j-1])
-				if klo < i+1 {
-					klo = i + 1
-				}
-				khi := int(splits[(i+1)*stride+j])
-				if khi < klo || khi > j-1 {
-					khi = j - 1
-				}
-				sr.RelaxSplitCellRec(data, splits, stride, i, klo, khi+1, j, f)
-				work += int64(khi - klo + 1)
-			}
-		}
-		return work
-	}
-
-	st := &parutil.Stats{}
-	defer func() { res.Stats = st.View() }()
-
-	// One fenced dispatch per diagonal (nb barriers total). The pool
-	// polls ctx before each claimed tile; the former per-diagonal
-	// double-poll was redundant with that and with the dispatch's own
-	// ctx.Err() return, and is gone.
-	for d := 0; d < nb; d++ {
-		tiles := nb - d
-		dWork, err := pool.SumInt64StatsCtx(ctx, st, workers, tiles, 1, func(tlo, thi int) int64 {
-			var cnt int64
-			for t := tlo; t < thi; t++ {
-				cnt += closeTileKY(t, t+d)
-			}
-			return cnt
-		})
-		if err != nil {
-			return nil, err
-		}
-		if dWork > 0 {
-			// The in-tile dependency chain is the same O(B) row/column
-			// walk as the unpruned closure; the windows shrink work, not
-			// depth.
-			res.Acct.ChargeReduce(closedCells(d, b, nb, size), 2*int64(b), dWork)
-		}
-	}
-	return res, nil
-}
-
-// poolAndProcs resolves the pool, per-phase worker count and the real
-// parallelism the auto tile sizing should target — shared by run and
-// runKY. An explicit Workers beyond GOMAXPROCS oversubscribes
-// goroutines, it does not add processors.
-func poolAndProcs(opt Options) (pool *parutil.Pool, workers, procs int) {
-	pool = opt.Pool
-	if pool == nil {
-		pool = parutil.Default()
-	}
-	workers = opt.Workers
-	procs = workers
-	if procs <= 0 {
-		procs = pool.Workers()
-	}
-	if g := runtime.GOMAXPROCS(0); procs > g {
-		procs = g
-	}
-	return pool, workers, procs
 }

@@ -1,22 +1,18 @@
 // Pipelined (barrier-free) execution of the blocked schedule.
 //
-// The wavefront driver in blocked.go fences every anti-diagonal twice
-// (phase A, phase B) — 2(nb−1) full-pool barriers per solve, each with an
-// idle tail while the last tile of a phase finishes. The pipelined driver
-// here runs the *same* tile decomposition as a dependency graph instead
-// (ROADMAP direction 2; the per-tile counter construction of the GPU
-// pipeline line, arXiv:2008.01938, with the nested-dataflow read-set
-// analysis of arXiv:1911.05333 deciding which edges are real): each tile
-// carries an atomic in-degree counter and is pushed onto a lock-free
-// ready stack the instant the counter hits zero, so diagonals stream into
-// each other and — because several solves may seed one shared graph —
-// independent solves overlap on one pool, one solve's tail filling
-// another's head.
+// The tile decomposition runs as a dependency graph (the per-tile
+// counter construction of the GPU pipeline line, arXiv:2008.01938, with
+// the nested-dataflow read-set analysis of arXiv:1911.05333 deciding
+// which edges are real): each tile carries an atomic in-degree counter
+// and is pushed onto a lock-free ready stack the instant the counter
+// hits zero, so diagonals stream into each other and — because several
+// solves may seed one shared graph — independent solves overlap on one
+// pool, one solve's tail filling another's head.
 //
 // # Dependency edges
 //
-// Derived from the actual read sets of the two phases, not from the
-// wavefront order. Tile (I,J) with block distance d = J−I reads:
+// Derived from the actual read sets of the units, not from a wavefront
+// order. Tile (I,J) with block distance d = J−I reads:
 //
 //   - phase A (d ≥ 2): left factors c(i,k) with k strictly interior —
 //     tiles (I,K), I < K < J — and right rows c(k,j) — tiles (K,J),
@@ -25,34 +21,33 @@
 //     tile (I,I) — and the block-J sweep reads c(k,j) with k,j ∈ block
 //     J — tile (J,J). (Its reads of tile (I,J) itself are intra-tile and
 //     ordered by the closure's own row/column discipline.)
+//   - the Knuth–Yao closure reads values in the same tiles, and splits
+//     in (I,J−1), (I+1,J) and (I,J) itself — all covered.
 //
 // Union: (I,K) for I ≤ K < J and (K,J) for I < K ≤ J — exactly 2d
 // predecessors, so deps[(I,J)] starts at 2d, every completed tile
 // decrements its row to the right and its column upward, and the d = 0
-// diagonal tiles seed the graph. This is strictly weaker than the
+// diagonal tiles seed the graph. This is strictly weaker than a
 // wavefront's "whole diagonal d−1 first", which is why the schedule can
 // pipeline at all.
 //
 // # Why the tables stay bitwise identical
 //
-// Reordering tiles cannot reorder the folds a given cell sees: both
-// drivers call the shared tileSolver units — foldRowInterior folds the
-// interior blocks K in ascending order within one task, and closeTile
-// folds block-I rows then sweeps block-J forward — and a destination
-// cell's every write happens inside exactly one of those units. The
-// dependency edges above guarantee each unit's inputs are final before
-// it runs, so per cell the candidate sequence (and PR 7's smallest-k tie
-// discipline) is identical to the barrier engine's, hence bitwise-equal
-// tables and split matrices under every registered algebra. The
-// conformance matrix and FuzzPipelinedMatchesBlocked pin this.
+// Reordering tiles cannot reorder the folds a given cell sees: a
+// destination cell's every write happens inside exactly one tileSolver
+// unit with a fixed internal order (see tiles.go), and the edges above
+// guarantee each unit's inputs are final before it runs. So per cell the
+// candidate sequence (and the smallest-k tie discipline) is identical to
+// the serial Solve's and the sequential DP's, hence bitwise-equal tables
+// and split matrices under every registered algebra. The conformance
+// matrix and FuzzPipelinedMatchesBlocked pin this.
 package blocked
 
 import (
 	"context"
-	"fmt"
+	"runtime"
 	"sync/atomic"
 
-	"sublineardp/internal/algebra"
 	"sublineardp/internal/parutil"
 	"sublineardp/internal/recurrence"
 )
@@ -60,10 +55,12 @@ import (
 // BatchItem is one instance of an overlapped pipelined batch, with an
 // optional per-item context: cancelling it abandons that solve's
 // remaining tiles (which still resolve their successors' counters, so
-// the shared graph drains) without touching the other items.
+// the shared graph drains) without touching the other items. KY selects
+// the Knuth–Yao pruned closure (SolveKYCtx) for the item.
 type BatchItem struct {
 	In  *recurrence.Instance
 	Ctx context.Context
+	KY  bool
 }
 
 // SolvePipe runs the pipelined engine; like Solve it panics on the only
@@ -77,15 +74,12 @@ func SolvePipe(in *recurrence.Instance, opt Options) *Result {
 }
 
 // SolvePipeCtx runs the pipelined engine for one instance: the blocked
-// tile decomposition executed as a dependency graph with no wavefront
-// barriers. The context is checked at tile-task granularity. The result
-// — table, splits, work ledger — is bitwise identical to SolveCtx's.
+// tile decomposition executed as a dependency graph with no barriers.
+// The context is checked at tile-task granularity. The result — table,
+// splits, work ledger — is bitwise identical to the serial SolveCtx's.
 func SolvePipeCtx(ctx context.Context, in *recurrence.Instance, opt Options) (*Result, error) {
 	res, errs := SolvePipeBatchCtx(ctx, []BatchItem{{In: in}}, opt)
-	if errs[0] != nil {
-		return nil, errs[0]
-	}
-	return res[0], nil
+	return res[0], errs[0]
 }
 
 // SolvePipeBatchCtx seeds every item's tile graph into one shared
@@ -98,29 +92,34 @@ func SolvePipeCtx(ctx context.Context, in *recurrence.Instance, opt Options) (*R
 func SolvePipeBatchCtx(ctx context.Context, items []BatchItem, opt Options) ([]*Result, []error) {
 	results := make([]*Result, len(items))
 	errs := make([]error, len(items))
-	if len(items) == 0 {
-		return results, errs
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	pool, workers, procs := poolAndProcs(opt)
-	runners := make([]pipeRunner, len(items))
+	pool := opt.Pool
+	if pool == nil {
+		pool = parutil.Default()
+	}
+	// The auto tile edge targets the processors the graph really drains
+	// on: an explicit Workers beyond GOMAXPROCS oversubscribes
+	// goroutines, it does not add processors.
+	procs := opt.Workers
+	if procs <= 0 {
+		procs = pool.Workers()
+	}
+	procs = min(procs, runtime.GOMAXPROCS(0))
+	solves := make([]*pipeSolve, len(items))
 	live := false
 	for idx, it := range items {
-		if it.In == nil || it.In.N < 1 {
-			panic(fmt.Sprintf("blocked: invalid instance %+v", it.In)) //lint:allow hotalloc construction-time validation panic: formats once on a programming error, cold by definition
+		ts, err := newTiles(it.In, opt, procs, it.KY)
+		if err != nil {
+			errs[idx] = err
+			continue
 		}
 		ictx := it.Ctx
 		if ictx == nil {
 			ictx = ctx
 		}
-		r, err := newPipeRunner(ictx, it.In, opt, procs)
-		if err != nil {
-			errs[idx] = err
-			continue
-		}
-		runners[idx] = r
+		solves[idx] = newPipeSolve(ictx, ts, it.KY)
 		live = true
 	}
 	if !live {
@@ -128,61 +127,37 @@ func SolvePipeBatchCtx(ctx context.Context, items []BatchItem, opt Options) ([]*
 	}
 
 	st := &parutil.Stats{}
-	pool.RunGraph(ctx, workers, st, func(g *parutil.TaskGraph) {
-		for _, r := range runners { //lint:allow ctxpoll O(batch) task-seeding loop; cancellation is RunGraph(ctx) draining the shared graph
-			if r != nil {
-				r.seed(g)
+	pool.RunGraph(ctx, opt.Workers, st, func(g *parutil.TaskGraph) {
+		for _, p := range solves { //lint:allow ctxpoll O(batch) task-seeding loop; cancellation is RunGraph(ctx) draining the shared graph
+			if p != nil {
+				p.seed(g)
 			}
 		}
 	})
 	view := st.View()
-	for idx, r := range runners {
-		if r == nil {
+	for idx, p := range solves {
+		if p == nil {
 			continue
 		}
-		res, err := r.finish(ctx)
-		if err != nil {
-			errs[idx] = err
-			continue
+		if errs[idx] = p.finish(ctx); errs[idx] == nil {
+			results[idx] = p.ts.result()
+			results[idx].Stats = view
 		}
-		res.Stats = view
-		results[idx] = res
 	}
 	return results, errs
 }
 
-// pipeRunner erases pipeSolve's algebra type parameter so one graph can
-// mix items over different semirings.
-type pipeRunner interface {
-	seed(g *parutil.TaskGraph)
-	finish(batchCtx context.Context) (*Result, error)
-}
-
-// newPipeRunner resolves the item's algebra and instantiates the driver
-// at the concrete kernel type, mirroring SolveCtx's dispatch.
-func newPipeRunner(ctx context.Context, in *recurrence.Instance, opt Options, procs int) (pipeRunner, error) {
-	k, err := algebra.Resolve(opt.Semiring, in.Algebra)
-	if err != nil {
-		return nil, err
-	}
-	b := EffectiveTileSize(in.N, opt.TileSize, procs)
-	switch sr := k.(type) {
-	case algebra.MinPlus:
-		return newPipeSolve(ctx, sr, in, opt, b), nil
-	case algebra.MaxPlus:
-		return newPipeSolve(ctx, sr, in, opt, b), nil
-	case algebra.BoolPlan:
-		return newPipeSolve(ctx, sr, in, opt, b), nil
-	default:
-		return newPipeSolve[algebra.Kernel](ctx, k, in, opt, b), nil
-	}
-}
-
 // pipeSolve is one instance's tile graph state. Tile (I,J) is flat index
-// I*nb+J.
-type pipeSolve[S algebra.Kernel] struct {
-	ts  *tileSolver[S]
-	ctx context.Context
+// I*nb+J, which is also the Arg of its closure task; the phase-A task of
+// row i of tile (I,J) has Arg nb*nb + i*nb + J (I is i's block).
+type pipeSolve struct {
+	ts    tiles
+	b, nb int
+	ctx   context.Context
+	ky    bool
+	// tasks holds every task node of the solve, allocated once so that
+	// submitting is allocation-free.
+	tasks []parutil.Task
 	// deps is the in-degree counter: 2(J−I) unfinished predecessor
 	// tiles. The task that moves it to zero owns submitting the tile.
 	deps []atomic.Int32
@@ -197,21 +172,20 @@ type pipeSolve[S algebra.Kernel] struct {
 	failed atomic.Bool
 }
 
-func newPipeSolve[S algebra.Kernel](ctx context.Context, sr S, in *recurrence.Instance, opt Options, b int) *pipeSolve[S] {
-	ts := newTileSolver(sr, in, b, opt.RecordSplits)
-	nb := ts.nb
-	p := &pipeSolve[S]{
-		ts:    ts,
-		ctx:   ctx,
-		deps:  make([]atomic.Int32, nb*nb),
-		aLeft: make([]atomic.Int32, nb*nb),
+func newPipeSolve(ctx context.Context, ts tiles, ky bool) *pipeSolve {
+	b, nb := ts.geometry()
+	p := &pipeSolve{ts: ts, b: b, nb: nb, ctx: ctx, ky: ky, deps: make([]atomic.Int32, nb*nb)}
+	nTasks := nb * nb
+	if !ky && nb > 2 {
+		p.aLeft = make([]atomic.Int32, nb*nb)
+		nTasks += ts.hi(nb-1) * nb
 	}
+	p.tasks = make([]parutil.Task, nTasks)
 	for I := 0; I < nb; I++ {
 		for J := I; J < nb; J++ {
-			id := I*nb + J
-			p.deps[id].Store(int32(2 * (J - I)))
-			if J-I >= 2 {
-				p.aLeft[id].Store(int32(ts.hi(I) - ts.lo(I)))
+			p.deps[I*nb+J].Store(int32(2 * (J - I)))
+			if p.aLeft != nil && J-I >= 2 {
+				p.aLeft[I*nb+J].Store(int32(ts.hi(I) - ts.lo(I)))
 			}
 		}
 	}
@@ -219,42 +193,59 @@ func newPipeSolve[S algebra.Kernel](ctx context.Context, sr S, in *recurrence.In
 	return p
 }
 
+// submit pushes task arg onto the graph.
+func (p *pipeSolve) submit(g *parutil.TaskGraph, arg int) {
+	t := &p.tasks[arg]
+	t.Runner, t.Arg = p, arg
+	g.Submit(t)
+}
+
+// RunTask dispatches a task by its Arg: a tile closure or a phase-A row.
+func (p *pipeSolve) RunTask(g *parutil.TaskGraph, arg int) {
+	nb := p.nb
+	if arg < nb*nb {
+		p.closeTask(g, arg/nb, arg%nb)
+		return
+	}
+	r := arg - nb*nb
+	p.rowTask(g, r/nb, r%nb)
+}
+
 // seed submits the in-degree-zero diagonal tiles.
-func (p *pipeSolve[S]) seed(g *parutil.TaskGraph) {
-	for T := 0; T < p.ts.nb; T++ {
-		T := T
-		g.Submit(func(g *parutil.TaskGraph) { p.closeTask(g, T, T) })
+func (p *pipeSolve) seed(g *parutil.TaskGraph) {
+	for T := 0; T < p.nb; T++ {
+		p.submit(g, T*p.nb+T)
 	}
 }
 
-// ready fires when tile (I,J)'s last predecessor finished: far tiles fan
-// out into one phase-A task per row, near tiles (d < 2 — nothing
-// interior to fold) go straight to closure. A cancelled item skips the
-// fan-out and lets closeTask do bookkeeping only.
-func (p *pipeSolve[S]) ready(g *parutil.TaskGraph, I, J int) {
-	if J-I >= 2 && p.ctx.Err() == nil {
-		i0, i1 := p.ts.lo(I), p.ts.hi(I)
-		for i := i0; i < i1; i++ {
-			i := i
-			g.Submit(func(g *parutil.TaskGraph) { p.rowTask(g, i, I, J) })
+// ready fires when tile (I,J)'s last predecessor finished: far tiles of
+// an unpruned solve fan out into one phase-A task per row, everything
+// else (d < 2 — nothing interior to fold — or a Knuth–Yao tile) goes
+// straight to closure. A cancelled item skips the fan-out and lets
+// closeTask do bookkeeping only.
+func (p *pipeSolve) ready(g *parutil.TaskGraph, I, J int) {
+	if !p.ky && J-I >= 2 && p.ctx.Err() == nil {
+		for i := p.ts.lo(I); i < p.ts.hi(I); i++ {
+			p.submit(g, p.nb*p.nb+i*p.nb+J)
 		}
 		return
 	}
-	g.Submit(func(g *parutil.TaskGraph) { p.closeTask(g, I, J) })
+	p.submit(g, I*p.nb+J)
 }
 
 // rowTask is one phase-A unit: fold every strictly interior block into
 // row i of tile (I,J). The last row of the tile submits the closure.
-func (p *pipeSolve[S]) rowTask(g *parutil.TaskGraph, i, I, J int) {
+func (p *pipeSolve) rowTask(g *parutil.TaskGraph, i, J int) {
+	I := i / p.b
 	if p.ctx.Err() == nil {
-		fbuf := fbufArena.Get(p.ts.b)
-		p.aWork.Add(p.ts.foldRowInterior(fbuf, i, I, J))
-		fbufArena.Put(fbuf)
+		fbuf := getFbuf(p.b)
+		p.aWork.Add(p.ts.foldRowInterior(*fbuf, i, I, J))
+		fbufPool.Put(fbuf)
 	} else {
 		p.failed.Store(true)
 	}
-	if p.aLeft[I*p.ts.nb+J].Add(-1) == 0 {
-		g.Submit(func(g *parutil.TaskGraph) { p.closeTask(g, I, J) })
+	if p.aLeft[I*p.nb+J].Add(-1) == 0 {
+		p.submit(g, I*p.nb+J)
 	}
 }
 
@@ -262,15 +253,18 @@ func (p *pipeSolve[S]) rowTask(g *parutil.TaskGraph, i, I, J int) {
 // the rest of row I to the right, the rest of column J upward. Counter
 // bookkeeping runs even for a cancelled item so a shared graph always
 // drains — cancellation abandons work, never wedges co-batched solves.
-func (p *pipeSolve[S]) closeTask(g *parutil.TaskGraph, I, J int) {
-	if p.ctx.Err() == nil {
-		fbuf := fbufArena.Get(p.ts.b)
-		p.bWork.Add(p.ts.closeTile(fbuf, I, J))
-		fbufArena.Put(fbuf)
-	} else {
+func (p *pipeSolve) closeTask(g *parutil.TaskGraph, I, J int) {
+	switch {
+	case p.ctx.Err() != nil:
 		p.failed.Store(true)
+	case p.ky:
+		p.bWork.Add(p.ts.closeTileKY(I, J))
+	default:
+		fbuf := getFbuf(p.b)
+		p.bWork.Add(p.ts.closeTile(*fbuf, I, J))
+		fbufPool.Put(fbuf)
 	}
-	nb := p.ts.nb
+	nb := p.nb
 	for J2 := J + 1; J2 < nb; J2++ {
 		if p.deps[I*nb+J2].Add(-1) == 0 {
 			p.ready(g, I, J2)
@@ -284,38 +278,19 @@ func (p *pipeSolve[S]) closeTask(g *parutil.TaskGraph, I, J int) {
 	p.tilesLeft.Add(-1)
 }
 
-// finish validates completion and charges the work ledger. The Work
-// total (leaf units + phase-A + closure candidates) is identical to the
-// barrier driver's — the units return the same counts — while Time is
-// charged as one phase-A fold plus one closure fold for the whole solve
-// (the pipelined schedule has no per-diagonal fences to charge).
-func (p *pipeSolve[S]) finish(batchCtx context.Context) (*Result, error) {
+// finish validates completion and charges the work ledger (leaf units +
+// phase-A + closure candidates, the same counts as the serial Solve).
+func (p *pipeSolve) finish(batchCtx context.Context) error {
 	if p.failed.Load() || p.tilesLeft.Load() > 0 {
 		if err := p.ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		if err := batchCtx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		// Unreachable: incompleteness implies a cancelled context.
-		return nil, context.Canceled
+		return context.Canceled
 	}
-	ts := p.ts
-	b, nb, size := ts.b, ts.nb, ts.size
-	res := ts.res
-	var aCells, bCells int64
-	for d := 0; d < nb; d++ {
-		if d >= 2 {
-			tiles := nb - d
-			aCells += int64(b) * (int64(tiles-1)*int64(b) + int64(ts.hi(nb-1)-ts.lo(nb-1)))
-		}
-		bCells += closedCells(d, b, nb, size)
-	}
-	if aw := p.aWork.Load(); aw > 0 {
-		res.Acct.ChargeReduce(aCells, int64(nb-2)*int64(b), aw)
-	}
-	if bw := p.bWork.Load(); bw > 0 {
-		res.Acct.ChargeReduce(bCells, 2*int64(b), bw)
-	}
-	return res, nil
+	p.ts.charge(p.aWork.Load(), p.bWork.Load())
+	return nil
 }

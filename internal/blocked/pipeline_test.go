@@ -2,6 +2,7 @@ package blocked
 
 import (
 	"context"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -14,10 +15,9 @@ import (
 	"sublineardp/internal/verify"
 )
 
-// The pipelined driver must reproduce the barrier driver bitwise across
-// every tile-boundary residue the wavefront sweep covers — same case
-// table as TestBlockedMatchesSequentialAcrossTileBoundaries, compared
-// against both the sequential DP and the barrier engine.
+// The pipelined engine must reproduce the sequential DP bitwise across
+// every tile-boundary residue — same case table as
+// TestBlockedMatchesSequentialAcrossTileBoundaries.
 func TestPipelinedMatchesBlockedAcrossTileBoundaries(t *testing.T) {
 	cases := []struct{ n, tile int }{
 		{1, 0}, {2, 0}, {3, 2}, {7, 3},
@@ -27,31 +27,30 @@ func TestPipelinedMatchesBlockedAcrossTileBoundaries(t *testing.T) {
 	}
 	for _, tc := range cases {
 		in := problems.RandomInstance(tc.n, 90, int64(tc.n*31+tc.tile))
-		want := Solve(in, Options{TileSize: tc.tile})
+		want := seq.Solve(in)
 		got := SolvePipe(in, Options{TileSize: tc.tile})
 		if !bitwiseEqual(got.Table, want.Table) {
-			t.Errorf("n=%d tile=%d: table differs from blocked: %v",
+			t.Errorf("n=%d tile=%d: table differs from sequential: %v",
 				tc.n, tc.tile, got.Table.Diff(want.Table, 3))
 		}
 		if rep := verify.Table(in, got.Table); !rep.OK() {
 			t.Errorf("n=%d tile=%d: not a fixed point: %v", tc.n, tc.tile, rep.Err())
 		}
-		if got.TileSize != want.TileSize {
-			t.Errorf("n=%d tile=%d: effective tile %d, blocked used %d",
-				tc.n, tc.tile, got.TileSize, want.TileSize)
+		if want := EffectiveTileSize(tc.n, tc.tile, runtime.GOMAXPROCS(0)); got.TileSize != want {
+			t.Errorf("n=%d tile=%d: effective tile %d, want %d", tc.n, tc.tile, got.TileSize, want)
 		}
 	}
 }
 
 // Every registered algebra × tile edge, values AND recorded splits,
-// bitwise against the barrier engine.
+// bitwise against the sequential DP.
 func TestPipelinedMatchesBlockedAcrossSemirings(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range algebra.Names() {
 		sr, _ := algebra.Lookup(name)
 		for _, in := range pipelineInstances() {
 			for _, tile := range []int{1, 4, 7, 64} {
-				want, err := SolveCtx(ctx, in, Options{TileSize: tile, Semiring: sr, RecordSplits: true})
+				want, err := seq.SolveSemiringCtx(ctx, in, sr)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -63,12 +62,9 @@ func TestPipelinedMatchesBlockedAcrossSemirings(t *testing.T) {
 					t.Errorf("%s/%s tile=%d: table differs: %v",
 						name, in.Name, tile, got.Table.Diff(want.Table, 3))
 				}
-				for idx := range want.Splits {
-					if got.Splits[idx] != want.Splits[idx] {
-						t.Errorf("%s/%s tile=%d: split flat[%d] = %d, blocked recorded %d",
-							name, in.Name, tile, idx, got.Splits[idx], want.Splits[idx])
-						break
-					}
+				if i, j, ok := splitsDiffer(got, want, in.N); ok {
+					t.Errorf("%s/%s tile=%d: split(%d,%d) = %d, sequential recorded %d",
+						name, in.Name, tile, i, j, got.Split(i, j), want.Split(i, j))
 				}
 			}
 		}
@@ -111,36 +107,55 @@ func TestPipelinedWorkMatchesSequential(t *testing.T) {
 	}
 }
 
-// The observability satellite's core claim: the barrier engine fences
-// 2(nb−1) times per solve, the pipelined engine never — its only join
-// is the graph's final quiescence.
+// The schedule is barrier-free: the unpruned and the Knuth–Yao solve
+// both run as one task graph whose only join is its final quiescence,
+// and the serial reference runs no scheduler at all.
 func TestPipelinedBarrierFree(t *testing.T) {
-	in := problems.RandomInstance(120, 70, 4)
 	tile := 16
-	nb := (in.N + 1 + tile - 1) / tile
-
-	barrier := Solve(in, Options{TileSize: tile, Workers: 3})
-	if want := int64(2 * (nb - 1)); barrier.Stats.Barriers != want {
-		t.Errorf("blocked: %d barriers, want 2(nb-1) = %d", barrier.Stats.Barriers, want)
+	for _, tc := range []struct {
+		in *recurrence.Instance
+		ky bool
+	}{
+		{problems.RandomInstance(120, 70, 4), false},
+		{problems.RandomOBST(119, 70, 4), true},
+	} {
+		in := tc.in
+		var res *Result
+		if tc.ky {
+			res = SolveKY(in, Options{TileSize: tile, Workers: 3})
+		} else {
+			res = SolvePipe(in, Options{TileSize: tile, Workers: 3})
+		}
+		if res.Stats.Barriers != 0 || res.Stats.Steals != 0 {
+			t.Errorf("%s: %d barriers / %d steals, want 0", in.Name, res.Stats.Barriers, res.Stats.Steals)
+		}
+		if res.Stats.Tasks == 0 {
+			t.Errorf("%s: no tasks counted", in.Name)
+		}
+		if want := seq.Solve(in); !bitwiseEqual(res.Table, want.Table) {
+			t.Errorf("%s: table diverged while counting: %v", in.Name, res.Table.Diff(want.Table, 3))
+		}
 	}
-	if barrier.Stats.Tasks == 0 {
-		t.Errorf("blocked: no tasks counted")
-	}
-
-	pipe := SolvePipe(in, Options{TileSize: tile, Workers: 3})
-	if pipe.Stats.Barriers != 0 {
-		t.Errorf("blocked-pipe: %d barriers, want 0", pipe.Stats.Barriers)
-	}
-	if pipe.Stats.Tasks == 0 {
-		t.Errorf("blocked-pipe: no tasks counted")
-	}
-	if !bitwiseEqual(pipe.Table, barrier.Table) {
-		t.Errorf("table diverged while counting: %v", pipe.Table.Diff(barrier.Table, 3))
+	if st := Solve(problems.RandomInstance(40, 70, 4), Options{TileSize: 8}).Stats; st != (parutil.StatsView{}) {
+		t.Errorf("serial Solve reports scheduler stats %+v, want zero", st)
 	}
 }
 
+// splitsDiffer finds the first computed span (j >= i+2) whose recorded
+// split differs from the sequential reference's.
+func splitsDiffer(got *Result, want *seq.Result, n int) (i, j int, differ bool) {
+	for i := 0; i <= n; i++ {
+		for j := i + 2; j <= n; j++ {
+			if got.Split(i, j) != want.Split(i, j) {
+				return i, j, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
 // Two instances through one shared graph on a 2-worker pool: both tables
-// bitwise correct, and the joint Stats view on both results proves they
+// bitwise equal to the sequential DP, and the joint Stats view on both results proves they
 // ran through one scheduler — its task count is exactly the sum of the
 // two solves' individual (deterministic) task counts.
 func TestPipeBatchSharedScheduler(t *testing.T) {
@@ -150,8 +165,8 @@ func TestPipeBatchSharedScheduler(t *testing.T) {
 	b := problems.RandomMatrixChain(110, 60, 22)
 	opt := Options{TileSize: 16, Pool: pool, Workers: 2}
 
-	wantA := Solve(a, opt)
-	wantB := Solve(b, opt)
+	wantA := seq.Solve(a)
+	wantB := seq.Solve(b)
 	soloA := SolvePipe(a, opt)
 	soloB := SolvePipe(b, opt)
 
@@ -163,10 +178,10 @@ func TestPipeBatchSharedScheduler(t *testing.T) {
 		}
 	}
 	if !bitwiseEqual(results[0].Table, wantA.Table) {
-		t.Errorf("batched A differs from blocked: %v", results[0].Table.Diff(wantA.Table, 3))
+		t.Errorf("batched A differs from sequential: %v", results[0].Table.Diff(wantA.Table, 3))
 	}
 	if !bitwiseEqual(results[1].Table, wantB.Table) {
-		t.Errorf("batched B differs from blocked: %v", results[1].Table.Diff(wantB.Table, 3))
+		t.Errorf("batched B differs from sequential: %v", results[1].Table.Diff(wantB.Table, 3))
 	}
 	if results[0].Stats != results[1].Stats {
 		t.Errorf("batch items report different Stats views (%+v vs %+v) — not one shared scheduler",
@@ -202,7 +217,7 @@ func TestPipeBatchCancellationIsolation(t *testing.T) {
 	}
 
 	b := problems.RandomMatrixChain(110, 60, 32)
-	wantB := Solve(b, opt)
+	wantB := seq.Solve(b)
 
 	results, errs := SolvePipeBatchCtx(context.Background(),
 		[]BatchItem{{In: &inA, Ctx: ctxA}, {In: b}}, opt)
@@ -226,8 +241,11 @@ func TestPipeBatchCancellationIsolation(t *testing.T) {
 func TestPipeBatchMixedAlgebras(t *testing.T) {
 	in := problems.RandomInstance(40, 70, 7)
 	maxSR, _ := algebra.Lookup(algebra.NameMaxPlus)
-	wantMin := Solve(in, Options{TileSize: 8})
-	wantMax := Solve(in, Options{TileSize: 8, Semiring: maxSR})
+	wantMin := seq.Solve(in)
+	wantMax, err := seq.SolveSemiringCtx(context.Background(), in, maxSR)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Per-item algebra comes from the instance; override via two batches
 	// is not needed — run min-plus and max-plus instances side by side.
@@ -245,6 +263,54 @@ func TestPipeBatchMixedAlgebras(t *testing.T) {
 	}
 	if !bitwiseEqual(results[1].Table, wantMax.Table) {
 		t.Errorf("max-plus item differs: %v", results[1].Table.Diff(wantMax.Table, 3))
+	}
+}
+
+// A Knuth–Yao item shares the graph with unpruned items over every
+// algebra; cancelling it mid-solve (from inside its own F) fails only
+// that item, and every batch-mate stays bitwise equal to the sequential
+// DP.
+func TestPipeBatchKYCancellationIsolation(t *testing.T) {
+	pool := parutil.NewPool(2)
+	defer pool.Close()
+	opt := Options{TileSize: 16, Pool: pool, Workers: 2}
+
+	base := problems.RandomOBST(129, 80, 41)
+	ctxKY, cancelKY := context.WithCancel(context.Background())
+	defer cancelKY()
+	var calls atomic.Int64
+	inKY := *base
+	inKY.F = func(i, k, j int) cost.Cost {
+		if calls.Add(1) == 3000 {
+			cancelKY()
+		}
+		return base.F(i, k, j)
+	}
+	mates := []*recurrence.Instance{
+		problems.RandomOBST(120, 60, 42),
+		problems.RandomAlgebraInstance(algebra.NameMinPlus, 100, 60, 43),
+		problems.RandomAlgebraInstance(algebra.NameMaxPlus, 90, 60, 44),
+		problems.RandomAlgebraInstance(algebra.NameBoolPlan, 110, 60, 45),
+	}
+	items := []BatchItem{{In: &inKY, Ctx: ctxKY, KY: true}, {In: mates[0], KY: true}}
+	for _, in := range mates[1:] {
+		items = append(items, BatchItem{In: in})
+	}
+	results, errs := SolvePipeBatchCtx(context.Background(), items, opt)
+	if errs[0] != context.Canceled || results[0] != nil {
+		t.Fatalf("cancelled KY item returned (%v, %v), want nil result and context.Canceled", results[0], errs[0])
+	}
+	for k, in := range mates {
+		if errs[k+1] != nil {
+			t.Fatalf("%s: %v", in.Name, errs[k+1])
+		}
+		want, err := seq.SolveSemiringCtx(context.Background(), in, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitwiseEqual(results[k+1].Table, want.Table) {
+			t.Errorf("%s: corrupted by the cancelled KY neighbour: %v", in.Name, results[k+1].Table.Diff(want.Table, 3))
+		}
 	}
 }
 

@@ -1,21 +1,25 @@
 package blocked
 
 import (
+	"errors"
+	"fmt"
+	"sync"
+
 	"sublineardp/internal/algebra"
 	"sublineardp/internal/cost"
 	"sublineardp/internal/recurrence"
 )
 
-// tileSolver is the tile decomposition shared by the barrier-stepped
-// wavefront driver (run) and the pipelined driver (pipeline.go): table
-// seeding, block-index geometry, and the three relaxation units — the
-// phase-A interior fold of one tile row, the multi-split panel fold, and
-// the in-tile closure. Both drivers call exactly these methods with
-// exactly the same per-destination fold order (K ascending, then the
-// block-I rows, then the forward block-J sweep), which is why their
-// tables — and recorded splits — are bitwise identical by construction:
-// the engines differ only in *when* a unit runs, never in what it folds
-// or in what order a given cell sees its candidates.
+// tileSolver is the tile decomposition every blocked solve runs on:
+// table seeding, block-index geometry, and the relaxation units — the
+// phase-A interior fold of one tile row, the in-tile closure, and its
+// Knuth–Yao pruned twin. The serial reference (Solve) and the task
+// graph (pipeline.go) call exactly these methods, and every write to a
+// destination cell happens inside one unit with a fixed fold order (K
+// ascending, then the block-I rows, then the forward block-J sweep), so
+// their tables and recorded splits are bitwise identical by
+// construction: schedules differ only in *when* a unit runs, never in
+// what it folds or in what order a given cell sees its candidates.
 type tileSolver[S algebra.Kernel] struct {
 	sr     S
 	n      int
@@ -30,10 +34,81 @@ type tileSolver[S algebra.Kernel] struct {
 	res    *Result
 }
 
+// tiles erases tileSolver's kernel type parameter, so the schedules are
+// written once and one graph can mix items over different algebras. The
+// per-unit interface call is noise next to a unit's O(B²) candidates.
+type tiles interface {
+	geometry() (b, nb int)
+	lo(B int) int
+	hi(B int) int
+	result() *Result
+	foldRowInterior(fbuf []cost.Cost, i, I, J int) int64
+	closeTile(fbuf []cost.Cost, I, J int) int64
+	closeTileKY(I, J int) int64
+	charge(aWork, bWork int64)
+}
+
+// ErrNotConvex reports a Knuth–Yao solve of an instance that is not
+// eligible for pruning: either it does not declare recurrence
+// (*)'s convexity conditions (Instance.Convex) or the effective algebra
+// is not min-plus — the only algebra the split-monotonicity theorem is
+// stated for. The root layer wraps it in its ErrConvexityRequired
+// sentinel.
+var ErrNotConvex = errors.New("blocked: Knuth–Yao pruning requires a declared-convex min-plus instance")
+
+// newTiles resolves the instance's effective algebra, gates a Knuth–Yao
+// solve on its eligibility, and instantiates tileSolver at the concrete
+// type of each shipped semiring so the bulk primitives dispatch to their
+// specialised bodies; promoted third-party algebras (and kernels that
+// merely name themselves min-plus) run through the interface. procs is
+// the parallelism the auto tile edge targets.
+func newTiles(in *recurrence.Instance, opt Options, procs int, ky bool) (tiles, error) {
+	if in == nil || in.N < 1 {
+		panic(fmt.Sprintf("blocked: invalid instance %+v", in))
+	}
+	k, err := algebra.Resolve(opt.Semiring, in.Algebra)
+	if err != nil {
+		return nil, err
+	}
+	if ky {
+		if !in.Convex {
+			return nil, fmt.Errorf("%w (instance %q does not declare Convex)", ErrNotConvex, in.Name)
+		}
+		if k.Name() != algebra.NameMinPlus {
+			return nil, fmt.Errorf("%w (instance %q resolves to algebra %q)", ErrNotConvex, in.Name, k.Name())
+		}
+	}
+	// Knuth–Yao always records: the splits are its pruning bounds.
+	b, record := EffectiveTileSize(in.N, opt.TileSize, procs), opt.RecordSplits || ky
+	switch sr := k.(type) {
+	case algebra.MinPlus:
+		return newTileSolver(sr, in, b, record), nil
+	case algebra.MaxPlus:
+		return newTileSolver(sr, in, b, record), nil
+	case algebra.BoolPlan:
+		return newTileSolver(sr, in, b, record), nil
+	default:
+		return newTileSolver[algebra.Kernel](k, in, b, record), nil
+	}
+}
+
+// fbufPool recycles the f-run scratch (length >= B) across units and
+// solves. It holds pointers so that a Put does not allocate.
+var fbufPool = sync.Pool{New: func() any { return new([]cost.Cost) }}
+
+// getFbuf returns pooled scratch of length at least b; hand it back with
+// fbufPool.Put.
+func getFbuf(b int) *[]cost.Cost {
+	p := fbufPool.Get().(*[]cost.Cost)
+	if len(*p) < b {
+		*p = make([]cost.Cost, b)
+	}
+	return p
+}
+
 // newTileSolver allocates and seeds the cost table (and split matrix when
-// recording), exactly as both engines require: Zero-fill of the computed
-// triangle for non-min-plus algebras, leaf diagonal from Init, splits
-// initialised to -1.
+// recording): Zero-fill of the computed triangle for non-min-plus
+// algebras, leaf diagonal from Init, splits initialised to -1.
 func newTileSolver[S algebra.Kernel](sr S, in *recurrence.Instance, b int, record bool) *tileSolver[S] {
 	n := in.N
 	size := n + 1
@@ -77,7 +152,9 @@ func newTileSolver[S algebra.Kernel](sr S, in *recurrence.Instance, b int, recor
 	}
 }
 
-func (t *tileSolver[S]) lo(B int) int { return B * t.b }
+func (t *tileSolver[S]) geometry() (b, nb int) { return t.b, t.nb }
+func (t *tileSolver[S]) result() *Result       { return t.res }
+func (t *tileSolver[S]) lo(B int) int          { return B * t.b }
 
 func (t *tileSolver[S]) hi(B int) int {
 	v := (B + 1) * t.b
@@ -123,7 +200,7 @@ func (t *tileSolver[S]) relaxPanel(i, ka, kb, j0, m int) {
 // foldRowInterior is the phase-A unit for one row i of tile (I, I+d),
 // d >= 2: fold every strictly interior split block K (I < K < J), K
 // ascending, into the row's block-J cells. Returns the candidate count
-// folded — identical under both drivers because the unit is the whole
+// folded — identical under every schedule because the unit is the whole
 // row, never a partial K range.
 func (t *tileSolver[S]) foldRowInterior(fbuf []cost.Cost, i, I, J int) int64 {
 	j0, m := t.lo(J), t.hi(J)-t.lo(J)
@@ -178,4 +255,69 @@ func (t *tileSolver[S]) closeTile(fbuf []cost.Cost, I, J int) int64 {
 		}
 	}
 	return work
+}
+
+// closeTileKY is the Knuth–Yao twin of closeTile: it closes tile (I,J)
+// cell by cell, each cell (i,j) scanning only the candidate window
+//
+//	[ max(split(i,j-1), i+1) , split(i+1,j) ]
+//
+// that Knuth's split-monotonicity theorem bounds the optimal split
+// into, and returns the candidate count. No phase A precedes it: with
+// O(1)-wide windows there are no interior panels left to fold. Both
+// neighbour splits are final when the cell closes — they lie in tile
+// (I,J-1), in tile (I+1,J), on a lower row of this tile, or earlier in
+// this row — so the unpruned tile's dependency edges cover it. The
+// bound logic mirrors seq.SolveKnuth line for line, with one
+// representational shim: seq seeds leaf splits with the sentinel i
+// where the matrix here keeps -1 — both clamp to the same effective
+// window (lo -> i+1; hi < lo -> j-1 = i+1 on span-2 cells), so the
+// counted work is identical.
+func (t *tileSolver[S]) closeTileKY(I, J int) int64 {
+	i0, i1 := t.lo(I), t.hi(I)
+	j0, j1 := t.lo(J), t.hi(J)
+	stride, splits := t.stride, t.splits
+	var work int64
+	for i := i1 - 1; i >= i0; i-- {
+		js := j0
+		if js < i+2 {
+			js = i + 2 // skip the lower triangle and the leaf
+		}
+		for j := js; j < j1; j++ {
+			klo := int(splits[i*stride+j-1])
+			if klo < i+1 {
+				klo = i + 1
+			}
+			khi := int(splits[(i+1)*stride+j])
+			if khi < klo || khi > j-1 {
+				khi = j - 1
+			}
+			t.sr.RelaxSplitCellRec(t.data, splits, stride, i, klo, khi+1, j, t.f)
+			work += int64(khi - klo + 1)
+		}
+	}
+	return work
+}
+
+// charge writes a finished solve's work ledger: the leaf units (charged
+// at seeding) plus one phase-A fold and one closure fold for the whole
+// solve, whatever the schedule — no schedule has per-diagonal fences to
+// charge. The in-tile dependency chain is the O(B) row/column walk, the
+// same for the pruned closure: windows shrink work, not depth.
+func (t *tileSolver[S]) charge(aWork, bWork int64) {
+	b, nb := int64(t.b), t.nb
+	lastLen := int64(t.hi(nb-1) - t.lo(nb-1))
+	var aCells, bCells int64
+	for d := 0; d < nb; d++ {
+		if d >= 2 {
+			aCells += b * (int64(nb-d-1)*b + lastLen)
+		}
+		bCells += closedCells(d, t.b, nb, t.size)
+	}
+	if aWork > 0 {
+		t.res.Acct.ChargeReduce(aCells, int64(nb-2)*b, aWork)
+	}
+	if bWork > 0 {
+		t.res.Acct.ChargeReduce(bCells, 2*b, bWork)
+	}
 }

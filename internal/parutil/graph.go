@@ -27,7 +27,7 @@ import (
 type TaskGraph struct {
 	ctx   context.Context
 	stats *Stats
-	head  atomic.Pointer[graphNode]
+	head  atomic.Pointer[Task]
 	// pending counts unfinished tasks plus one guard held during
 	// seeding; done closes when it reaches zero.
 	pending atomic.Int64
@@ -42,21 +42,31 @@ type TaskGraph struct {
 	parked atomic.Int32
 }
 
-type graphNode struct {
-	next *graphNode
-	run  func(*TaskGraph)
+// Task is one node of a TaskGraph: running it calls
+// Runner.RunTask(g, Arg). The submitter owns the memory — a solve
+// typically allocates all of its tasks in one slice up front, so
+// submitting costs no allocation — and submits each Task at most once
+// per graph run, which is what keeps the lock-free stack ABA-safe.
+type Task struct {
+	Runner TaskRunner
+	Arg    int
+	next   *Task
+}
+
+// TaskRunner executes the tasks that name it; arg tells them apart.
+type TaskRunner interface {
+	RunTask(g *TaskGraph, arg int)
 }
 
 // Submit pushes a ready task onto the graph. Safe from any goroutine,
 // including (typically) from inside a running task; tasks run exactly
 // once, in no particular order.
-func (g *TaskGraph) Submit(run func(*TaskGraph)) {
+func (g *TaskGraph) Submit(t *Task) {
 	g.pending.Add(1)
-	n := &graphNode{run: run}
 	for {
 		old := g.head.Load()
-		n.next = old
-		if g.head.CompareAndSwap(old, n) {
+		t.next = old
+		if g.head.CompareAndSwap(old, t) {
 			break
 		}
 	}
@@ -81,9 +91,9 @@ func (g *TaskGraph) Err() error {
 	return g.ctx.Err()
 }
 
-// pop claims one ready task. Fresh nodes are never reused, so the CAS is
-// ABA-safe: a stale head simply fails and reloads.
-func (g *TaskGraph) pop() *graphNode {
+// pop claims one ready task. A task is pushed at most once per graph, so
+// the CAS is ABA-safe: a stale head simply fails and reloads.
+func (g *TaskGraph) pop() *Task {
 	for {
 		n := g.head.Load()
 		if n == nil {
@@ -117,7 +127,7 @@ func (g *TaskGraph) drain() {
 			return
 		}
 		if n := g.pop(); n != nil {
-			n.run(g)
+			n.Runner.RunTask(g, n.Arg)
 			g.stats.AddTasks(1)
 			g.complete(1)
 			continue
@@ -128,7 +138,7 @@ func (g *TaskGraph) drain() {
 		g.parked.Add(1)
 		if n := g.pop(); n != nil {
 			g.parked.Add(-1)
-			n.run(g)
+			n.Runner.RunTask(g, n.Arg)
 			g.stats.AddTasks(1)
 			g.complete(1)
 			continue

@@ -15,12 +15,12 @@ func TestRunGraphExecutesAllTasks(t *testing.T) {
 	st := &Stats{}
 	err := pool.RunGraph(context.Background(), 3, st, func(g *TaskGraph) {
 		for i := 0; i < 8; i++ {
-			g.Submit(func(g *TaskGraph) {
+			submitFn(g, func(g *TaskGraph) {
 				ran.Add(1)
 				// Two generations of successors from inside the task.
-				g.Submit(func(g *TaskGraph) {
+				submitFn(g, func(g *TaskGraph) {
 					ran.Add(1)
-					g.Submit(func(*TaskGraph) { ran.Add(1) })
+					submitFn(g, func(*TaskGraph) { ran.Add(1) })
 				})
 			})
 		}
@@ -60,11 +60,11 @@ func TestRunGraphCounterPublication(t *testing.T) {
 		err := pool.RunGraph(context.Background(), 4, nil, func(g *TaskGraph) {
 			join := func(g *TaskGraph) {
 				if pending.Add(-1) == 0 {
-					g.Submit(func(*TaskGraph) { sum = a + b })
+					submitFn(g, func(*TaskGraph) { sum = a + b })
 				}
 			}
-			g.Submit(func(g *TaskGraph) { a = 1; join(g) })
-			g.Submit(func(g *TaskGraph) { b = 2; join(g) })
+			submitFn(g, func(g *TaskGraph) { a = 1; join(g) })
+			submitFn(g, func(g *TaskGraph) { b = 2; join(g) })
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -83,10 +83,10 @@ func TestRunGraphCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var after atomic.Int64
 	err := pool.RunGraph(ctx, 3, nil, func(g *TaskGraph) {
-		g.Submit(func(g *TaskGraph) {
+		submitFn(g, func(g *TaskGraph) {
 			cancel()
 			for i := 0; i < 64; i++ {
-				g.Submit(func(*TaskGraph) { after.Add(1) })
+				submitFn(g, func(*TaskGraph) { after.Add(1) })
 			}
 		})
 	})
@@ -95,39 +95,54 @@ func TestRunGraphCancellation(t *testing.T) {
 	}
 }
 
-// The stats-aware dispatch counts one barrier per phase and one task per
-// claimed chunk, deterministically.
+// fnRunner adapts a closure to a one-off Task for these tests.
+type fnRunner func(*TaskGraph)
+
+func (f fnRunner) RunTask(g *TaskGraph, _ int) { f(g) }
+
+func submitFn(g *TaskGraph, f func(*TaskGraph)) { g.Submit(&Task{Runner: fnRunner(f)}) }
+
+// The graph's counters are deterministic in tasks: one per executed
+// task, across repeated runs into one collector, with no barrier or
+// steal ever recorded — the graph has no phase join to count. Tasks
+// sharing one Runner are told apart by Arg.
 func TestStatsDispatchCounters(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 	st := &Stats{}
-	var total atomic.Int64
-	for phase := 0; phase < 3; phase++ {
-		sum, err := pool.SumInt64StatsCtx(context.Background(), st, 4, 8, 1, func(lo, hi int) int64 {
-			total.Add(int64(hi - lo))
-			return int64(hi - lo)
+	var sum atomic.Int64
+	r := argSum{&sum}
+	for run := 0; run < 3; run++ {
+		tasks := make([]Task, 8)
+		err := pool.RunGraph(context.Background(), 4, st, func(g *TaskGraph) {
+			for i := range tasks {
+				tasks[i] = Task{Runner: r, Arg: i + 1}
+				g.Submit(&tasks[i])
+			}
 		})
-		if err != nil || sum != 8 {
-			t.Fatalf("phase %d: sum=%d err=%v", phase, sum, err)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
 		}
 	}
+	if got := sum.Load(); got != 3*36 {
+		t.Errorf("task args summed to %d, want %d (each task exactly once)", got, 3*36)
+	}
 	v := st.View()
-	if v.Barriers != 3 {
-		t.Errorf("barriers = %d, want 3 (one per dispatch)", v.Barriers)
-	}
 	if v.Tasks != 24 {
-		t.Errorf("tasks = %d, want 24 (8 unit chunks per dispatch)", v.Tasks)
+		t.Errorf("tasks = %d, want 24 (8 per run)", v.Tasks)
 	}
-	// The single-worker inline path still fences (and counts) the phase.
-	st2 := &Stats{}
-	if _, err := pool.SumInt64StatsCtx(context.Background(), st2, 1, 5, 0, func(lo, hi int) int64 { return 0 }); err != nil {
-		t.Fatal(err)
-	}
-	if v2 := st2.View(); v2.Barriers != 1 || v2.Tasks != 1 {
-		t.Errorf("inline dispatch counted %+v, want 1 barrier / 1 task", v2)
+	if v.Barriers != 0 || v.Steals != 0 {
+		t.Errorf("graph recorded %d barriers / %d steals, want 0", v.Barriers, v.Steals)
 	}
 	// A nil collector is a no-op everywhere.
-	if _, err := pool.SumInt64StatsCtx(context.Background(), nil, 2, 4, 1, func(lo, hi int) int64 { return 0 }); err != nil {
-		t.Fatal(err)
+	var nilStats *Stats
+	nilStats.AddTasks(1)
+	nilStats.AddIdleNs(1)
+	if v := nilStats.View(); v != (StatsView{}) {
+		t.Errorf("nil collector view = %+v, want zero", v)
 	}
 }
+
+type argSum struct{ sum *atomic.Int64 }
+
+func (a argSum) RunTask(_ *TaskGraph, arg int) { a.sum.Add(int64(arg)) }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Pool is a persistent set of worker goroutines that executes chunked
@@ -86,7 +85,6 @@ type job struct {
 	ctx     context.Context
 	body    func(lo, hi int)
 	sumFn   func(lo, hi int) int64
-	stats   *Stats // optional per-solve observability collector
 	sum     atomic.Int64
 	pending atomic.Int32  // helpers that have not signalled yet
 	done    chan struct{} // closed by whoever moves pending to 0
@@ -105,7 +103,7 @@ func (j *job) run() { j.runUntil(nil) }
 // submitter keeps claiming until the range is exhausted, so abandoned
 // helpers only cost parallelism, never coverage.
 func (j *job) runUntil(stop <-chan struct{}) {
-	var local, chunks int64
+	var local int64
 	for {
 		if stop != nil {
 			select {
@@ -130,14 +128,10 @@ func (j *job) runUntil(stop <-chan struct{}) {
 		} else {
 			j.body(lo, hi)
 		}
-		chunks++
 	}
 out:
 	if local != 0 {
 		j.sum.Add(local)
-	}
-	if j.stats != nil {
-		j.stats.AddTasks(chunks)
 	}
 }
 
@@ -161,18 +155,9 @@ func (j *job) signal(k int32) {
 // goroutines. Exactly one of body/sumFn is non-nil; the summed total is
 // returned.
 func (p *Pool) dispatch(ctx context.Context, workers, n, grain int, body func(lo, hi int), sumFn func(lo, hi int) int64) int64 {
-	return p.dispatchStats(ctx, nil, workers, n, grain, body, sumFn)
-}
-
-// dispatchStats is dispatch with an optional observability collector:
-// each call is one barrier on st (the caller blocks on the whole range),
-// every claimed chunk one task, and the submitter's wait at the phase
-// join is recorded as idle (minus any foreign jobs it stole meanwhile).
-func (p *Pool) dispatchStats(ctx context.Context, st *Stats, workers, n, grain int, body func(lo, hi int), sumFn func(lo, hi int) int64) int64 {
 	if n <= 0 {
 		return 0
 	}
-	st.AddBarrier()
 	if workers <= 0 {
 		workers = p.width
 	}
@@ -189,7 +174,6 @@ func (p *Pool) dispatchStats(ctx context.Context, st *Stats, workers, n, grain i
 		if ctx != nil && ctx.Err() != nil {
 			return 0
 		}
-		st.AddTasks(1)
 		if sumFn != nil {
 			return sumFn(0, n)
 		}
@@ -212,7 +196,7 @@ func (p *Pool) dispatchStats(ctx context.Context, st *Stats, workers, n, grain i
 	j := jobPool.Get().(*job)
 	j.next.Store(0)
 	j.sum.Store(0)
-	j.n, j.grain, j.ctx, j.body, j.sumFn, j.stats = n, grain, ctx, body, sumFn, st
+	j.n, j.grain, j.ctx, j.body, j.sumFn = n, grain, ctx, body, sumFn
 	helpers := pooled + transient
 	j.pending.Store(int32(helpers))
 	if helpers > 0 {
@@ -238,7 +222,7 @@ func (p *Pool) dispatchStats(ctx context.Context, st *Stats, workers, n, grain i
 		p.await(j)
 	}
 	total := j.sum.Load()
-	j.ctx, j.body, j.sumFn, j.stats, j.done = nil, nil, nil, nil, nil
+	j.ctx, j.body, j.sumFn, j.done = nil, nil, nil, nil
 	jobPool.Put(j)
 	return total
 }
@@ -254,12 +238,6 @@ func (p *Pool) dispatchStats(ctx context.Context, st *Stats, workers, n, grain i
 // the closing helper has finished touching j before the job is
 // recycled.
 func (p *Pool) await(j *job) {
-	st := j.stats
-	var start time.Time
-	var stolen time.Duration
-	if st != nil {
-		start = time.Now()
-	}
 	steal := p.jobs
 	for {
 		select {
@@ -268,22 +246,9 @@ func (p *Pool) await(j *job) {
 				steal = nil // pool closed; wait on done alone
 				continue
 			}
-			if st != nil {
-				t0 := time.Now()
-				other.runUntil(j.done)
-				other.signal(1)
-				stolen += time.Since(t0)
-				st.AddSteal()
-			} else {
-				other.runUntil(j.done)
-				other.signal(1)
-			}
+			other.runUntil(j.done)
+			other.signal(1)
 		case <-j.done:
-			if st != nil {
-				// Barrier-tail idle: the whole wait minus the stolen work
-				// the submitter ran while parked here.
-				st.AddIdleNs(int64(time.Since(start) - stolen))
-			}
 			return
 		}
 	}
@@ -324,13 +289,4 @@ func (p *Pool) SumInt64(workers, n, grain int, body func(lo, hi int) int64) int6
 // accumulated before cancellation is returned alongside ctx.Err().
 func (p *Pool) SumInt64Ctx(ctx context.Context, workers, n, grain int, body func(lo, hi int) int64) (int64, error) {
 	return p.dispatch(ctx, workers, n, grain, nil, body), ctx.Err()
-}
-
-// SumInt64StatsCtx is SumInt64Ctx with per-solve observability: the call
-// counts as one barrier on st (the caller fences on the whole range),
-// every claimed chunk as one task, and the submitter's wait at the join
-// as idle nanoseconds (net of foreign jobs it stole while parked). st may
-// be nil, in which case this is exactly SumInt64Ctx.
-func (p *Pool) SumInt64StatsCtx(ctx context.Context, st *Stats, workers, n, grain int, body func(lo, hi int) int64) (int64, error) {
-	return p.dispatchStats(ctx, st, workers, n, grain, nil, body), ctx.Err()
 }

@@ -2,63 +2,45 @@ package parutil
 
 import "sync/atomic"
 
-// Stats is a per-solve scheduler observability collector. An engine
-// threads one Stats through every dispatch of a solve (or a whole
-// overlapped batch) and snapshots it with View when the solve returns;
-// the counters separate the two costs a schedule can pay — synchronisation
-// points (Barriers) and the submitter time lost waiting at them (IdleNs) —
-// from the useful work actually executed (Tasks).
+// Stats is a per-solve scheduler observability collector. A task graph
+// counts into one Stats for a solve (or a whole overlapped batch), and
+// the engine snapshots it with View when the solve returns: the executed
+// work units (Tasks) next to the time drain workers spent parked with
+// nothing ready (IdleNs).
 //
-// All counters are atomic: one Stats may be shared by every worker of a
-// dispatch, and by several concurrent solves when a batch shares one
+// All counters are atomic: one Stats is shared by every drain worker of
+// a graph, and by several concurrent solves when a batch shares one
 // scheduler on purpose.
 type Stats struct {
-	barriers atomic.Int64
-	idleNs   atomic.Int64
-	tasks    atomic.Int64
-	steals   atomic.Int64
+	idleNs atomic.Int64
+	tasks  atomic.Int64
 }
 
 // StatsView is a plain-value snapshot of a Stats collector, safe to copy
 // and embed in results.
 type StatsView struct {
-	// Barriers counts full phase joins: dispatches whose caller blocked
-	// until every unit of the phase finished before submitting the next.
-	// The block-wavefront engine pays exactly 2(nb−1) of these per solve;
-	// the pipelined engine pays 0 — its single task-graph drain never
-	// fences one phase against the next.
+	// Barriers counts full phase joins. Every shipped engine runs on the
+	// task graph, whose only join is the final quiescence, so this is 0;
+	// the field stays for readers of the snapshot.
 	Barriers int64
-	// IdleNs is barrier-tail idle: nanoseconds the submitting goroutine
-	// spent parked at phase joins (or graph drains) with no work left to
-	// claim or steal.
+	// IdleNs is scheduler idle: nanoseconds drain workers spent parked
+	// with no ready task to claim.
 	IdleNs int64
-	// Tasks counts executed work units — claimed dispatch chunks plus
-	// graph tasks.
+	// Tasks counts executed graph tasks.
 	Tasks int64
-	// Steals counts foreign jobs the submitter helped drain while parked
-	// at a barrier (the pool's deadlock-avoidance path doing useful work).
+	// Steals counts foreign jobs a submitter drained while parked at a
+	// phase join. No shipped engine fences a phase, so this is 0; the
+	// field stays for readers of the snapshot.
 	Steals int64
 }
 
 // View snapshots the collector. The snapshot is consistent per counter,
-// not across counters; take it after the dispatches it covers returned.
+// not across counters; take it after the graph it covers returned.
 func (s *Stats) View() StatsView {
 	if s == nil {
 		return StatsView{}
 	}
-	return StatsView{
-		Barriers: s.barriers.Load(),
-		IdleNs:   s.idleNs.Load(),
-		Tasks:    s.tasks.Load(),
-		Steals:   s.steals.Load(),
-	}
-}
-
-// AddBarrier records one full phase join.
-func (s *Stats) AddBarrier() {
-	if s != nil {
-		s.barriers.Add(1)
-	}
+	return StatsView{IdleNs: s.idleNs.Load(), Tasks: s.tasks.Load()}
 }
 
 // AddIdleNs records nanoseconds spent parked with nothing to run.
@@ -72,12 +54,5 @@ func (s *Stats) AddIdleNs(ns int64) {
 func (s *Stats) AddTasks(n int64) {
 	if s != nil && n > 0 {
 		s.tasks.Add(n)
-	}
-}
-
-// AddSteal records one foreign job the submitter drained while waiting.
-func (s *Stats) AddSteal() {
-	if s != nil {
-		s.steals.Add(1)
 	}
 }

@@ -156,9 +156,9 @@ func mixedRequests() []*wire.Request {
 			Dims: []int{30, 35, 15, 5, 10, 20, 25}, Options: wire.Options{Engine: "wavefront"}},
 		&wire.Request{ID: "clrs-ryt", Kind: wire.KindMatrixChain,
 			Dims: []int{30, 35, 15, 5, 10, 20, 25}, Options: wire.Options{Engine: "rytter"}},
-		// The same large instance on both tiled engines: the fenced one
-		// and the barrier-free pipelined one, with a tile size that
-		// forces several blocks — bitwise-identical digests by contract.
+		// The same large instance under both names of the tile engine
+		// ("blocked" is an alias of "blocked-pipe"), with a tile size
+		// that forces several blocks — bitwise-identical digests.
 		&wire.Request{ID: "big-blocked", Kind: wire.KindMatrixChain, Dims: big,
 			Options: wire.Options{Engine: "blocked", TileSize: 16}},
 		&wire.Request{ID: "big-pipe", Kind: wire.KindMatrixChain, Dims: big,

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -13,7 +15,9 @@ import (
 
 	"sublineardp"
 	"sublineardp/internal/calibrate"
+	"sublineardp/internal/cost"
 	"sublineardp/internal/problems"
+	"sublineardp/internal/seq"
 	"sublineardp/internal/wire"
 )
 
@@ -154,6 +158,60 @@ func TestBadRequestsAre400(t *testing.T) {
 	}
 	if m := srv.Metrics(); m.BadRequests != int64(len(cases))+1 || m.OK != 0 {
 		t.Errorf("metrics %+v, want %d bad requests", srv.Metrics(), len(cases)+1)
+	}
+}
+
+// Feasible instances whose optimum overflows the cost domain get a 400
+// whose body is the frozen wire golden — never a 200 carrying cost.Inf,
+// which reads as "unreachable" — and their just-under-bound twins still
+// solve exactly.
+func TestCostOverflowIs400(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	for golden, body := range map[string]string{
+		"error_cost_overflow_matrixchain.json":    `{"kind":"matrixchain","dims":[3000000,3000000,3000000,3000000]}`,
+		"error_cost_overflow_wtriangulation.json": `{"kind":"wtriangulation","weights":[3000000,3000000,3000000]}`,
+		"error_cost_overflow_obst.json":           `{"kind":"obst","alpha":[4000000000000000000,4000000000000000000],"beta":[4000000000000000000]}`,
+	} {
+		resp, got := postRaw(t, hs.URL, []byte(body))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", body, resp.StatusCode, got)
+			continue
+		}
+		want, err := os.ReadFile(filepath.Join("..", "wire", "testdata", golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gotBody, wantBody wire.ErrorBody
+		if err := json.Unmarshal(got, &gotBody); err != nil {
+			t.Fatalf("%s: malformed error body %s", body, got)
+		}
+		if err := json.Unmarshal(want, &wantBody); err != nil {
+			t.Fatal(err)
+		}
+		if gotBody != wantBody {
+			t.Errorf("%s: error body %+v, golden %s says %+v", body, gotBody, golden, wantBody)
+		}
+	}
+	for _, req := range []*wire.Request{
+		{Kind: wire.KindMatrixChain, Dims: []int{1000000, 1000000, 1000000, 1000000}},
+		{Kind: wire.KindWTriangulation, Weights: []int64{1300000, 1300000, 1300000}},
+		{Kind: wire.KindOBST, Alpha: []int64{5e17, 5e17}, Beta: []int64{1.5e17}},
+	} {
+		resp, body := postSolve(t, hs.URL, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s just under the bound: status %d (%s), want 200", req.Kind, resp.StatusCode, body)
+		}
+		var wr wire.Response
+		if err := json.Unmarshal(body, &wr); err != nil {
+			t.Fatal(err)
+		}
+		in, err := req.Instance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := seq.Solve(in).Cost(); wr.Cost != int64(want) || cost.IsInf(want) {
+			t.Errorf("%s just under the bound: cost %d, seq.Solve %d", req.Kind, wr.Cost, want)
+		}
 	}
 }
 

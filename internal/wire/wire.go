@@ -254,6 +254,9 @@ func (r *Request) Validate(maxN int) error {
 				return fmt.Errorf("wire: nonpositive matrix dimension %d", d)
 			}
 		}
+		if err := checkMaxCost(r.Kind, "dims", problems.ProductChainMaxCost(r.Dims)); err != nil {
+			return err
+		}
 	case KindBoolSplit:
 		if r.Count < 1 {
 			return fmt.Errorf("wire: boolsplit needs count >= 1, got %d", r.Count)
@@ -281,6 +284,9 @@ func (r *Request) Validate(maxN int) error {
 				return fmt.Errorf("wire: negative beta weight %d", v)
 			}
 		}
+		if err := checkMaxCost(r.Kind, "alpha/beta weights", problems.OBSTMaxCost(r.Alpha, r.Beta)); err != nil {
+			return err
+		}
 	case KindTriangulation:
 		if len(r.Points) < 3 {
 			return fmt.Errorf("wire: triangulation needs >= 3 points, got %d", len(r.Points))
@@ -293,6 +299,9 @@ func (r *Request) Validate(maxN int) error {
 			if w <= 0 {
 				return fmt.Errorf("wire: nonpositive vertex weight %d", w)
 			}
+		}
+		if err := checkMaxCost(r.Kind, "weights", problems.ProductChainMaxCost(r.Weights)); err != nil {
+			return err
 		}
 	case KindSegLS:
 		if len(r.Points) < 1 {
@@ -350,6 +359,17 @@ func (r *Request) Validate(maxN int) error {
 	}
 	if _, err := r.SolverOptions(); err != nil {
 		return err
+	}
+	return nil
+}
+
+// checkMaxCost rejects an instance whose worst-case total cost (from the
+// kind's cost formula in internal/problems) is not below cost.Inf: such
+// an instance can overflow the cost domain, and a feasible one would
+// come back as cost.Inf, which means "unreachable".
+func checkMaxCost(kind, field string, worst int64) error {
+	if worst >= int64(cost.Inf) {
+		return fmt.Errorf("wire: %s %s too large: the worst-case total cost must stay below %d", kind, field, cost.Inf)
 	}
 	return nil
 }

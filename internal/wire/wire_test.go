@@ -97,6 +97,15 @@ func goldenCases() map[string]any {
 		"error_bad_request.json": &ErrorBody{
 			Error: `wire: obst needs len(alpha) == len(beta)+1, got 2 and 4`, Code: 400,
 		},
+		"error_cost_overflow_matrixchain.json": &ErrorBody{
+			Error: `wire: matrixchain dims too large: the worst-case total cost must stay below 2305843009213693951`, Code: 400,
+		},
+		"error_cost_overflow_wtriangulation.json": &ErrorBody{
+			Error: `wire: wtriangulation weights too large: the worst-case total cost must stay below 2305843009213693951`, Code: 400,
+		},
+		"error_cost_overflow_obst.json": &ErrorBody{
+			Error: `wire: obst alpha/beta weights too large: the worst-case total cost must stay below 2305843009213693951`, Code: 400,
+		},
 		"request_segls.json": &Request{
 			ID:   "req-c1",
 			Kind: KindSegLS,
@@ -239,6 +248,50 @@ func TestRequestValidate(t *testing.T) {
 	if err := ok.Validate(5); err == nil {
 		t.Error("Validate(maxN=5) accepted an n=6 instance")
 	}
+}
+
+// costOverflowRequests are feasible instances whose true optimum does
+// not fit below cost.Inf, keyed by the golden error body Validate must
+// produce for them; they were once answered 200 with cost.Inf, which
+// reads as "unreachable".
+var costOverflowRequests = map[string]Request{
+	"error_cost_overflow_matrixchain.json":    {Kind: KindMatrixChain, Dims: []int{3000000, 3000000, 3000000, 3000000}},
+	"error_cost_overflow_wtriangulation.json": {Kind: KindWTriangulation, Weights: []int64{3000000, 3000000, 3000000}},
+	"error_cost_overflow_obst.json":           {Kind: KindOBST, Alpha: []int64{4e18, 4e18}, Beta: []int64{4e18}},
+}
+
+// Validate bounds magnitudes, not just shapes: each overflow request is
+// rejected with its frozen golden message, a worst-chain twin with the
+// matrixchain dims too, and the just-under-bound twins pass.
+func TestValidateRejectsCostOverflow(t *testing.T) {
+	golden := goldenCases()
+	for name, r := range costOverflowRequests {
+		err := r.Validate(0)
+		if err == nil {
+			t.Errorf("%s: Validate accepted an instance whose cost overflows", name)
+			continue
+		}
+		if want := golden[name].(*ErrorBody).Error; err.Error() != want {
+			t.Errorf("%s: Validate error %q, golden %q", name, err, want)
+		}
+	}
+	worst := Request{Kind: KindWorstChain, Dims: costOverflowRequests["error_cost_overflow_matrixchain.json"].Dims}
+	if err := worst.Validate(0); err == nil {
+		t.Error("worstchain with overflowing dims accepted")
+	}
+	for _, r := range justUnderCostBound {
+		if err := r.Validate(0); err != nil {
+			t.Errorf("%s just under the cost bound rejected: %v", r.Kind, err)
+		}
+	}
+}
+
+// justUnderCostBound are the largest-magnitude instances of the bounded
+// kinds the tests solve: their worst-case totals sit just below cost.Inf.
+var justUnderCostBound = []Request{
+	{Kind: KindMatrixChain, Dims: []int{1000000, 1000000, 1000000, 1000000}},
+	{Kind: KindWTriangulation, Weights: []int64{1300000, 1300000, 1300000}},
+	{Kind: KindOBST, Alpha: []int64{5e17, 5e17}, Beta: []int64{1.5e17}},
 }
 
 func TestRequestInstanceMatchesDirectConstruction(t *testing.T) {

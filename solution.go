@@ -60,12 +60,13 @@ type Solution struct {
 	// Acct is the PRAM cost-model accounting (parallel engines only).
 	Acct Accounting
 
-	// Stats is the scheduler observability snapshot of the pooled tile
-	// engines: barrier count (2(nb−1) for "blocked", 0 for the
-	// barrier-free "blocked-pipe"), barrier-tail idle nanoseconds, and
-	// executed work units. Solves of an overlapped SolveBatch group share
-	// one scheduler and report its joint view. Zero for engines that do
-	// not run on the tile scheduler.
+	// Stats is the scheduler observability snapshot of the tile engines
+	// ("blocked", "blocked-pipe", "blocked-ky"), which all run on one
+	// task graph: executed tasks and drain-worker idle nanoseconds. The
+	// Barriers and Steals counts are 0 — the graph never fences. Solves
+	// of an overlapped SolveBatch group share one scheduler and report
+	// its joint view. Zero for engines that do not run on the tile
+	// scheduler.
 	Stats PoolStats
 
 	// History holds per-iteration statistics when WithHistory was set

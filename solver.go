@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"time"
-
-	"sublineardp/internal/algebra"
 )
 
 // Solver is the unified entry point to every algorithm in the
@@ -74,11 +72,8 @@ func (s *Solver) Solve(ctx context.Context, in *Instance) (*Solution, error) {
 	// the cache protocol — so an ineligible instance can never be served
 	// a cached result that pretended the pruned path ran.
 	if s.cfg.Convexity {
-		if !in.Convex {
-			return nil, fmt.Errorf("%w (instance %q does not declare Convex)", ErrConvexityRequired, in.Name)
-		}
-		if name := algebra.ResolveName(s.cfg.Semiring, in.Algebra); name != algebra.NameMinPlus {
-			return nil, fmt.Errorf("%w (instance %q resolves to algebra %q)", ErrConvexityRequired, in.Name, name)
+		if err := kyGate(&s.cfg, in); err != nil {
+			return nil, err
 		}
 	}
 	// WithTarget instrumentation is excluded from caching: Target is a

@@ -25,9 +25,9 @@ type (
 	// kernels onto (WithPool); one Pool can be shared by many concurrent
 	// solves. Build one with NewPool.
 	Pool = parutil.Pool
-	// PoolStats is a per-solve scheduler observability snapshot (barrier
-	// count, barrier-tail idle nanoseconds, executed work units, steals),
-	// exposed as Solution.Stats by the tile engines.
+	// PoolStats is a per-solve scheduler observability snapshot (executed
+	// tasks and idle nanoseconds; barrier and steal counts are 0 on every
+	// shipped engine), exposed as Solution.Stats by the tile engines.
 	PoolStats = parutil.StatsView
 )
 
