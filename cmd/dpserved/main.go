@@ -16,15 +16,20 @@
 // The serving knobs mirror the paper's cost model the way DESIGN.md
 // describes: -queue bounds admitted work (shed beyond it), -batch-window
 // and -max-batch shape how arrival concurrency folds into SolveBatch
-// calls, -pool sizes the one worker pool every batch dispatches onto.
+// calls (dispatches at least a window apart, so a miss on a quiet server
+// goes out at once and the window caps the wait under load), -pool sizes
+// the one worker pool every batch dispatches onto.
+//
+// SIGINT or SIGTERM shuts the server down gracefully: requests in flight
+// get up to 10s to be answered before the process exits.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -46,24 +51,47 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dpserved: %v\n", err)
 		os.Exit(2)
 	}
-	defer srv.Close()
-
-	hs := &http.Server{Addr: addr, Handler: srv.Handler()}
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		log.Printf("dpserved: shutting down")
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		hs.Shutdown(ctx)
-	}()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatalf("dpserved: %v", err)
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	log.Printf("dpserved: listening on %s (engine=%s queue=%d window=%s batch<=%d cache=%d maxn=%d semirings=%v)",
 		addr, cfg.Engine, cfg.QueueDepth, cfg.BatchWindow, cfg.MaxBatch, cfg.CacheCapacity, cfg.MaxN,
 		sublineardp.Semirings())
-	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := serveUntil(ctx, srv, ln, shutdownGrace); err != nil {
 		log.Fatalf("dpserved: %v", err)
 	}
+}
+
+// shutdownGrace bounds how long a shutdown waits for in-flight requests.
+const shutdownGrace = 10 * time.Second
+
+// serveUntil serves srv on ln until ctx is cancelled or serving fails,
+// then shuts down gracefully: it stops accepting connections, waits up
+// to grace for in-flight requests to be answered, and only then closes
+// srv. It returns once all of that is done, so a caller that exits
+// afterwards never cuts off a response.
+func serveUntil(ctx context.Context, srv *serve.Server, ln net.Listener, grace time.Duration) error {
+	defer srv.Close()
+	hs := &http.Server{Handler: srv.Handler()}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	log.Printf("dpserved: shutting down")
+	sctx, cancel := context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	err := hs.Shutdown(sctx)
+	<-served // http.ErrServerClosed, returned as soon as Shutdown begins
+	if err != nil {
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	return nil
 }
 
 // configFromArgs parses flags into the serving Config, split out of main
@@ -77,7 +105,7 @@ func configFromArgs(args []string) (serve.Config, string, error) {
 		maxNH    = fs.Int("maxn-heavy", 64, "size limit for the O(n^4)-memory engines hlv-dense/rytter")
 		maxW     = fs.Int("max-workers", 256, "largest accepted per-request workers option")
 		queue    = fs.Int("queue", 256, "admission queue depth (further requests are shed with 503)")
-		window   = fs.Duration("batch-window", 2*time.Millisecond, "how long a batch waits for stragglers")
+		window   = fs.Duration("batch-window", 2*time.Millisecond, "least time between batch dispatches: a miss on a quiet server dispatches at once, under load a batch collects up to this long")
 		maxBatch = fs.Int("max-batch", 32, "max instances per SolveBatch dispatch")
 		conc     = fs.Int("concurrency", 0, "instances solved at once per batch (0 = GOMAXPROCS)")
 		cacheCap = fs.Int("cache", 4096, "rendered-response cache entries (negative disables caching)")

@@ -309,28 +309,29 @@ func TestDifferentOptionsDoNotShareCacheEntries(t *testing.T) {
 }
 
 func TestAdmissionQueueShedsWith503(t *testing.T) {
-	// QueueDepth 1 and a long batch window: the first request occupies
-	// the only slot inside the window, the second is shed immediately.
-	srv, hs := newTestServer(t, Config{QueueDepth: 1, BatchWindow: 300 * time.Millisecond})
+	// QueueDepth 1 and a parked engine: the first request holds the only
+	// slot while its solve waits for release, the second is shed
+	// immediately.
+	eng := registerBlockEngine(t, "shed-block")
+	srv, hs := newTestServer(t, Config{QueueDepth: 1})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		postSolve(t, hs.URL, &wire.Request{Kind: wire.KindMatrixChain, Dims: []int{2, 3, 4}})
+		postSolve(t, hs.URL, &wire.Request{Kind: wire.KindMatrixChain, Dims: []int{2, 3, 4},
+			Options: wire.Options{Engine: eng.name}})
 	}()
-	// Wait for the first request to be admitted.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Metrics().QueueDepth == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never admitted")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-eng.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("first request never reached the engine")
 	}
 	resp, body := postSolve(t, hs.URL, &wire.Request{Kind: wire.KindMatrixChain, Dims: []int{5, 6, 7}})
+	close(eng.release)
+	wg.Wait()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d (%s), want 503", resp.StatusCode, body)
 	}
-	wg.Wait()
 	if m := srv.Metrics(); m.RejectedFull != 1 {
 		t.Fatalf("metrics %+v, want 1 rejection", m)
 	}
@@ -379,6 +380,70 @@ func TestBatcherCoalescesAWindow(t *testing.T) {
 	}
 	if m.Batches >= n/2 {
 		t.Fatalf("%d batches for %d concurrent requests: batcher not coalescing", m.Batches, n)
+	}
+}
+
+// A miss on a quiet server dispatches at once: the window caps the batch
+// wait instead of adding it to every lone request.
+func TestBatcherDispatchesAtOnceWhenQuiet(t *testing.T) {
+	const window = 2 * time.Second
+	_, hs := newTestServer(t, Config{BatchWindow: window})
+	solveFast := func(dims []int) time.Time {
+		start := time.Now()
+		resp, body := postSolve(t, hs.URL, &wire.Request{Kind: wire.KindMatrixChain, Dims: dims})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d (%s), want 200", resp.StatusCode, body)
+		}
+		if d := time.Since(start); d > window/4 {
+			t.Fatalf("lone request took %v on a quiet server (window %v)", d, window)
+		}
+		return time.Now()
+	}
+	done := solveFast([]int{2, 3, 4, 5})
+	// The first batch dispatched before its response arrived, so a
+	// window after that the server is quiet again.
+	time.Sleep(time.Until(done.Add(window)))
+	solveFast([]int{3, 4, 5, 6})
+}
+
+// A burst arriving just after a dispatch waits out the rest of that
+// window, folded into one batch, and no request waits longer than it.
+func TestBatcherBurstAfterDispatchWaitsAtMostAWindow(t *testing.T) {
+	const window = 500 * time.Millisecond
+	srv, hs := newTestServer(t, Config{BatchWindow: window, MaxBatch: 64})
+	loneStart := time.Now()
+	if resp, body := postSolve(t, hs.URL, &wire.Request{Kind: wire.KindMatrixChain, Dims: []int{2, 3, 4, 5}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%s), want 200", resp.StatusCode, body)
+	}
+	const burst = 8
+	var wg sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			start := time.Now()
+			resp, body := postSolve(t, hs.URL, &wire.Request{Kind: wire.KindMatrixChain,
+				Dims: []int{i + 3, i + 4, i + 5, i + 6}})
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("req %d: %d %s", i, resp.StatusCode, body)
+			}
+			if d := time.Since(start); d > 2*window {
+				t.Errorf("req %d waited %v, more than the %v window allows", i, d, window)
+			}
+		}(i)
+	}
+	wg.Wait()
+	// The lone request dispatched after loneStart, and the burst's batch
+	// no sooner than a window after that.
+	if d := time.Since(loneStart); d < window {
+		t.Fatalf("burst answered %v after the previous dispatch, inside one %v window", d, window)
+	}
+	m := srv.Metrics()
+	if m.Solved != burst+1 || m.BatchInstances != burst+1 {
+		t.Fatalf("metrics %+v, want %d solved instances", m, burst+1)
+	}
+	if m.Batches-1 >= burst/2 {
+		t.Fatalf("%d batches for a burst of %d: batcher not coalescing", m.Batches-1, burst)
 	}
 }
 

@@ -13,10 +13,11 @@
 //     solving options and rendering bits, so a resident rendered
 //     response answers without touching the pool and identical in-flight
 //     requests fold into one solve.
-//   - a coalescing batcher: cache-missing flights are folded, within a
-//     BatchWindow, into SolveBatch calls on one shared pool — arrival
-//     concurrency becomes batch-level parallelism instead of goroutine
-//     oversubscription.
+//   - a coalescing batcher: cache-missing flights are folded into
+//     SolveBatch calls on one shared pool, dispatched at least a
+//     BatchWindow apart — arrival concurrency becomes batch-level
+//     parallelism instead of goroutine oversubscription, and a miss on
+//     a quiet server dispatches at once instead of waiting a window.
 package serve
 
 import (
@@ -59,8 +60,11 @@ type Config struct {
 	// QueueDepth is the admission budget: how many requests may be past
 	// admission at once (default 256). The full queue sheds with 503.
 	QueueDepth int
-	// BatchWindow is how long the batcher holds an open batch for
-	// stragglers before dispatching it (default 2ms).
+	// BatchWindow is the least time between two batch dispatches
+	// (default 2ms), and so the most a task waits in the batcher: a task
+	// reaching a quiet server, one window or more after the previous
+	// dispatch, goes out at once; under load, tasks collect until one
+	// window after the previous dispatch.
 	BatchWindow time.Duration
 	// MaxBatch caps instances per SolveBatch dispatch (default 32).
 	MaxBatch int
@@ -556,12 +560,17 @@ func (s *Server) submit(ctx context.Context, t *task) (taskResult, error) {
 	}
 }
 
-// batcher collects tasks into windows: the first task opens a batch,
-// stragglers join until the window elapses or the batch is full, then
-// the batch dispatches asynchronously so the next window can fill while
+// batcher folds tasks into batches with dispatches at least one
+// BatchWindow apart. On a quiet server (the previous dispatch is a window
+// or more in the past) a task dispatches at once, taking along whatever
+// is already queued; otherwise the batch collects until a window after
+// the previous dispatch or until it is full. A burst therefore still
+// folds into few SolveBatch calls, while no task waits longer than one
+// window. Batches dispatch asynchronously so the next one can fill while
 // this one solves.
 func (s *Server) batcher() {
 	defer s.wg.Done()
+	var last time.Time // when the previous batch dispatched
 	for {
 		var first *task
 		select {
@@ -570,19 +579,32 @@ func (s *Server) batcher() {
 			return
 		}
 		batch := []*task{first}
-		timer := time.NewTimer(s.cfg.BatchWindow)
-	collect:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case t := <-s.batchCh:
-				batch = append(batch, t)
-			case <-timer.C:
-				break collect
-			case <-s.done:
-				break collect
+		if wait := time.Until(last.Add(s.cfg.BatchWindow)); wait > 0 {
+			timer := time.NewTimer(wait)
+		collect:
+			for len(batch) < s.cfg.MaxBatch {
+				select {
+				case t := <-s.batchCh:
+					batch = append(batch, t)
+				case <-timer.C:
+					break collect
+				case <-s.done:
+					break collect
+				}
+			}
+			timer.Stop()
+		} else {
+		drain:
+			for len(batch) < s.cfg.MaxBatch {
+				select {
+				case t := <-s.batchCh:
+					batch = append(batch, t)
+				default:
+					break drain
+				}
 			}
 		}
-		timer.Stop()
+		last = time.Now()
 		s.wg.Add(1)
 		go func(batch []*task) {
 			defer s.wg.Done()
