@@ -23,6 +23,7 @@ import (
 	"sublineardp/internal/rytter"
 	"sublineardp/internal/seq"
 	"sublineardp/internal/wavefront"
+	"sublineardp/internal/workload"
 )
 
 // E1 — iterations to convergence by optimal-tree shape (Table E1).
@@ -352,14 +353,27 @@ func BenchmarkE14BlockedLargeN(b *testing.B) {
 // committed comparison BENCH_core.json carries as chain-sequential /
 // chain-llp. Candidates grow as O(n^2) with an O(1) transition, so this
 // measures the engines' fold machinery (bulk FRow + ReduceRelax runs vs
-// the per-candidate reference loop), not instance construction. The CI
-// bench job smokes it at -benchtime 1x.
+// the sequential scan's own loop over an FRow row), not instance
+// construction. The wis and subsetsum rows at n=4096 fold only their
+// declared support, O(n) and O(n·items) candidates. The CI bench job
+// smokes it at -benchtime 1x.
 func BenchmarkE15ChainLLP(b *testing.B) {
+	type row struct {
+		family string
+		c      *sublineardp.Chain
+	}
+	var rows []row
 	for _, n := range []int{256, 1024} {
 		xs, ys := problems.RandomSeries(n, 1)
-		c := problems.SegmentedLeastSquares(xs, ys, 1000)
+		rows = append(rows, row{"segls", problems.SegmentedLeastSquares(xs, ys, 1000)})
+	}
+	s, e, w := problems.RandomJobs(4096, 1)
+	rows = append(rows, row{"wis", problems.IntervalScheduling(s, e, w)},
+		row{"subsetsum", workload.CoinFeasibility(4096, 1)})
+	for _, r := range rows {
+		c := r.c
 		for _, engine := range []string{sublineardp.ChainEngineSequential, sublineardp.ChainEngineLLP} {
-			b.Run(fmt.Sprintf("engine=chain-%s/n=%d", engine, n), func(b *testing.B) {
+			b.Run(fmt.Sprintf("engine=chain-%s/%s/n=%d", engine, r.family, c.N), func(b *testing.B) {
 				solver := sublineardp.MustNewChainSolver(engine, sublineardp.WithWorkers(4))
 				ctx := context.Background()
 				warm, err := solver.Solve(ctx, c) // warm the shared pool

@@ -30,11 +30,16 @@ type Vector = recurrence.Vector
 
 // Registry names of the built-in chain engines.
 const (
-	// ChainEngineAuto picks a chain engine by size: n <= the cutoff
-	// (WithAutoCutoff, default DefaultChainAutoCutoff) goes to the
-	// sequential scan, larger chains to the asynchronous LLP engine.
+	// ChainEngineAuto picks a chain engine. A chain that declares a
+	// Support, solved under its declared algebra, goes to the sequential
+	// scan at every n: its O(n·support) fold leaves LLP nothing to
+	// parallelise, since index j waits on j-1. Any other chain goes by
+	// size: n <= the cutoff (WithAutoCutoff, default
+	// DefaultChainAutoCutoff) to the sequential scan, larger chains to
+	// the asynchronous LLP engine.
 	ChainEngineAuto = "auto"
-	// ChainEngineSequential is the O(sum of window sizes) prefix scan
+	// ChainEngineSequential is the prefix scan, O(sum of window sizes)
+	// or, for a chain that declares a Support, O(sum of support sizes)
 	// (records predecessors, so ChainSolution.Path is O(n)).
 	ChainEngineSequential = "sequential"
 	// ChainEngineLLP is the asynchronous Lattice-Linear-Predicate engine
@@ -44,9 +49,14 @@ const (
 )
 
 // DefaultChainAutoCutoff is the default size threshold of the "auto"
-// chain engine: at n <= 512 the sequential prefix scan beats the LLP
-// engine's dispatch and publication overhead, above it the bulk
-// ReduceRelax folds win.
+// chain engine for dense chains: n <= 512 goes to the sequential prefix
+// scan, larger chains to LLP. A chain that folds only its declared
+// Support ignores it and always goes to the sequential scan. Since that
+// scan evaluates each window through FRow and folds it in a loop
+// specialised per kernel, it keeps up with LLP at 2 workers well above
+// 512 on a 2-core host (segls, medians: 4.0 vs 4.9 ms at n=1024, 92 vs
+// 97 ms at n=4096), but the threshold stays 512 — servebench picks its
+// independent chain oracle by this constant.
 const DefaultChainAutoCutoff = 512
 
 // ChainEngine is one algorithm for the chain recurrence behind the
@@ -195,9 +205,14 @@ func (s *ChainSolution) Feasible() bool {
 // Path returns the witness breakpoint sequence 0 = k_0 < k_1 < ... <
 // k_m = N (segment boundaries, the scheduled-job prefix lengths, the
 // running subset sums). The sequential engine recorded predecessors
-// during the solve; every other engine recovers them from the converged
-// vector by re-scanning each index's candidates — O(total candidates),
-// smallest-k tie-breaking either way, so the two paths agree.
+// during the solve. Every other engine recovers them from the converged
+// vector, one path node at a time: the predecessor of node j is the
+// smallest k whose candidate realises c(j), scanned over the chain's
+// declared support when the solve folded only that (Chain.UsesSupport),
+// else over j's window with the transition weights bulk-evaluated
+// through FRow into one scratch row. That is O(path length × support) or
+// the windows of the path nodes only, and the smallest-k rule is the
+// sequential engine's tie-break, so the two paths agree.
 func (s *ChainSolution) Path() ([]int, error) {
 	if s == nil {
 		return nil, errors.New("sublineardp: Path on a nil solution")
@@ -215,14 +230,40 @@ func (s *ChainSolution) Path() ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	path := []int{s.chain.N}
-	for j := s.chain.N; j > 0; {
+	c, values := s.chain, s.Values.Data()
+	sparse := c.UsesSupport(s.Algebra)
+	var row []Cost
+	var sup []int32
+	path := []int{c.N}
+	for j := c.N; j > 0; {
 		pred := -1
-		target := k.Norm(s.Values.At(j))
-		for kk := s.chain.Lo(j); kk < j; kk++ {
-			if k.Norm(k.Extend(s.Values.At(kk), s.chain.F(kk, j))) == target {
-				pred = kk
-				break
+		target := k.Norm(values[j])
+		if sparse {
+			sup = c.Support(j, sup[:0])
+			for _, k32 := range sup {
+				if kk := int(k32); k.Norm(k.Extend(values[kk], c.F(kk, j))) == target {
+					pred = kk
+					break
+				}
+			}
+		} else {
+			lo := c.Lo(j)
+			if row == nil {
+				row = make([]Cost, j-lo) // the root's window is the widest
+			}
+			r := row[:j-lo]
+			if c.FRow != nil {
+				c.FRow(j, lo, r)
+			} else {
+				for t := range r {
+					r[t] = c.F(lo+t, j)
+				}
+			}
+			for t, f := range r {
+				if k.Norm(k.Extend(values[lo+t], f)) == target {
+					pred = lo + t
+					break
+				}
 			}
 		}
 		if pred < 0 {
@@ -286,25 +327,26 @@ func (llpChainEngine) SolveChain(ctx context.Context, c *Chain, cfg *Config) (*C
 	}, nil
 }
 
-// autoChainEngine is the size-based selector: the sequential scan up to
-// the cutoff, the LLP engine above it. The returned ChainSolution names
-// the engine actually chosen.
+// autoChainEngine is the chain selector: the sequential scan for chains
+// that fold only their declared support and for every chain up to the
+// cutoff, the LLP engine above it. The returned ChainSolution names the
+// engine actually chosen.
 type autoChainEngine struct{}
 
 func (autoChainEngine) Name() string { return ChainEngineAuto }
 
 func (autoChainEngine) SolveChain(ctx context.Context, c *Chain, cfg *Config) (*ChainSolution, error) {
-	return pickChainAuto(c.N, cfg).SolveChain(ctx, c, cfg)
+	return pickChainAuto(c, cfg).SolveChain(ctx, c, cfg)
 }
 
-// pickChainAuto resolves the auto chain engine's choice for length n.
-func pickChainAuto(n int, cfg *Config) ChainEngine {
+// pickChainAuto resolves the auto chain engine's choice for c.
+func pickChainAuto(c *Chain, cfg *Config) ChainEngine {
 	cutoff := cfg.AutoCutoff
 	if cutoff <= 0 {
 		cutoff = DefaultChainAutoCutoff
 	}
 	name := ChainEngineSequential
-	if n > cutoff {
+	if c.N > cutoff && !c.UsesSupport(algebra.ResolveName(cfg.Semiring, c.Algebra)) {
 		name = ChainEngineLLP
 	}
 	e, ok := LookupChainEngine(name)

@@ -263,7 +263,10 @@ func FuzzKnuthYaoMatchesBlocked(f *testing.F) {
 // recurrence.Chain makes that exact under any algebra), the LLP work
 // count must equal the sequential candidate count (work efficiency),
 // and the vector must pass the solver-independent verify.Chain fixed
-// point check.
+// point check. wis and subset sum also run under windows {0, 1, 3, 7} and
+// declare a Support, so under their declared algebra both engines fold
+// only that: there the LLP vector must also equal the dense
+// seq.SolveChain bitwise, at a work count of NumCandidates.
 func FuzzLLPMatchesSequentialChain(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(0), uint8(0), uint8(2))  // small segls
 	f.Add(int64(2), uint8(20), uint8(0), uint8(1), uint8(4)) // wis, more workers than cores
@@ -282,10 +285,29 @@ func FuzzLLPMatchesSequentialChain(f *testing.F) {
 		case 1:
 			s, e, w := problems.RandomJobs(n, seed)
 			c = problems.IntervalScheduling(s, e, w)
+			c.Window = []int{0, 1, 3, 7}[window%4]
 		case 2:
 			c = problems.SubsetSum(int64(n), []int64{2, 5, int64(n)%7 + 1})
+			c.Window = []int{c.Window, 0, 1, 3, 7}[window%5] // the constructor's window, or an override
 		default:
 			c = problems.RandomChain(n, 50, int(window)%(n+1), seed)
+		}
+		if c.Support != nil {
+			dense := seq.SolveChain(c)
+			got, err := llp.SolveCtx(context.Background(), c, llp.Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dd, gd := dense.Values.Data(), got.Values.Data()
+			for j := range dd {
+				if dd[j] != gd[j] {
+					t.Fatalf("support fold of %s window=%d workers=%d diverges from the dense scan: c(%d) = %d vs %d",
+						c.Name, c.Window, workers, j, gd[j], dd[j])
+				}
+			}
+			if got.Work != c.NumCandidates() {
+				t.Fatalf("support fold of %s: work %d, support count %d", c.Name, got.Work, c.NumCandidates())
+			}
 		}
 		for _, algName := range sublineardp.Semirings() {
 			sr, ok := sublineardp.LookupSemiring(algName)

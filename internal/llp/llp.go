@@ -122,6 +122,13 @@ func SolveCtx(ctx context.Context, c *recurrence.Chain, o Options) (*Result, err
 		values[j] = k.Zero()
 	}
 
+	// Every worker folds through its own copy of proto, which carries
+	// its own scratch.
+	proto := folder{
+		c: c, k: k, values: values,
+		sparse: c.UsesSupport(algebra.ResolveName(o.Semiring, c.Algebra)),
+	}
+
 	var frontier atomic.Int64 // highest index whose value is final
 	var progress atomic.Int64 // global progress epoch, for stall detection
 	stable := make([]atomic.Bool, n+1)
@@ -144,7 +151,7 @@ func SolveCtx(ctx context.Context, c *recurrence.Chain, o Options) (*Result, err
 
 	body := func(lo, hi int) int64 {
 		var work int64
-		var buf []cost.Cost
+		f := proto
 		for w := lo; w < hi; w++ {
 			// Owned indices, ascending: j = w+1, w+1+workers, ...
 			own := make([]int32, 0, (n-w-1)/workers+1)
@@ -163,34 +170,13 @@ func SolveCtx(ctx context.Context, c *recurrence.Chain, o Options) (*Result, err
 				out := own[:0]
 				for _, j32 := range own {
 					j := int(j32)
-					d := int(done[j])
-					k0 := c.Lo(j) + d
-					hi2 := int(frontier.Load())
-					if hi2 > j-1 {
-						hi2 = j - 1
-					}
-					if k0 <= hi2 {
-						cnt := hi2 - k0 + 1
-						if cap(buf) < cnt {
-							buf = make([]cost.Cost, cnt)
-						}
-						row := buf[:cnt]
-						if c.FRow != nil {
-							c.FRow(j, k0, row)
-						} else {
-							for t := 0; t < cnt; t++ {
-								row[t] = c.F(k0+t, j) //lint:allow bulkonly per-candidate fallback when the chain supplies no FRow; FRow chains take the ReduceRelax bulk path
-							}
-						}
-						values[j] = k.ReduceRelax(values[j], values, row, algebra.ReduceShape{
-							M: 1, Cnt0: cnt, A: k0, AStep: 1, B: 0, BStep: 1,
-						})
-						done[j] = int32(d + cnt)
+					d, finished := f.fold(j, int(done[j]), int(frontier.Load()))
+					if cnt := d - int(done[j]); cnt > 0 {
+						done[j] = int32(d)
 						work += int64(cnt)
-						k0 += cnt
 						progressed = true
 					}
-					if k0 > j-1 {
+					if finished {
 						stable[j].Store(true)
 						advance()
 						progressed = true
@@ -229,7 +215,7 @@ func SolveCtx(ctx context.Context, c *recurrence.Chain, o Options) (*Result, err
 		// finish the remaining candidate runs single-owner, ascending —
 		// the same fold order the workers would have used.
 		sweeps[0]++
-		buf := make([]cost.Cost, n)
+		f := proto
 		for j := int(frontier.Load()) + 1; j <= n; j++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -237,22 +223,9 @@ func SolveCtx(ctx context.Context, c *recurrence.Chain, o Options) (*Result, err
 			if stable[j].Load() {
 				continue
 			}
-			k0 := c.Lo(j) + int(done[j])
-			if cnt := j - k0; cnt > 0 {
-				row := buf[:cnt]
-				if c.FRow != nil {
-					c.FRow(j, k0, row)
-				} else {
-					for t := 0; t < cnt; t++ {
-						row[t] = c.F(k0+t, j) //lint:allow bulkonly per-candidate fallback when the chain supplies no FRow; FRow chains take the ReduceRelax bulk path
-					}
-				}
-				values[j] = k.ReduceRelax(values[j], values, row, algebra.ReduceShape{
-					M: 1, Cnt0: cnt, A: k0, AStep: 1, B: 0, BStep: 1,
-				})
-				done[j] += int32(cnt)
-				totalWork += int64(cnt)
-			}
+			d, _ := f.fold(j, int(done[j]), j-1)
+			totalWork += int64(d - int(done[j]))
+			done[j] = int32(d)
 			stable[j].Store(true)
 			frontier.Store(int64(j))
 		}
@@ -265,4 +238,55 @@ func SolveCtx(ctx context.Context, c *recurrence.Chain, o Options) (*Result, err
 		}
 	}
 	return &Result{Values: vec, Work: totalWork, Sweeps: int(maxSweeps)}, nil
+}
+
+// folder folds candidate runs into one solve's value vector. Copies
+// share the vector and keep their own scratch: the transition-weight
+// row of a window run and the support of one index.
+type folder struct {
+	c      *recurrence.Chain
+	k      algebra.Kernel
+	values []cost.Cost
+	sparse bool // fold only the chain's declared support
+	row    []cost.Cost
+	sup    []int32
+}
+
+// fold folds index j's candidates past the d already folded, up to
+// k <= hi, in ascending k: the contiguous window run through FRow and
+// ReduceRelax, or — when the chain's declared support holds — the
+// supported k one at a time, d then counting support entries. Every
+// value it reads is at or below hi, so it must be final. It returns the
+// new d and whether j has no candidate left.
+func (f *folder) fold(j, d, hi int) (int, bool) {
+	c, k, values := f.c, f.k, f.values
+	if f.sparse {
+		f.sup = c.Support(j, f.sup[:0])
+		for ; d < len(f.sup) && int(f.sup[d]) <= hi; d++ {
+			kk := int(f.sup[d])
+			values[j] = k.Combine(values[j], k.Extend(values[kk], c.F(kk, j))) //lint:allow bulkonly the declared support is a few scattered k per index, not a run FRow could bulk-evaluate
+		}
+		return d, d == len(f.sup)
+	}
+	k0 := c.Lo(j) + d
+	hi = min(hi, j-1)
+	if cnt := hi - k0 + 1; cnt > 0 {
+		if f.row == nil {
+			f.row = make([]cost.Cost, c.N-c.Lo(c.N)) // the widest window is the last
+		}
+		row := f.row[:cnt]
+		if c.FRow != nil {
+			c.FRow(j, k0, row)
+		} else {
+			for t := range row {
+				row[t] = c.F(k0+t, j) //lint:allow bulkonly per-candidate fallback when the chain supplies no FRow; FRow chains take the ReduceRelax bulk path
+			}
+		}
+		values[j] = k.ReduceRelax(values[j], values, row, algebra.ReduceShape{
+			M: 1, Cnt0: cnt, A: k0, AStep: 1, B: 0, BStep: 1,
+		})
+		d += cnt
+		k0 += cnt
+	}
+	return d, k0 > j-1
 }

@@ -8,6 +8,7 @@ import (
 	"sublineardp/internal/algebra"
 	"sublineardp/internal/cost"
 	"sublineardp/internal/parutil"
+	"sublineardp/internal/problems"
 	"sublineardp/internal/recurrence"
 	"sublineardp/internal/seq"
 	"sublineardp/internal/verify"
@@ -82,6 +83,30 @@ func TestWorkEfficiency(t *testing.T) {
 		}
 		if res.Sweeps < 1 {
 			t.Fatalf("window=%d: sweeps %d", window, res.Sweeps)
+		}
+	}
+	// A declared support is the whole work under the declared algebra:
+	// wis folds at most two candidates per index, subset sum one per
+	// item, against the dense scan's j per index.
+	s, e, w := problems.RandomJobs(300, 4)
+	for _, tc := range []struct {
+		c       *recurrence.Chain
+		perStep int64
+	}{
+		{problems.IntervalScheduling(s, e, w), 2},
+		{problems.SubsetSum(300, []int64{3, 7, 11}), 3},
+	} {
+		for _, workers := range []int{1, 3} {
+			res := Solve(tc.c, Options{Workers: workers})
+			dense := seq.SolveChain(tc.c)
+			if res.Work != tc.c.NumCandidates() || res.Work > tc.perStep*int64(tc.c.N) {
+				t.Fatalf("%s workers=%d: work %d, support count %d, at most %d", tc.c.Name, workers,
+					res.Work, tc.c.NumCandidates(), tc.perStep*int64(tc.c.N))
+			}
+			if !res.Values.Equal(dense.Values) {
+				t.Fatalf("%s workers=%d: support fold diverges from the dense scan: %v", tc.c.Name, workers,
+					res.Values.Diff(dense.Values, 3))
+			}
 		}
 	}
 }

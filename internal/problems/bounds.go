@@ -40,6 +40,18 @@ func OBSTMaxCost(alpha, beta []int64) int64 {
 	return satMul(sum, int64(len(alpha)))
 }
 
+// IntervalSchedulingMaxCost bounds the weight of every schedule over
+// IntervalScheduling's jobs: the sum of all weights, which also sizes
+// the chain's dominated "no transition" penalty. The weights must be
+// non-negative.
+func IntervalSchedulingMaxCost(weights []int64) int64 {
+	var sum int64
+	for _, w := range weights {
+		sum = satAdd(sum, w)
+	}
+	return sum
+}
+
 // satMul returns a·b for non-negative a and b, saturating at MaxInt64.
 func satMul(a, b int64) int64 {
 	hi, lo := bits.Mul64(uint64(a), uint64(b))

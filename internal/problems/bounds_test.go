@@ -63,4 +63,23 @@ func TestMaxCostBoundsDominateCostliestTree(t *testing.T) {
 	if got := OBSTMaxCost([]int64{4e18, 4e18}, []int64{4e18}); got != math.MaxInt64 {
 		t.Errorf("overflowing OBST bound %d, want saturation at MaxInt64", got)
 	}
+	if got := IntervalSchedulingMaxCost([]int64{4e18, 4e18, 4e18}); got != math.MaxInt64 {
+		t.Errorf("overflowing wis bound %d, want saturation at MaxInt64", got)
+	}
+}
+
+// The wis bound is the weight total: the heaviest schedule of jobs that
+// never overlap takes every job, and it must sit at the bound.
+func TestIntervalSchedulingMaxCostIsTight(t *testing.T) {
+	weights := []int64{7e17, 7e17, 7e17}
+	c := IntervalScheduling([]int64{0, 10, 20}, []int64{5, 15, 25}, weights)
+	if got, want := int64(seq.SolveChain(c).Cost()), IntervalSchedulingMaxCost(weights); got != want || want != 21e17 {
+		t.Fatalf("disjoint jobs: optimum %d, bound %d, want both 2.1e18", got, want)
+	}
+	for seed := int64(0); seed < 10; seed++ {
+		s, e, w := RandomJobs(40, seed)
+		if got, bound := int64(seq.SolveChain(IntervalScheduling(s, e, w)).Cost()), IntervalSchedulingMaxCost(w); got > bound {
+			t.Fatalf("seed %d: optimum %d above the bound %d", seed, got, bound)
+		}
+	}
 }

@@ -125,8 +125,11 @@ func RandomSeries(n int, seed int64) (xs, ys []int64) {
 // starts), and every other transition carries the dominated finite
 // penalty -(sum of weights)-1 instead of max-plus Zero, keeping F finite
 // (see recurrence.Chain). c(n) under max-plus is the maximum total
-// weight of any non-overlapping subset. Weights must be nonnegative and
-// every start strictly before its end.
+// weight of any non-overlapping subset. The penalty is strictly below
+// every prefix value, so only p(j) and j-1 can win: the chain declares
+// that support, and the solve folds O(n) candidates instead of O(n²).
+// Weights must be nonnegative, every start strictly before its end, and
+// the weight total (IntervalSchedulingMaxCost) below cost.Inf.
 func IntervalScheduling(starts, ends, weights []int64) *recurrence.Chain {
 	n := len(starts)
 	if n < 1 || len(ends) != n || len(weights) != n {
@@ -137,7 +140,6 @@ func IntervalScheduling(starts, ends, weights []int64) *recurrence.Chain {
 	for t := range order {
 		order[t] = t
 	}
-	var total int64
 	for t := 0; t < n; t++ {
 		if starts[t] >= ends[t] {
 			panic(fmt.Sprintf("problems: job %d has start %d >= end %d", t, starts[t], ends[t]))
@@ -145,7 +147,10 @@ func IntervalScheduling(starts, ends, weights []int64) *recurrence.Chain {
 		if weights[t] < 0 {
 			panic(fmt.Sprintf("problems: job %d has negative weight %d", t, weights[t]))
 		}
-		total += weights[t]
+	}
+	total := IntervalSchedulingMaxCost(weights)
+	if total >= int64(cost.Inf) {
+		panic(fmt.Sprintf("problems: interval scheduling weights total %d, must stay below %d", total, cost.Inf))
 	}
 	sort.Slice(order, func(a, b int) bool {
 		oa, ob := order[a], order[b]
@@ -170,7 +175,7 @@ func IntervalScheduling(starts, ends, weights []int64) *recurrence.Chain {
 		p[j] = sort.Search(n, func(q int) bool { return e[q] > s[j-1] })
 	}
 	noTake := -cost.Cost(total) - 1
-	return &recurrence.Chain{
+	c := &recurrence.Chain{
 		N:    n,
 		Name: fmt.Sprintf("wis-n%d", n),
 		F: func(k, j int) cost.Cost {
@@ -196,6 +201,16 @@ func IntervalScheduling(starts, ends, weights []int64) *recurrence.Chain {
 		Algebra: algebra.NameMaxPlus,
 		Canon:   func() []byte { return canon("wis", s, e, w) },
 	}
+	// Every prefix value lies in [0, total], so a noTake candidate sums
+	// below 0 <= c(j-1) + 0: only p(j) <= j-1 and j-1 can win.
+	c.Support = func(j int, dst []int32) []int32 {
+		lo := c.Lo(j)
+		if p[j] >= lo && p[j] < j-1 {
+			dst = append(dst, int32(p[j]))
+		}
+		return append(dst, int32(j-1))
+	}
+	return c
 }
 
 // RandomJobs returns n jobs with random spans and weights — ready-made
@@ -223,7 +238,10 @@ func RandomJobs(n int, seed int64) (starts, ends, weights []int64) {
 // every prefix may extend by any item). The window is the largest item:
 // longer transitions are structurally impossible, so windowing skips
 // them without changing the answer — and exercises the engines' windowed
-// path on a shipped family. Items must be positive; target >= 1.
+// path on a shipped family. Every other transition is bool-plan's Zero,
+// so the chain declares the support {j - item}: O(items) candidates per
+// amount, the textbook O(n·items) scan. Items must be positive;
+// target >= 1.
 func SubsetSum(target int64, items []int64) *recurrence.Chain {
 	if target < 1 {
 		panic(fmt.Sprintf("problems: subset sum needs target >= 1, got %d", target))
@@ -251,7 +269,7 @@ func SubsetSum(target int64, items []int64) *recurrence.Chain {
 	for _, v := range dedup {
 		isItem[v] = true
 	}
-	return &recurrence.Chain{
+	c := &recurrence.Chain{
 		N:    int(target),
 		Name: fmt.Sprintf("subsetsum-t%d", target),
 		F: func(k, j int) cost.Cost {
@@ -273,6 +291,17 @@ func SubsetSum(target int64, items []int64) *recurrence.Chain {
 		Algebra: algebra.NameBoolPlan,
 		Canon:   func() []byte { return canon("subsetsum", []int64{target}, dedup) },
 	}
+	// Largest item first gives ascending k = j - item.
+	c.Support = func(j int, dst []int32) []int32 {
+		lo := int64(c.Lo(j))
+		for t := len(dedup) - 1; t >= 0; t-- {
+			if k := int64(j) - dedup[t]; k >= lo {
+				dst = append(dst, int32(k))
+			}
+		}
+		return dst
+	}
+	return c
 }
 
 // RandomChain returns a fully random chain: every F(k,j) drawn uniformly

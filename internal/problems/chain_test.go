@@ -77,6 +77,25 @@ func TestIntervalSchedulingKnownOptimum(t *testing.T) {
 	}
 }
 
+// A weight total at or above cost.Inf would wrap the dominated penalty
+// -(total)-1 and with it the support claim: the constructor refuses it.
+func TestIntervalSchedulingPanicsOnWeightOverflow(t *testing.T) {
+	for name, weights := range map[string][]int64{
+		"wraps":        {4e18, 4e18, 4e18},
+		"at the bound": {int64(cost.Inf) - 1, 1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			IntervalScheduling([]int64{0, 10, 20}[:len(weights)], []int64{5, 15, 25}[:len(weights)], weights)
+		}()
+	}
+	IntervalScheduling([]int64{0, 10}, []int64{5, 15}, []int64{int64(cost.Inf) - 2, 1}) // just under: no panic
+}
+
 func TestIntervalSchedulingAllOverlap(t *testing.T) {
 	// Pairwise-overlapping jobs: the optimum takes exactly the heaviest.
 	c := IntervalScheduling([]int64{0, 1, 2}, []int64{10, 11, 12}, []int64{4, 9, 6})
@@ -168,6 +187,40 @@ func TestChainGeneratorsAlwaysValid(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The declared supports of wis and subset sum must hold, index by index
+// in values and predecessors (Chain.Validate), under every window —
+// the window clips the support through the chain's own Lo.
+func TestChainSupportsHoldUnderWindows(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		n := int(seed)*5 + 1
+		s, e, w := RandomJobs(n, seed)
+		items := []int64{seed%5 + 1, seed%7 + 3, int64(n)%9 + 2}
+		for _, window := range []int{0, 1, 3, 7} {
+			for _, c := range []*recurrence.Chain{
+				IntervalScheduling(s, e, w),
+				SubsetSum(int64(n)+5, items),
+			} {
+				c.Window = window
+				if err := c.Validate(); err != nil {
+					t.Fatalf("seed %d window %d: %v", seed, window, err)
+				}
+				if got, dense := c.NumCandidates(), denseCandidates(c); got > dense || (n > 8 && window == 0 && got >= dense) {
+					t.Fatalf("%s window %d: support folds %d candidates, dense %d", c.Name, window, got, dense)
+				}
+			}
+		}
+	}
+}
+
+// denseCandidates counts every (k,j) pair c's window admits.
+func denseCandidates(c *recurrence.Chain) int64 {
+	var total int64
+	for j := 1; j <= c.N; j++ {
+		total += int64(j - c.Lo(j))
+	}
+	return total
 }
 
 // Exhaustive recursion over breakpoint sequences agrees with the DP for

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"sublineardp/internal/algebra"
 	"sublineardp/internal/cost"
 )
 
@@ -63,6 +64,35 @@ type Chain struct {
 	// Instance.Canon (injective per kind, kind tag first). Window and
 	// Algebra are folded in by Canonical, not here.
 	Canon func() []byte
+
+	// Support, when non-nil, declares which candidates of index j can
+	// win: it appends to dst, in ascending order, the k in [Lo(j), j)
+	// whose candidates can change the fold under the chain's declared
+	// algebra, and returns the extended slice. Every other candidate
+	// must be dominated — strictly worse than some supported candidate
+	// under a selective algebra (max-plus, min-plus), or the Combine
+	// identity under bool-plan — so folding only the support yields the
+	// same value and the same smallest-k predecessor as the full window
+	// (Validate checks). Weighted interval scheduling supplies
+	// {p(j), j−1}, subset sum {j − item}: O(1) and O(items) candidates
+	// per index instead of O(window).
+	//
+	// The claim holds only under the declared algebra: an override
+	// voids it and every engine folds the full window again (see
+	// UsesSupport). Work and NumCandidates count the support. Support
+	// must not allocate when dst has room and must be safe for
+	// concurrent calls; the shipped constructors close over their own
+	// chain to read Lo, so a Window set on that chain is honoured, while
+	// a copy that changes Window must replace or clear Support.
+	Support func(j int, dst []int32) []int32
+}
+
+// UsesSupport reports whether a solve under the algebra named alg may
+// fold only the declared support: the chain has a Support and alg is
+// the chain's declared algebra. Algebras are identified by name, as in
+// cache keys; any other override voids the dominance claim.
+func (c *Chain) UsesSupport(alg string) bool {
+	return c.Support != nil && alg == algebra.ResolveName(nil, c.Algebra)
 }
 
 // Lo returns the smallest candidate index of position j under the
@@ -105,21 +135,32 @@ func (c *Chain) Canonical() ([]byte, bool) {
 	return b, true
 }
 
-// NumCandidates returns the total number of (k,j) transition pairs the
-// chain's window admits — the exact work of one full solve, the quantity
-// the LLP engine's work-efficiency is audited against.
+// NumCandidates returns the number of (k,j) transition pairs one solve
+// under the declared algebra folds — the support when the chain declares
+// one, else every pair the window admits. It is the exact work of that
+// solve, the quantity the LLP engine's work-efficiency is audited
+// against.
 func (c *Chain) NumCandidates() int64 {
 	var total int64
+	var sup []int32
 	for j := 1; j <= c.N; j++ {
-		total += int64(j - c.Lo(j))
+		if c.Support != nil {
+			sup = c.Support(j, sup[:0])
+			total += int64(len(sup))
+		} else {
+			total += int64(j - c.Lo(j))
+		}
 	}
 	return total
 }
 
 // Validate checks the structural preconditions: N >= 1, F present, a
-// nonnegative window, and FRow agreeing with F on every admitted (k,j)
-// pair. It evaluates every candidate, so it is O(N^2); intended for
-// tests and constructor-time checks at small sizes.
+// nonnegative window, FRow agreeing with F on every admitted (k,j) pair,
+// and — when the chain declares a Support — that every support is
+// ascending inside [Lo(j), j) and that folding it under the declared
+// algebra gives each index the full fold's value and predecessor. It
+// evaluates every candidate, so it is O(N^2); intended for tests and
+// constructor-time checks at small sizes.
 func (c *Chain) Validate() error {
 	if c.N < 1 {
 		return fmt.Errorf("recurrence: chain %q has N=%d, need >= 1", c.Name, c.N)
@@ -146,6 +187,53 @@ func (c *Chain) Validate() error {
 					j, lo, k-lo, row[k-lo], k, j, v)
 			}
 		}
+	}
+	if c.Support != nil {
+		return c.validateSupport()
+	}
+	return nil
+}
+
+// validateSupport checks the Support claim index by index: over the
+// full fold's values c(0..j-1), the fold of j's support must reproduce
+// the full fold's c(j) and its smallest-k predecessor bitwise.
+func (c *Chain) validateSupport() error {
+	k, err := algebra.Resolve(nil, c.Algebra)
+	if err != nil {
+		return fmt.Errorf("recurrence: chain %q declares a support: %w", c.Name, err)
+	}
+	values := make([]cost.Cost, c.N+1)
+	values[0] = k.One()
+	var sup []int32
+	for j := 1; j <= c.N; j++ {
+		lo := c.Lo(j)
+		best, pred := k.Zero(), -1
+		for kk := lo; kk < j; kk++ {
+			v := k.Extend(values[kk], c.F(kk, j))
+			if k.Better(v, best) {
+				pred = kk
+			}
+			best = k.Combine(best, v)
+		}
+		sup = c.Support(j, sup[:0])
+		sBest, sPred := k.Zero(), -1
+		for i, k32 := range sup {
+			kk := int(k32)
+			if kk < lo || kk >= j || (i > 0 && k32 <= sup[i-1]) {
+				return fmt.Errorf("recurrence: chain %q support of index %d is %v, want ascending k in [%d, %d)",
+					c.Name, j, sup, lo, j)
+			}
+			v := k.Extend(values[kk], c.F(kk, j))
+			if k.Better(v, sBest) {
+				sPred = kk
+			}
+			sBest = k.Combine(sBest, v)
+		}
+		if sBest != best || sPred != pred {
+			return fmt.Errorf("recurrence: chain %q support %v of index %d folds to c=%d via k=%d, the full window to c=%d via k=%d",
+				c.Name, sup, j, sBest, sPred, best, pred)
+		}
+		values[j] = best
 	}
 	return nil
 }

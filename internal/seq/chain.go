@@ -22,10 +22,14 @@ type ChainResult struct {
 }
 
 // SolveChain runs the O(sum of window sizes) prefix dynamic program
-// under the chain's declared algebra. Ties between predecessors resolve
-// to the smallest k, making the reconstruction deterministic.
+// under the chain's declared algebra, folding every candidate the window
+// admits even when the chain declares a Support — the dense reference
+// the support claim is checked against. Ties between predecessors
+// resolve to the smallest k, making the reconstruction deterministic.
 func SolveChain(c *recurrence.Chain) *ChainResult {
-	res, err := SolveChainCtx(context.Background(), c)
+	d := *c
+	d.Support = nil
+	res, err := SolveChainCtx(context.Background(), &d)
 	if err != nil {
 		// Only reachable for an unregistered chain algebra; the
 		// background context never cancels.
@@ -34,9 +38,11 @@ func SolveChain(c *recurrence.Chain) *ChainResult {
 	return res
 }
 
-// SolveChainCtx is SolveChain with cooperative cancellation, checked
-// once per index. A cancelled or expired context aborts with a nil
-// ChainResult and ctx.Err().
+// SolveChainCtx is the sequential scan under the chain's declared
+// algebra with cooperative cancellation, checked once per index. Unlike
+// SolveChain it folds only the declared Support when the chain has one.
+// A cancelled or expired context aborts with a nil ChainResult and
+// ctx.Err().
 func SolveChainCtx(ctx context.Context, c *recurrence.Chain) (*ChainResult, error) {
 	return SolveChainSemiringCtx(ctx, c, nil)
 }
@@ -44,9 +50,12 @@ func SolveChainCtx(ctx context.Context, c *recurrence.Chain) (*ChainResult, erro
 // SolveChainSemiringCtx is SolveChainCtx under an explicit algebra
 // override (nil = the chain's declared algebra, min-plus by default).
 // Each index folds its candidates in ascending k order through the
-// kernel's Combine/Extend — the same fold the LLP engine's bulk
-// ReduceRelax runs — so the two engines agree bitwise under any lawful
-// algebra with finite transition weights.
+// kernel's Combine/Extend — the fold the LLP engine's bulk ReduceRelax
+// runs — so the two engines agree bitwise under any lawful algebra with
+// finite transition weights. The fold is only the chain's Support when
+// the override leaves the declared algebra in place
+// (Chain.UsesSupport); otherwise it is the full window, its transition
+// weights bulk-evaluated through FRow into one scratch row.
 func SolveChainSemiringCtx(ctx context.Context, c *recurrence.Chain, sr algebra.Semiring) (*ChainResult, error) {
 	k, err := algebra.Resolve(sr, c.Algebra)
 	if err != nil {
@@ -59,33 +68,94 @@ func SolveChainSemiringCtx(ctx context.Context, c *recurrence.Chain, sr algebra.
 		N:      n,
 		zero:   k.Zero(),
 	}
-	for i := range res.preds { //lint:allow ctxpoll O(n) pred-sentinel fill before the polled fold
-		res.preds[i] = -1
-	}
-	values := res.Values.Data()
+	values, preds := res.Values.Data(), res.preds
 	values[0] = k.One()
+	preds[0] = -1
+	sparse := c.UsesSupport(algebra.ResolveName(sr, c.Algebra))
+	var row []cost.Cost
+	var sup []int32
+	if !sparse {
+		row = make([]cost.Cost, n-c.Lo(n)) // the widest window is the last
+	}
 	for j := 1; j <= n; j++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		lo := c.Lo(j)
-		best := k.Zero()
-		bestK := int32(-1)
-		for kk := lo; kk < j; kk++ {
-			v := k.Extend(values[kk], c.F(kk, j)) //lint:allow bulkonly per-candidate fallback when the chain supplies no FRow; FRow chains take the ReduceRelax bulk path
-			// Strict improvement keeps the smallest k on ties; best
-			// advances by Combine, not replacement, so the fold matches
-			// the bulk kernels bitwise even for non-selective algebras.
+		best, bestK := k.Zero(), int32(-1)
+		if sparse {
+			sup = c.Support(j, sup[:0])
+			for _, k32 := range sup {
+				v := k.Extend(values[k32], c.F(int(k32), j)) //lint:allow bulkonly the declared support is a few scattered k per index, not a run FRow could bulk-evaluate
+				if k.Better(v, best) {
+					bestK = k32
+				}
+				best = k.Combine(best, v)
+			}
+			res.Work += int64(len(sup))
+		} else {
+			lo := c.Lo(j)
+			r := row[:j-lo]
+			if c.FRow != nil {
+				c.FRow(j, lo, r)
+			} else {
+				for t := range r {
+					r[t] = c.F(lo+t, j) //lint:allow bulkonly per-candidate fallback when the chain supplies no FRow
+				}
+			}
+			best, bestK = foldRun(k, values[lo:j], r, lo, best, bestK)
+			res.Work += int64(len(r))
+		}
+		values[j] = best
+		preds[j] = bestK
+	}
+	return res, nil
+}
+
+// foldRun folds the candidates Extend(c(lo+t), row[t]) into best in
+// ascending t. Strict improvement keeps the smallest k on ties, and best
+// advances by Combine, not replacement, so the fold matches the bulk
+// kernels bitwise even for non-selective algebras. The loop is spelled
+// out per shipped kernel so that its Extend/Better/Combine are static
+// calls the compiler inlines; through the Kernel interface (or a type
+// parameter, which go1.24 does not devirtualise) they cost three
+// indirect calls per candidate.
+func foldRun(k algebra.Kernel, prefix, row []cost.Cost, lo int, best cost.Cost, bestK int32) (cost.Cost, int32) {
+	prefix = prefix[:len(row)]
+	switch k := k.(type) {
+	case algebra.MinPlus:
+		for t, f := range row {
+			v := k.Extend(prefix[t], f)
 			if k.Better(v, best) {
-				bestK = int32(kk)
+				bestK = int32(lo + t)
 			}
 			best = k.Combine(best, v)
 		}
-		res.Work += int64(j - lo)
-		values[j] = best
-		res.preds[j] = bestK
+	case algebra.MaxPlus:
+		for t, f := range row {
+			v := k.Extend(prefix[t], f)
+			if k.Better(v, best) {
+				bestK = int32(lo + t)
+			}
+			best = k.Combine(best, v)
+		}
+	case algebra.BoolPlan:
+		for t, f := range row {
+			v := k.Extend(prefix[t], f)
+			if k.Better(v, best) {
+				bestK = int32(lo + t)
+			}
+			best = k.Combine(best, v)
+		}
+	default:
+		for t, f := range row {
+			v := k.Extend(prefix[t], f)
+			if k.Better(v, best) {
+				bestK = int32(lo + t)
+			}
+			best = k.Combine(best, v)
+		}
 	}
-	return res, nil
+	return best, bestK
 }
 
 // Cost returns the optimal value c(N).

@@ -171,6 +171,7 @@ func TestCostOverflowIs400(t *testing.T) {
 		"error_cost_overflow_matrixchain.json":    `{"kind":"matrixchain","dims":[3000000,3000000,3000000,3000000]}`,
 		"error_cost_overflow_wtriangulation.json": `{"kind":"wtriangulation","weights":[3000000,3000000,3000000]}`,
 		"error_cost_overflow_obst.json":           `{"kind":"obst","alpha":[4000000000000000000,4000000000000000000],"beta":[4000000000000000000]}`,
+		"error_cost_overflow_wis.json":            `{"kind":"wis","starts":[0,10,20],"ends":[5,15,25],"weights":[4000000000000000000,4000000000000000000,4000000000000000000]}`,
 	} {
 		resp, got := postRaw(t, hs.URL, []byte(body))
 		if resp.StatusCode != http.StatusBadRequest {
@@ -212,6 +213,27 @@ func TestCostOverflowIs400(t *testing.T) {
 		if want := seq.Solve(in).Cost(); wr.Cost != int64(want) || cost.IsInf(want) {
 			t.Errorf("%s just under the bound: cost %d, seq.Solve %d", req.Kind, wr.Cost, want)
 		}
+	}
+	// The wis twin sums to 2.1e18 < cost.Inf: the served vector must be
+	// the dense scan's, which folds every candidate, not just the support.
+	wis := &wire.Request{Kind: wire.KindWIS, Starts: []int64{0, 10, 20}, Ends: []int64{5, 15, 25},
+		Weights: []int64{7e17, 7e17, 7e17}}
+	resp, body := postSolve(t, hs.URL, wis)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("wis just under the bound: status %d (%s), want 200", resp.StatusCode, body)
+	}
+	var wr wire.Response
+	if err := json.Unmarshal(body, &wr); err != nil {
+		t.Fatal(err)
+	}
+	c, err := wis.ChainInstance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := seq.SolveChain(c)
+	if wr.Cost != 21e17 || wr.Cost != int64(want.Cost()) || wr.TableDigest != wire.VectorDigest(want.Values) {
+		t.Errorf("wis just under the bound: cost %d digest %s, dense seq.SolveChain %d %s",
+			wr.Cost, wr.TableDigest, want.Cost(), wire.VectorDigest(want.Values))
 	}
 }
 

@@ -329,6 +329,9 @@ func (r *Request) Validate(maxN int) error {
 				return fmt.Errorf("wire: wis job %d has negative weight %d", t, r.Weights[t])
 			}
 		}
+		if err := checkMaxCost(r.Kind, "weights", problems.IntervalSchedulingMaxCost(r.Weights)); err != nil {
+			return err
+		}
 	case KindSubsetSum:
 		if r.Target < 1 {
 			return fmt.Errorf("wire: subsetsum needs target >= 1, got %d", r.Target)

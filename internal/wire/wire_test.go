@@ -106,6 +106,9 @@ func goldenCases() map[string]any {
 		"error_cost_overflow_obst.json": &ErrorBody{
 			Error: `wire: obst alpha/beta weights too large: the worst-case total cost must stay below 2305843009213693951`, Code: 400,
 		},
+		"error_cost_overflow_wis.json": &ErrorBody{
+			Error: `wire: wis weights too large: the worst-case total cost must stay below 2305843009213693951`, Code: 400,
+		},
 		"request_segls.json": &Request{
 			ID:   "req-c1",
 			Kind: KindSegLS,
@@ -258,6 +261,8 @@ var costOverflowRequests = map[string]Request{
 	"error_cost_overflow_matrixchain.json":    {Kind: KindMatrixChain, Dims: []int{3000000, 3000000, 3000000, 3000000}},
 	"error_cost_overflow_wtriangulation.json": {Kind: KindWTriangulation, Weights: []int64{3000000, 3000000, 3000000}},
 	"error_cost_overflow_obst.json":           {Kind: KindOBST, Alpha: []int64{4e18, 4e18}, Beta: []int64{4e18}},
+	"error_cost_overflow_wis.json": {Kind: KindWIS, Starts: []int64{0, 10, 20}, Ends: []int64{5, 15, 25},
+		Weights: []int64{4e18, 4e18, 4e18}},
 }
 
 // Validate bounds magnitudes, not just shapes: each overflow request is
@@ -292,6 +297,7 @@ var justUnderCostBound = []Request{
 	{Kind: KindMatrixChain, Dims: []int{1000000, 1000000, 1000000, 1000000}},
 	{Kind: KindWTriangulation, Weights: []int64{1300000, 1300000, 1300000}},
 	{Kind: KindOBST, Alpha: []int64{5e17, 5e17}, Beta: []int64{1.5e17}},
+	{Kind: KindWIS, Starts: []int64{0, 10, 20}, Ends: []int64{5, 15, 25}, Weights: []int64{7e17, 7e17, 7e17}},
 }
 
 func TestRequestInstanceMatchesDirectConstruction(t *testing.T) {
