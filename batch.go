@@ -80,13 +80,13 @@ func SolveBatch(ctx context.Context, instances []*Instance, opts ...Option) ([]*
 	// engine seed their tile graphs into one shared scheduler
 	// (blocked.SolvePipeBatchCtx) instead of running one after another —
 	// one solve's tail tiles fill another's head. Only the plain path
-	// overlaps: a cache, a convergence target, or a convexity contract
-	// each need the per-instance Solve protocol, and so does an
-	// ineligible blocked-ky instance, whose error that protocol reports.
+	// overlaps: a convergence target or a convexity contract each need
+	// the per-instance Solve protocol, and so does an ineligible
+	// blocked-ky instance, whose error that protocol reports.
 	var pipeIdx []int
 	pipeEngine := make([]string, len(instances))
 	inPipe := make([]bool, len(instances))
-	if cfg.Cache == nil && cfg.Target == nil && !cfg.Convexity {
+	if cfg.Target == nil && !cfg.Convexity {
 		for i, in := range instances {
 			if in == nil || in.N < 1 {
 				continue // the per-instance path reports the invalid instance

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"sublineardp/internal/algebra"
-	"sublineardp/internal/cache"
 	"sublineardp/internal/llp"
 	"sublineardp/internal/parutil"
 	"sublineardp/internal/problems"
@@ -150,14 +149,8 @@ type ChainSolution struct {
 	// engine, 1 when every index was ready on first visit).
 	Sweeps int
 
-	// Elapsed is the wall-clock duration of the solve. For a cached
-	// solution it is the time this caller waited, not the original
-	// solve's duration.
+	// Elapsed is the wall-clock duration of the solve.
 	Elapsed time.Duration
-
-	// Cached reports that the solution was served by a WithCache cache
-	// rather than by running an engine.
-	Cached bool
 
 	// chain backs Path(); pathFn is the sequential engine's O(n)
 	// predecessor walk.
@@ -397,8 +390,7 @@ func MustNewChainSolver(engine string, opts ...Option) *ChainSolver {
 func (s *ChainSolver) EngineName() string { return s.engine.Name() }
 
 // Solve runs the chain engine on one chain, with exactly Solver.Solve's
-// cache protocol: canonicalisable chains repeat from memory and
-// identical in-flight solves fold into one computation.
+// validation, cancellation and timing.
 func (s *ChainSolver) Solve(ctx context.Context, c *Chain) (*ChainSolution, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -409,26 +401,6 @@ func (s *ChainSolver) Solve(ctx context.Context, c *Chain) (*ChainSolution, erro
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if s.cfg.Cache != nil {
-		if key, ok := chainSolveKey(c, s.engine.Name(), &s.cfg); ok {
-			start := time.Now()
-			sol, err := s.cfg.Cache.solveChain(ctx, key, func(fctx context.Context) (*ChainSolution, error) {
-				return s.solveDirect(fctx, c)
-			})
-			if err != nil {
-				return nil, err
-			}
-			if sol.Cached {
-				sol.Elapsed = time.Since(start)
-			}
-			return sol, nil
-		}
-	}
-	return s.solveDirect(ctx, c)
-}
-
-// solveDirect runs the chain engine unconditionally.
-func (s *ChainSolver) solveDirect(ctx context.Context, c *Chain) (*ChainSolution, error) {
 	start := time.Now()
 	sol, err := s.engine.SolveChain(ctx, c, &s.cfg)
 	if err != nil {
@@ -511,26 +483,4 @@ func NewIntervalScheduling(starts, ends, weights []int64) *Chain {
 // each usable any number of times.
 func NewSubsetSum(target int64, items []int64) *Chain {
 	return problems.SubsetSum(target, items)
-}
-
-// chainSolveKey derives the content key for one chain solve: the
-// chain's canonical bytes (which already fold in its window and
-// declared algebra) plus the Config fields that can alter the returned
-// ChainSolution. The "chain" hasher label domain-separates chain keys
-// from interval keys built over the same parameter bytes, and the two
-// classes live in separate LRUs besides. Workers stays keyed as
-// scheduling provenance (it changes Sweeps), exactly as the interval
-// key treats it.
-func chainSolveKey(c *Chain, engineName string, cfg *Config) (cache.Key, bool) {
-	canon, ok := c.Canonical()
-	if !ok {
-		return cache.Key{}, false
-	}
-	h := cache.NewHasher().
-		Bytes("chain", canon).
-		String("engine", engineName).
-		Int64("workers", int64(cfg.Workers)).
-		Int64("autocutoff", int64(cfg.AutoCutoff)).
-		String("semiring", algebra.ResolveName(cfg.Semiring, c.Algebra))
-	return h.Sum(), true
 }

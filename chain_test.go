@@ -262,89 +262,6 @@ func TestChainSolutionNilSafety(t *testing.T) {
 	}
 }
 
-func TestChainCacheHitsAndSeparation(t *testing.T) {
-	cacheStore := sublineardp.NewCache(64)
-	ctx := context.Background()
-	c := problems.SubsetSum(30, []int64{4, 9, 13})
-	s := sublineardp.MustNewChainSolver(sublineardp.ChainEngineSequential, sublineardp.WithCache(cacheStore))
-
-	first, err := s.Solve(ctx, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Cached {
-		t.Fatal("first solve reported cached")
-	}
-	second, err := s.Solve(ctx, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.Cached {
-		t.Fatal("second identical solve missed the cache")
-	}
-	if second.Cost() != first.Cost() || !second.Values.Equal(first.Values) {
-		t.Fatal("cached solution differs from the led solve")
-	}
-	stats := cacheStore.Stats()
-	if stats.Solves != 1 || stats.Hits != 1 {
-		t.Fatalf("stats = %+v, want 1 solve and 1 hit", stats)
-	}
-
-	// A different engine name keys separately.
-	llpSolver := sublineardp.MustNewChainSolver(sublineardp.ChainEngineLLP, sublineardp.WithCache(cacheStore))
-	sol, err := llpSolver.Solve(ctx, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Cached {
-		t.Fatal("llp solve of a sequentially-cached chain reported cached")
-	}
-
-	// An interval instance with equal parameter bytes lives in the
-	// separate interval store: neither class can serve the other.
-	lenBefore := cacheStore.Len()
-	in := problems.MatrixChain([]int{30, 35, 15, 5, 10, 20, 25})
-	iSolver := sublineardp.MustNewSolver(sublineardp.EngineSequential, sublineardp.WithCache(cacheStore))
-	if _, err := iSolver.Solve(ctx, in); err != nil {
-		t.Fatal(err)
-	}
-	if cacheStore.Len() != lenBefore+1 {
-		t.Fatalf("interval solve changed cache length %d -> %d, want +1", lenBefore, cacheStore.Len())
-	}
-}
-
-func TestChainCacheKeyedBySemiringAndWindow(t *testing.T) {
-	cacheStore := sublineardp.NewCache(64)
-	ctx := context.Background()
-	xs, ys := problems.RandomSeries(12, 2)
-	c := problems.SegmentedLeastSquares(xs, ys, 100)
-
-	base := sublineardp.MustNewChainSolver(sublineardp.ChainEngineSequential, sublineardp.WithCache(cacheStore))
-	if _, err := base.Solve(ctx, c); err != nil {
-		t.Fatal(err)
-	}
-	over := sublineardp.MustNewChainSolver(sublineardp.ChainEngineSequential,
-		sublineardp.WithCache(cacheStore), sublineardp.WithSemiring(sublineardp.MaxPlus))
-	sol, err := over.Solve(ctx, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Cached {
-		t.Fatal("max-plus override served the min-plus entry")
-	}
-
-	// Same parameters, different window ⇒ different canonical bytes.
-	windowed := *c
-	windowed.Window = 3
-	sol, err = base.Solve(ctx, &windowed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Cached {
-		t.Fatal("windowed chain served the full-prefix entry")
-	}
-}
-
 func TestSolveChainBatch(t *testing.T) {
 	xs, ys := problems.RandomSeries(25, 4)
 	s, e, w := problems.RandomJobs(18, 6)

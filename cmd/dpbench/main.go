@@ -515,49 +515,6 @@ func crosscheck(workers int) error {
 		return fmt.Errorf("%d engine/fixture disagreements", disagreements)
 	}
 	fmt.Println("all engines agree with the sequential optimum on every fixture")
-	return crosscheckCached(ctx, fixtures, want, workers)
-}
-
-// crosscheckCached re-runs the canonicalisable fixtures twice through one
-// WithCache cache and checks the serving-layer invariants in miniature:
-// the second pass is all hits, and hit-path results equal solved-path
-// results exactly.
-func crosscheckCached(ctx context.Context, fixtures []*sublineardp.Instance, want []sublineardp.Cost, workers int) error {
-	var cached []*sublineardp.Instance
-	var cachedWant []sublineardp.Cost
-	for i, in := range fixtures {
-		if _, ok := in.Canonical(); ok {
-			cached = append(cached, in)
-			cachedWant = append(cachedWant, want[i])
-		}
-	}
-	// Capacity well above the fixture count: the LRU enforces capacity
-	// per shard, so a snug size would make the all-hits assertion below
-	// depend on the fixtures' key→shard distribution.
-	c := sublineardp.NewCache(64 * len(cached))
-	opts := []sublineardp.Option{sublineardp.WithCache(c), sublineardp.WithWorkers(workers)}
-	start := time.Now()
-	if _, err := sublineardp.SolveBatch(ctx, cached, opts...); err != nil {
-		return fmt.Errorf("cached pass 1: %w", err)
-	}
-	cold := time.Since(start)
-	start = time.Now()
-	sols, err := sublineardp.SolveBatch(ctx, cached, opts...)
-	if err != nil {
-		return fmt.Errorf("cached pass 2: %w", err)
-	}
-	warm := time.Since(start)
-	for i, sol := range sols {
-		if !sol.Cached {
-			return fmt.Errorf("cached pass 2: fixture %d missed the warm cache", i)
-		}
-		if sol.Cost() != cachedWant[i] {
-			return fmt.Errorf("cached pass 2: fixture %d cost %d, want %d", i, sol.Cost(), cachedWant[i])
-		}
-	}
-	st := c.Stats()
-	fmt.Printf("cache: %d fixtures, cold %s, warm %s (%d solves, %d hits)\n",
-		len(cached), cold.Round(time.Microsecond), warm.Round(time.Microsecond), st.Solves, st.Hits)
 	return nil
 }
 

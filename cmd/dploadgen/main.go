@@ -188,12 +188,7 @@ func buildRequest(family string, n int, seed int64, rng *rand.Rand) (*wire.Reque
 		}
 		return &wire.Request{Kind: wire.KindOBST, Alpha: alpha, Beta: beta}, nil
 	case "polygon":
-		pts := problems.RandomConvexPolygon(n, 1000, seed)
-		wpts := make([]wire.Point, len(pts))
-		for i, p := range pts {
-			wpts[i] = wire.Point{X: p.X, Y: p.Y}
-		}
-		return &wire.Request{Kind: wire.KindTriangulation, Points: wpts}, nil
+		return &wire.Request{Kind: wire.KindTriangulation, Points: problems.RandomConvexPolygon(n, 1000, seed)}, nil
 	case "worstchain":
 		// workload.WorstCaseChain, rendered as its wire request.
 		return &wire.Request{Kind: wire.KindWorstChain, Dims: workload.WorstCaseChainDims(n, seed)}, nil

@@ -26,11 +26,7 @@ import (
 // exist to prove the registry dispatches, not to solve) are exempted by
 // name here; a real engine must never be added to this map.
 var nonconformingFixtures = map[string]string{
-	"test-const":             "registry-dispatch fixture of solver_test.go; returns a constant",
-	"counting-singleflight":  "cache-instrumentation fixture of solvercache_test.go; blocks until released",
-	"counting-batch":         "cache-instrumentation fixture of solvercache_test.go; counts executions",
-	"counting-stress":        "cache-instrumentation fixture of solvercache_test.go; counts executions",
-	"counting-stress-cancel": "cache-instrumentation fixture of solvercache_test.go; blocks until released",
+	"test-const": "registry-dispatch fixture of solver_test.go; returns a constant",
 }
 
 // conformanceInstances spans every generator family: the named problems

@@ -1,7 +1,7 @@
-// Package cache provides the content-addressed solution cache under the
-// serving layer and the root WithCache solver option: canonical-instance
-// hashing, a sharded LRU, and a single-flight group that folds identical
-// in-flight computations into one.
+// Package cache provides the content-addressed response cache under the
+// serving layer (internal/serve): canonical-instance hashing, a sharded
+// LRU, and a single-flight group that folds identical in-flight
+// computations into one.
 //
 // The package is deliberately generic — it stores any value type and
 // knows nothing about instances or solutions — so it cannot create an

@@ -7,17 +7,24 @@ import (
 )
 
 // KeyCoverage mechanizes the cache-key audit three PRs ran by hand:
-// every field of the solve-affecting config struct must be hashed by a
+// every field of the solve-affecting options struct must be read by a
 // key-derivation function, or carry an explicit //lint:allow
-// keycoverage annotation stating why it cannot change the result. An
-// unkeyed result-affecting option is a wrong-answer-from-cache bug —
-// one option set silently served another's solution.
+// keycoverage annotation stating why it cannot change the cached
+// result. An unkeyed result-affecting option is a wrong-answer-from-cache
+// bug — one option set silently served another's response.
+//
+// The struct and the key functions may live in different packages (the
+// wire format declares the options, the server derives the key); field
+// identity is go/types identity, which holds across the loaded program.
 type KeyCoverage struct {
-	// PkgPath is the package holding the struct and key funcs, relative
-	// to the module root ("" = the root package itself).
+	// PkgPath is the package declaring the struct, relative to the
+	// module root ("" = the root package itself).
 	PkgPath string
-	// Struct is the config struct's type name.
+	// Struct is the options struct's type name.
 	Struct string
+	// KeyPkgPath is the package declaring the key functions, relative to
+	// the module root ("" = the root package itself).
+	KeyPkgPath string
 	// KeyFuncs are the key-derivation functions; a field referenced in
 	// any of them counts as keyed.
 	KeyFuncs []string
@@ -25,12 +32,12 @@ type KeyCoverage struct {
 
 func (*KeyCoverage) Name() string { return "keycoverage" }
 func (*KeyCoverage) Doc() string {
-	return "every solve-affecting config field must be hashed by the solve-key functions or carry an explicit exemption"
+	return "every solve-affecting options field must be read by the cache-key functions or carry an explicit exemption"
 }
 
 func (a *KeyCoverage) Run(prog *Program) []Finding {
-	pkg := prog.Pkg(a.PkgPath)
-	if pkg == nil || pkg.Types == nil {
+	pkg, keyPkg := prog.Pkg(a.PkgPath), prog.Pkg(a.KeyPkgPath)
+	if pkg == nil || pkg.Types == nil || keyPkg == nil {
 		return nil
 	}
 	obj := pkg.Types.Scope().Lookup(a.Struct)
@@ -51,7 +58,7 @@ func (a *KeyCoverage) Run(prog *Program) []Finding {
 		keyFuncs[name] = true
 	}
 	seen := 0
-	for _, file := range pkg.Files {
+	for _, file := range keyPkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || !keyFuncs[fd.Name.Name] || fd.Body == nil {
@@ -63,7 +70,7 @@ func (a *KeyCoverage) Run(prog *Program) []Finding {
 				if !ok {
 					return true
 				}
-				if s, ok := pkg.Info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+				if s, ok := keyPkg.Info.Selections[sel]; ok && s.Kind() == types.FieldVal {
 					if _, tracked := fields[s.Obj()]; tracked {
 						fields[s.Obj()] = true
 					}
@@ -73,7 +80,7 @@ func (a *KeyCoverage) Run(prog *Program) []Finding {
 		}
 	}
 	if seen == 0 {
-		return []Finding{{Check: a.Name(), Message: "none of the key functions " + strings.Join(a.KeyFuncs, "/") + " found in " + pkg.Path}}
+		return []Finding{{Check: a.Name(), Message: "none of the key functions " + strings.Join(a.KeyFuncs, "/") + " found in " + keyPkg.Path}}
 	}
 
 	var out []Finding
@@ -84,7 +91,7 @@ func (a *KeyCoverage) Run(prog *Program) []Finding {
 			continue
 		}
 		out = append(out, finding(prog, a.Name(), f.Pos(),
-			"%s.%s is not hashed by %s: a result-affecting value here is a wrong-answer-from-cache bug — hash it, or annotate why it cannot change the Solution",
+			"%s.%s is not keyed by %s: a result-affecting value here is a wrong-answer-from-cache bug — key it, or annotate why it cannot change the cached result",
 			a.Struct, f.Name(), strings.Join(a.KeyFuncs, "/")))
 	}
 	return out

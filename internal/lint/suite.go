@@ -31,7 +31,7 @@ var hotPackages = []string{
 // repository — what cmd/dplint and the tier-1 self-test run.
 func DefaultSuite() []Analyzer {
 	return []Analyzer{
-		&KeyCoverage{Struct: "Config", KeyFuncs: []string{"solveKey", "chainSolveKey"}},
+		&KeyCoverage{PkgPath: "internal/wire", Struct: "Options", KeyPkgPath: "internal/serve", KeyFuncs: []string{"optionsSig"}},
 		&CtxPoll{Packages: enginePackages},
 		&BulkOnly{Packages: enginePackages},
 		&HotAlloc{Packages: hotPackages},

@@ -52,6 +52,36 @@ func TestMaxCostBoundsDominateCostliestTree(t *testing.T) {
 		if bound := OBSTMaxCost(alpha, beta); int64(res.Cost()) > bound {
 			t.Fatalf("%s: costliest tree %d above the bound %d", obst.Name, res.Cost(), bound)
 		}
+		// Any points, convex or not: the bound only reads the spans.
+		vs := RandomConvexPolygon(n+2, 1+rng.Int63n(1e6), int64(trial))
+		if trial%2 == 1 {
+			for i := range vs {
+				vs[i] = Point{X: rng.Int63n(2e6) - 1e6, Y: rng.Int63n(2e6) - 1e6}
+			}
+		}
+		res, err = seq.SolveSemiringCtx(context.Background(), Triangulation(vs), maxPlus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bound := TriangulationMaxCost(vs); int64(res.Cost()) > bound {
+			t.Fatalf("%v: costliest triangulation %d above the bound %d", vs, res.Cost(), bound)
+		}
+		xs, ys := RandomSeries(n, int64(trial))
+		for i := range ys {
+			ys[i] *= 1 + rng.Int63n(1000)
+		}
+		penalty := rng.Int63n(5000)
+		seg, err := seq.SolveChainSemiringCtx(context.Background(), SegmentedLeastSquares(xs, ys, penalty), maxPlus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts := make([]Point, n)
+		for i := range pts {
+			pts[i] = Point{X: xs[i], Y: ys[i]}
+		}
+		if bound := SegmentedLeastSquaresMaxCost(pts, penalty); int64(seg.Cost()) > bound {
+			t.Fatalf("segls ys %v penalty %d: costliest segmentation %d above the bound %d", ys, penalty, seg.Cost(), bound)
+		}
 	}
 	// Equal dims: every parenthesisation costs (n-1)·d³, the bound.
 	if got, want := ProductChainMaxCost([]int{7, 7, 7, 7, 7}), int64(3*343); got != want {
@@ -65,6 +95,23 @@ func TestMaxCostBoundsDominateCostliestTree(t *testing.T) {
 	}
 	if got := IntervalSchedulingMaxCost([]int64{4e18, 4e18, 4e18}); got != math.MaxInt64 {
 		t.Errorf("overflowing wis bound %d, want saturation at MaxInt64", got)
+	}
+	// One triangle: three sides of at most 1024·(10+0) each.
+	if got, want := TriangulationMaxCost([]Point{{0, 0}, {5, 0}, {10, 0}}), int64(3*1024*10); got != want {
+		t.Errorf("collinear triangulation bound %d, want %d", got, want)
+	}
+	// Coordinate spans past MaxInt64 must saturate, not wrap.
+	if got := TriangulationMaxCost([]Point{{math.MinInt64, 0}, {math.MaxInt64, 0}, {0, 1}}); got != math.MaxInt64 {
+		t.Errorf("overflowing triangulation bound %d, want saturation at MaxInt64", got)
+	}
+	if got, want := SegmentedLeastSquaresMaxCost([]Point{{0, 0}, {1, 3}, {2, -4}}, 10), int64(1000*25+3*11); got != want {
+		t.Errorf("segls bound %d, want %d", got, want)
+	}
+	if got := SegmentedLeastSquaresMaxCost([]Point{{0, math.MinInt64}}, 0); got != math.MaxInt64 {
+		t.Errorf("overflowing segls bound %d, want saturation at MaxInt64", got)
+	}
+	if got := SegmentedLeastSquaresMaxCost([]Point{{0, 1}}, math.MaxInt64); got != math.MaxInt64 {
+		t.Errorf("overflowing segls penalty bound %d, want saturation at MaxInt64", got)
 	}
 }
 

@@ -10,9 +10,11 @@ import (
 )
 
 // Point is a polygon vertex. Coordinates are integers so triangulation
-// costs stay exact after scaling.
+// costs stay exact after scaling. The JSON names are the wire format's
+// (internal/wire aliases this type).
 type Point struct {
-	X, Y int64
+	X int64 `json:"x"`
+	Y int64 `json:"y"`
 }
 
 // Triangulation returns the minimum-weight convex-polygon triangulation

@@ -172,6 +172,8 @@ func TestCostOverflowIs400(t *testing.T) {
 		"error_cost_overflow_wtriangulation.json": `{"kind":"wtriangulation","weights":[3000000,3000000,3000000]}`,
 		"error_cost_overflow_obst.json":           `{"kind":"obst","alpha":[4000000000000000000,4000000000000000000],"beta":[4000000000000000000]}`,
 		"error_cost_overflow_wis.json":            `{"kind":"wis","starts":[0,10,20],"ends":[5,15,25],"weights":[4000000000000000000,4000000000000000000,4000000000000000000]}`,
+		"error_cost_overflow_triangulation.json":  `{"kind":"triangulation","points":[{"x":0,"y":0},{"x":4000000000000000000,"y":0},{"x":4000000000000000000,"y":4000000000000000000},{"x":0,"y":4000000000000000000}]}`,
+		"error_cost_overflow_segls.json":          `{"kind":"segls","points":[{"x":0,"y":0},{"x":1,"y":3000000000},{"x":2,"y":-3000000000},{"x":3,"y":3000000000}],"penalty":4000000000000000000}`,
 	} {
 		resp, got := postRaw(t, hs.URL, []byte(body))
 		if resp.StatusCode != http.StatusBadRequest {
@@ -197,6 +199,8 @@ func TestCostOverflowIs400(t *testing.T) {
 		{Kind: wire.KindMatrixChain, Dims: []int{1000000, 1000000, 1000000, 1000000}},
 		{Kind: wire.KindWTriangulation, Weights: []int64{1300000, 1300000, 1300000}},
 		{Kind: wire.KindOBST, Alpha: []int64{5e17, 5e17}, Beta: []int64{1.5e17}},
+		{Kind: wire.KindTriangulation, Points: []wire.Point{{X: 0, Y: 0}, {X: 18e13, Y: 0}, {X: 18e13, Y: 18e13}, {X: 0, Y: 18e13}}},
+		{Kind: wire.KindSegLS, Points: []wire.Point{{X: 0, Y: 0}, {X: 1, Y: 1e6}, {X: 2, Y: -1e6}, {X: 3, Y: 1e6}}, Penalty: 55e16},
 	} {
 		resp, body := postSolve(t, hs.URL, req)
 		if resp.StatusCode != http.StatusOK {
@@ -206,12 +210,22 @@ func TestCostOverflowIs400(t *testing.T) {
 		if err := json.Unmarshal(body, &wr); err != nil {
 			t.Fatal(err)
 		}
-		in, err := req.Instance()
-		if err != nil {
-			t.Fatal(err)
+		var want cost.Cost
+		if wire.IsChainKind(req.Kind) {
+			c, err := req.ChainInstance()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = seq.SolveChain(c).Cost()
+		} else {
+			in, err := req.Instance()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = seq.Solve(in).Cost()
 		}
-		if want := seq.Solve(in).Cost(); wr.Cost != int64(want) || cost.IsInf(want) {
-			t.Errorf("%s just under the bound: cost %d, seq.Solve %d", req.Kind, wr.Cost, want)
+		if wr.Cost != int64(want) || want < 0 || cost.IsInf(want) {
+			t.Errorf("%s just under the bound: cost %d, seq %d", req.Kind, wr.Cost, want)
 		}
 	}
 	// The wis twin sums to 2.1e18 < cost.Inf: the served vector must be
@@ -309,24 +323,57 @@ func TestCacheHitServedWithoutSolving(t *testing.T) {
 	}
 }
 
+// Every wire.Options field optionsSig keys (dplint's keycoverage check
+// holds the list complete) must split the cache: a request differing
+// from an already-answered one in that field alone is a fresh solve,
+// never a hit. Where the two configurations solve to the same table,
+// the digests must match too.
 func TestDifferentOptionsDoNotShareCacheEntries(t *testing.T) {
-	srv, hs := newTestServer(t, Config{})
-	base := &wire.Request{Kind: wire.KindMatrixChain, Dims: []int{8, 3, 9, 4, 7, 2, 8}}
-	banded := *base
-	banded.Options = wire.Options{Engine: "hlv-banded", BandRadius: 3}
-	_, b1 := postSolve(t, hs.URL, base)
-	_, b2 := postSolve(t, hs.URL, &banded)
-	var r1, r2 wire.Response
-	json.Unmarshal(b1, &r1)
-	json.Unmarshal(b2, &r2)
-	if r2.Cached {
-		t.Fatal("different options hit the same cache entry")
+	banded := wire.Options{Engine: "hlv-banded"}
+	blocked := wire.Options{Engine: "blocked"}
+	cases := []struct {
+		field     string
+		base      wire.Options
+		variant   func(*wire.Options)
+		sameTable bool
+	}{
+		{"engine", wire.Options{}, func(o *wire.Options) { o.Engine = "blocked" }, true},
+		{"mode", banded, func(o *wire.Options) { o.Mode = "chaotic" }, true},
+		{"termination", banded, func(o *wire.Options) { o.Termination = "w-stable" }, true},
+		{"semiring", wire.Options{}, func(o *wire.Options) { o.Semiring = "max-plus" }, false},
+		{"max_iterations", banded, func(o *wire.Options) { o.MaxIterations = 50 }, true},
+		{"band_radius", banded, func(o *wire.Options) { o.BandRadius = 3 }, true},
+		{"window", banded, func(o *wire.Options) { o.Window = true }, true},
+		{"tile_size", blocked, func(o *wire.Options) { o.TileSize = 2 }, true},
+		{"workers", blocked, func(o *wire.Options) { o.Workers = 1 }, true},
+		{"auto_cutoff", wire.Options{}, func(o *wire.Options) { o.AutoCutoff = 2 }, true},
 	}
-	if r1.TableDigest != r2.TableDigest {
-		t.Fatal("engines disagree on the table") // conformance would have caught this too
-	}
-	if m := srv.Metrics(); m.Solved != 2 || m.CacheHits != 0 {
-		t.Fatalf("metrics %+v, want 2 solved / 0 hits", m)
+	for _, tc := range cases {
+		t.Run(tc.field, func(t *testing.T) {
+			srv, hs := newTestServer(t, Config{})
+			base := &wire.Request{Kind: wire.KindMatrixChain, Dims: []int{8, 3, 9, 4, 7, 2, 8}, Options: tc.base}
+			variant := *base
+			tc.variant(&variant.Options)
+			if variant.Options == base.Options {
+				t.Fatal("the variant changes no option")
+			}
+			var r [2]wire.Response
+			for i, req := range []*wire.Request{base, &variant} {
+				resp, body := postSolve(t, hs.URL, req)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("request %d: status %d (%s)", i, resp.StatusCode, body)
+				}
+				if err := json.Unmarshal(body, &r[i]); err != nil {
+					t.Fatal(err)
+				}
+				if m := srv.Metrics(); r[i].Cached || m.Solved != int64(i+1) || m.CacheHits != 0 {
+					t.Fatalf("request %d: cached %v, metrics %+v, want a miss solved afresh", i, r[i].Cached, m)
+				}
+			}
+			if tc.sameTable && r[0].TableDigest != r[1].TableDigest {
+				t.Fatalf("table digest %s, base %s", r[1].TableDigest, r[0].TableDigest)
+			}
+		})
 	}
 }
 

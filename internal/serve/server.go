@@ -135,8 +135,8 @@ type Server struct {
 	group cache.Group[*wire.Response]
 
 	// Chain requests (wire.IsChainKind) cache and single-flight in their
-	// own store, mirroring the class split in sublineardp.Cache: the two
-	// recurrence classes can never collide on an entry.
+	// own store, so the two recurrence classes can never collide on an
+	// entry and each gets the full configured capacity.
 	clru   *cache.Sharded[*wire.Response] // nil when caching disabled
 	cgroup cache.Group[*wire.Response]
 
@@ -452,12 +452,14 @@ func renderBits(h *cache.Hasher, req *wire.Request) *cache.Hasher {
 // optionsSig renders the solving configuration of a request into the
 // string that both content-addresses it (with the instance) and groups
 // batcher tasks: tasks with equal signatures are safe to fold into one
-// SolveBatch call. splits mirrors the root solveKey's RecordSplits
-// keying: a split-recording solve carries reconstruction state a
-// non-recording one does not, so the two never share a cache entry or
-// a batch group
-// (chain requests always pass false — reconstruction there reads the
-// value vector and does not change the solve).
+// SolveBatch call. splits keys split recording: a split-recording
+// solve carries reconstruction state a non-recording one does not, so
+// the two never share a cache entry or a batch group (chain requests
+// always pass false — reconstruction there reads the value vector and
+// does not change the solve).
+//
+// Every wire.Options field must be read here or carry a keycoverage
+// exemption on its declaration; dplint enforces it.
 func optionsSig(engine string, o wire.Options, splits bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|%s|%s|%s|%d|%d|%v|%d|%d|%d|%v",

@@ -15,8 +15,8 @@ import (
 //
 //  1. the canonicalization round-trips — an instance rebuilt from its
 //     wire request canonicalises to the same bytes as the directly
-//     constructed one, so the serving cache and an in-process WithCache
-//     user address the same entry;
+//     constructed one, so a served request and the same instance built
+//     in-process address the same cache entry;
 //  2. hash equality implies solver-result equality — two instances with
 //     equal canonical hashes produce bitwise-equal sequential tables,
 //     so a cache hit can never serve a wrong solution;

@@ -71,17 +71,15 @@ func IsChainKind(kind string) bool {
 // encoded on the wire as the two-element array [i, j].
 type Span = [2]int
 
-// Point is a polygon vertex on the wire.
-type Point struct {
-	X int64 `json:"x"`
-	Y int64 `json:"y"`
-}
+// Point is a polygon vertex, or a segls data point, on the wire.
+type Point = problems.Point
 
 // Options carries the solver configuration of one request. Every field
 // is optional; the zero value means "server default". Enum fields use
 // the dpsolve CLI spellings.
 type Options struct {
 	// Engine is a registry name ("auto", "sequential", "hlv-banded", ...).
+	//lint:allow keycoverage the server resolves it first (request, then its default) and keys the result as optionsSig's engine argument
 	Engine string `json:"engine,omitempty"`
 	// Mode is "sync" or "chaotic".
 	Mode string `json:"mode,omitempty"`
@@ -106,6 +104,7 @@ type Options struct {
 	// AutoLargeCutoff is accepted and ignored, so clients that still
 	// send it keep working: such a request solves and caches exactly
 	// like its twin without the field.
+	//lint:allow keycoverage accepted and ignored: keying it would split identical solves (TestAutoLargeCutoffIsIgnored)
 	AutoLargeCutoff int `json:"auto_large_cutoff,omitempty"`
 }
 
@@ -291,6 +290,9 @@ func (r *Request) Validate(maxN int) error {
 		if len(r.Points) < 3 {
 			return fmt.Errorf("wire: triangulation needs >= 3 points, got %d", len(r.Points))
 		}
+		if err := checkMaxCost(r.Kind, "coordinates", problems.TriangulationMaxCost(r.Points)); err != nil {
+			return err
+		}
 	case KindWTriangulation:
 		if len(r.Weights) < 3 {
 			return fmt.Errorf("wire: wtriangulation needs >= 3 weights, got %d", len(r.Weights))
@@ -315,6 +317,9 @@ func (r *Request) Validate(maxN int) error {
 				return fmt.Errorf("wire: segls xs must be strictly increasing, x[%d]=%d after %d",
 					t, r.Points[t].X, r.Points[t-1].X)
 			}
+		}
+		if err := checkMaxCost(r.Kind, "ys/penalty", problems.SegmentedLeastSquaresMaxCost(r.Points, r.Penalty)); err != nil {
+			return err
 		}
 	case KindWIS:
 		if len(r.Starts) < 1 || len(r.Starts) != len(r.Ends) || len(r.Starts) != len(r.Weights) {
@@ -392,11 +397,7 @@ func (r *Request) Instance() (*recurrence.Instance, error) {
 	case KindOBST:
 		return problems.OBST(r.Alpha, r.Beta), nil
 	case KindTriangulation:
-		vs := make([]problems.Point, len(r.Points))
-		for i, p := range r.Points {
-			vs[i] = problems.Point{X: p.X, Y: p.Y}
-		}
-		return problems.Triangulation(vs), nil
+		return problems.Triangulation(r.Points), nil
 	case KindWTriangulation:
 		return problems.WeightedTriangulation(r.Weights), nil
 	}
@@ -515,7 +516,6 @@ func NewResponse(r *Request, sol *sublineardp.Solution) *Response {
 		Iterations:    sol.Iterations,
 		StoppedEarly:  sol.StoppedEarly,
 		BandRadius:    sol.BandRadius,
-		Cached:        sol.Cached,
 		ElapsedMicros: sol.Elapsed.Microseconds(),
 	}
 	if sol.Algebra != "" && sol.Algebra != "min-plus" {
@@ -554,7 +554,6 @@ func NewChainResponse(r *Request, sol *sublineardp.ChainSolution) *Response {
 		Cost:          int64(sol.Cost()),
 		TableDigest:   VectorDigest(sol.Values),
 		Iterations:    sol.Sweeps,
-		Cached:        sol.Cached,
 		ElapsedMicros: sol.Elapsed.Microseconds(),
 	}
 	if sol.Algebra != "" && sol.Algebra != "min-plus" {

@@ -109,6 +109,12 @@ func goldenCases() map[string]any {
 		"error_cost_overflow_wis.json": &ErrorBody{
 			Error: `wire: wis weights too large: the worst-case total cost must stay below 2305843009213693951`, Code: 400,
 		},
+		"error_cost_overflow_triangulation.json": &ErrorBody{
+			Error: `wire: triangulation coordinates too large: the worst-case total cost must stay below 2305843009213693951`, Code: 400,
+		},
+		"error_cost_overflow_segls.json": &ErrorBody{
+			Error: `wire: segls ys/penalty too large: the worst-case total cost must stay below 2305843009213693951`, Code: 400,
+		},
 		"request_segls.json": &Request{
 			ID:   "req-c1",
 			Kind: KindSegLS,
@@ -263,6 +269,10 @@ var costOverflowRequests = map[string]Request{
 	"error_cost_overflow_obst.json":           {Kind: KindOBST, Alpha: []int64{4e18, 4e18}, Beta: []int64{4e18}},
 	"error_cost_overflow_wis.json": {Kind: KindWIS, Starts: []int64{0, 10, 20}, Ends: []int64{5, 15, 25},
 		Weights: []int64{4e18, 4e18, 4e18}},
+	"error_cost_overflow_triangulation.json": {Kind: KindTriangulation,
+		Points: []Point{{X: 0, Y: 0}, {X: 4e18, Y: 0}, {X: 4e18, Y: 4e18}, {X: 0, Y: 4e18}}},
+	"error_cost_overflow_segls.json": {Kind: KindSegLS,
+		Points: []Point{{X: 0, Y: 0}, {X: 1, Y: 3e9}, {X: 2, Y: -3e9}, {X: 3, Y: 3e9}}, Penalty: 4e18},
 }
 
 // Validate bounds magnitudes, not just shapes: each overflow request is
@@ -298,6 +308,8 @@ var justUnderCostBound = []Request{
 	{Kind: KindWTriangulation, Weights: []int64{1300000, 1300000, 1300000}},
 	{Kind: KindOBST, Alpha: []int64{5e17, 5e17}, Beta: []int64{1.5e17}},
 	{Kind: KindWIS, Starts: []int64{0, 10, 20}, Ends: []int64{5, 15, 25}, Weights: []int64{7e17, 7e17, 7e17}},
+	{Kind: KindTriangulation, Points: []Point{{X: 0, Y: 0}, {X: 18e13, Y: 0}, {X: 18e13, Y: 18e13}, {X: 0, Y: 18e13}}},
+	{Kind: KindSegLS, Points: []Point{{X: 0, Y: 0}, {X: 1, Y: 1e6}, {X: 2, Y: -1e6}, {X: 3, Y: 1e6}}, Penalty: 55e16},
 }
 
 func TestRequestInstanceMatchesDirectConstruction(t *testing.T) {
@@ -320,7 +332,7 @@ func TestRequestInstanceMatchesDirectConstruction(t *testing.T) {
 			func() *sublineardp.Instance { return problems.WeightedTriangulation([]int64{3, 7, 2, 9}) },
 		},
 		{
-			Request{Kind: KindTriangulation, Points: []Point{{1000, 0}, {0, 1000}, {-1000, 0}, {0, -1000}}},
+			Request{Kind: KindTriangulation, Points: []Point{{X: 1000, Y: 0}, {X: 0, Y: 1000}, {X: -1000, Y: 0}, {X: 0, Y: -1000}}},
 			func() *sublineardp.Instance {
 				return problems.Triangulation([]problems.Point{
 					{X: 1000, Y: 0}, {X: 0, Y: 1000}, {X: -1000, Y: 0}, {X: 0, Y: -1000}})

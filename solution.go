@@ -73,15 +73,8 @@ type Solution struct {
 	// and the engine records them (HLV engines only).
 	History []IterStat
 
-	// Elapsed is the wall-clock duration of the solve. For a cached
-	// solution it is the time this caller waited, not the original
-	// solve's duration.
+	// Elapsed is the wall-clock duration of the solve.
 	Elapsed time.Duration
-
-	// Cached reports that the solution was served by a WithCache cache —
-	// either a resident LRU hit or a fold into an identical in-flight
-	// solve — rather than by running an engine.
-	Cached bool
 
 	// instance backs the lazy table reconstruction of Tree/Split; treeFn
 	// and splits are the O(n) recorded-split fast paths the sequential

@@ -68,39 +68,14 @@ func (s *Solver) Solve(ctx context.Context, in *Instance) (*Solution, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// WithConvexity is a contract, not a hint: fail fast here — before
-	// the cache protocol — so an ineligible instance can never be served
-	// a cached result that pretended the pruned path ran.
+	// WithConvexity is a contract, not a hint: fail fast here, before
+	// any engine runs, so an ineligible instance never reports a solve
+	// that pretended the pruned path ran.
 	if s.cfg.Convexity {
 		if err := kyGate(&s.cfg, in); err != nil {
 			return nil, err
 		}
 	}
-	// WithTarget instrumentation is excluded from caching: Target is a
-	// table pointer whose content would have to be hashed to key it
-	// correctly, and a cached ConvergedAt recorded under a different
-	// target would be silently wrong.
-	if s.cfg.Cache != nil && s.cfg.Target == nil {
-		if key, ok := solveKey(in, s.engine.Name(), &s.cfg); ok {
-			start := time.Now()
-			sol, err := s.cfg.Cache.solve(ctx, key, func(fctx context.Context) (*Solution, error) {
-				return s.solveDirect(fctx, in)
-			})
-			if err != nil {
-				return nil, err
-			}
-			if sol.Cached {
-				sol.Elapsed = time.Since(start)
-			}
-			return sol, nil
-		}
-	}
-	return s.solveDirect(ctx, in)
-}
-
-// solveDirect runs the engine unconditionally — the compute path under
-// the cache protocol and the whole path when no cache is attached.
-func (s *Solver) solveDirect(ctx context.Context, in *Instance) (*Solution, error) {
 	start := time.Now()
 	sol, err := s.engine.Solve(ctx, in, &s.cfg)
 	if err != nil {

@@ -75,7 +75,6 @@ func LookupSemiring(name string) (Semiring, bool) {
 type Config struct {
 	// Engine is the registry name to solve with ("" = "auto"). NewSolver's
 	// positional engine argument takes precedence when both are given.
-	//lint:allow keycoverage keyed as solveKey's engineName argument after NewSolver-precedence and auto-routing resolution; hashing the raw field would split identical solves
 	Engine string
 
 	// Workers is the goroutine count per solve (0 = GOMAXPROCS).
@@ -87,7 +86,6 @@ type Config struct {
 	// a-activate/a-square/a-pebble kernels onto (nil = the process-wide
 	// shared pool). SolveBatch threads one pool through every solve of a
 	// batch.
-	//lint:allow keycoverage execution plumbing: which goroutines run the kernels cannot change the table (TestSolveKeyIgnoresExecutionPlumbing)
 	Pool *Pool
 
 	// TileSize is the kernels' scheduling tile: how many (i,j) cells of
@@ -121,7 +119,6 @@ type Config struct {
 	// Target, when non-nil, is a known-correct table; iterative engines
 	// record in Solution.ConvergedAt the first iteration after which
 	// their table matches it. Never affects control flow.
-	//lint:allow keycoverage observability-only and Solver.Solve bypasses the cache entirely when Target is set (TestSolveKeyIgnoresExecutionPlumbing pins the bypass)
 	Target *Table
 
 	// Semiring overrides the algebra every engine evaluates the
@@ -131,15 +128,7 @@ type Config struct {
 
 	// Concurrency bounds how many instances SolveBatch solves at once
 	// (0 = GOMAXPROCS). Ignored by single solves.
-	//lint:allow keycoverage batch-level scheduling width: changes when solves run, never what any of them returns (TestSolveKeyIgnoresExecutionPlumbing)
 	Concurrency int
-
-	// Cache, when non-nil, is a content-addressed solution cache with
-	// single-flight dedup consulted by every Solve of canonicalisable
-	// instances (WithCache). Cached solutions are shared: treat them as
-	// read-only.
-	//lint:allow keycoverage the cache is the key's consumer, not an input: keying it would make every Cache instance its own key namespace (TestSolveKeyIgnoresExecutionPlumbing)
-	Cache *Cache
 
 	// AutoCutoff is the instance size at or below which the "auto"
 	// engine picks "sequential" instead of "blocked-pipe" (0 = the
@@ -153,7 +142,7 @@ type Config struct {
 	// routes eligible instances to "blocked-ky" at every size. Off, auto
 	// still *prefers* the pruned engine for eligible instances above the
 	// sequential cutoff — this knob turns that preference into a
-	// contract. Participates in cache keys.
+	// contract.
 	Convexity bool
 
 	// RecordSplits asks the engine to record optimal split points during
@@ -162,7 +151,7 @@ type Config struct {
 	// engine (one int32 matrix, 4·(n+1)^2 bytes, plus one compare+store
 	// per candidate — the value table stays bitwise identical); the
 	// sequential engine always records; other engines ignore it and fall
-	// back to lazy table reconstruction. Participates in cache keys.
+	// back to lazy table reconstruction.
 	RecordSplits bool
 }
 
@@ -222,21 +211,11 @@ func WithTarget(t *Table) Option { return func(c *Config) { c.Target = t } }
 // WithSemiring selects the algebra the recurrence is evaluated over —
 // honoured by every engine, from the sequential scan to the banded tiled
 // kernels (nil = the instance's declared algebra, min-plus by default).
-// The algebra participates in cache keys, so min-plus and max-plus
-// solves of the same instance never share an entry.
 func WithSemiring(sr Semiring) Option { return func(c *Config) { c.Semiring = sr } }
 
 // WithConcurrency bounds how many instances SolveBatch works on at once
 // (0 = GOMAXPROCS).
 func WithConcurrency(n int) Option { return func(c *Config) { c.Concurrency = n } }
-
-// WithCache attaches a content-addressed solution cache (NewCache) to
-// the solve: repeated solves of canonically-equal instances under the
-// same configuration are served from memory, and identical in-flight
-// solves fold into one computation. Solution.Cached reports a solve that
-// did not run an engine. Instances without a canonical encoding
-// (Instance.Canonical) bypass the cache.
-func WithCache(c *Cache) Option { return func(cfg *Config) { cfg.Cache = c } }
 
 // WithAutoCutoff sets the instance size at or below which the "auto"
 // engine (and SolveBatch's default scheduling) picks the sequential

@@ -56,12 +56,10 @@
 //	sols, err := sublineardp.SolveBatch(ctx, instances,
 //	        sublineardp.WithConcurrency(8))
 //
-// WithCache(NewCache(n)) adds a content-addressed solution cache with
-// single-flight dedup over any Solver or batch: canonicalisable
-// instances (Instance.Canonical) that repeat are served from memory and
-// identical in-flight solves run once. cmd/dpserved serves all of this
-// over HTTP/JSON (see the README's Serving section); internal/wire
-// defines the request/response format.
+// cmd/dpserved serves all of this over HTTP/JSON behind a
+// content-addressed response cache keyed by Instance.Canonical (see the
+// README's Serving section); internal/wire defines the request/response
+// format.
 //
 // The internal packages expose the full machinery: the pebbling game of
 // Section 3 (Pebble* identifiers below), PRAM accounting, termination
