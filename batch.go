@@ -13,10 +13,9 @@ import (
 
 // SolveBatch fans a slice of instances across a worker pool — the
 // building block for serving many requests at once. Scheduling is by
-// engine name (WithEngine; the default "auto" routes each instance by
-// size and convexity: small ones to the cache-friendly sequential scan,
-// large ones to blocked-pipe, or to blocked-ky when they declare
-// convexity under min-plus), and WithConcurrency bounds how many
+// engine name (WithEngine; the default "auto" routes each instance to
+// blocked-pipe, or to blocked-ky when it declares convexity under
+// min-plus and is above the cutoff), and WithConcurrency bounds how many
 // instances are in flight at once (default GOMAXPROCS). Two or more
 // instances bound for the tile engines (blocked, blocked-pipe,
 // blocked-ky) share one task graph, so their solves overlap.

@@ -20,7 +20,9 @@ func TestSolveBatchOrderStableAndComplete(t *testing.T) {
 	var ins []*sublineardp.Instance
 	var want []sublineardp.Cost
 	// Mixed sizes on both sides of the auto cutoff, in a scrambled order
-	// so scheduling cannot accidentally match slot order.
+	// so scheduling cannot accidentally match slot order. None declares
+	// convexity, so auto sends every one to blocked-pipe and the batch
+	// runs as one shared tile graph.
 	for _, n := range []int{70, 3, 24, 81, 9, 48, 66, 5, 33, 72, 12, 57} {
 		in := sublineardp.NewShaped(sublineardp.ZigzagTree(n))
 		ins = append(ins, in)
@@ -44,12 +46,8 @@ func TestSolveBatchOrderStableAndComplete(t *testing.T) {
 		if sol.N() != ins[i].N {
 			t.Errorf("slot %d: solution for n=%d, instance has n=%d", i, sol.N(), ins[i].N)
 		}
-		wantEngine := sublineardp.EngineSequential
-		if ins[i].N > sublineardp.DefaultAutoCutoff {
-			wantEngine = sublineardp.EngineBlockedPipe
-		}
-		if sol.Engine != wantEngine {
-			t.Errorf("slot %d (n=%d): engine %q, want %q", i, ins[i].N, sol.Engine, wantEngine)
+		if sol.Engine != sublineardp.EngineBlockedPipe {
+			t.Errorf("slot %d (n=%d): engine %q, want %q", i, ins[i].N, sol.Engine, sublineardp.EngineBlockedPipe)
 		}
 	}
 }

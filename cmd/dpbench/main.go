@@ -11,8 +11,6 @@
 //	dpbench -list            # list the experiment registry
 //	dpbench -crosscheck      # batch-solve fixtures on every engine
 //	dpbench -json            # write the BENCH_core.json perf baseline
-//	dpbench -calibrate       # measure the auto-routing crossover and
-//	                         # write the CALIBRATION.json machine profile
 package main
 
 import (
@@ -20,7 +18,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -29,7 +26,6 @@ import (
 	"time"
 
 	"sublineardp"
-	"sublineardp/internal/calibrate"
 	"sublineardp/internal/exper"
 	"sublineardp/internal/problems"
 	"sublineardp/internal/seq"
@@ -44,8 +40,7 @@ func main() {
 		list    = flag.Bool("list", false, "list experiments and exit")
 		cross   = flag.Bool("crosscheck", false, "batch-solve a fixture set on every registered engine and report agreement")
 		jsonOut = flag.Bool("json", false, "benchmark the core engines and write a machine-readable perf baseline")
-		calFlag = flag.Bool("calibrate", false, "probe the auto-routing crossover and best tile size on this machine and write a calibration profile")
-		outPath = flag.String("out", "BENCH_core.json", "output path for -json (and, when set explicitly, -calibrate)")
+		outPath = flag.String("out", "BENCH_core.json", "output path for -json")
 		ring    = flag.String("semiring", "", "algebra the -json core bench solves under (default min-plus)")
 	)
 	flag.Parse()
@@ -60,20 +55,6 @@ func main() {
 
 	if *jsonOut {
 		if err := benchCore(*quick, *workers, *outPath, *ring); err != nil {
-			fmt.Fprintf(os.Stderr, "dpbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *calFlag {
-		calOut := calibrate.DefaultPath
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "out" {
-				calOut = *outPath
-			}
-		})
-		if err := runCalibrate(*quick, *workers, calOut); err != nil {
 			fmt.Fprintf(os.Stderr, "dpbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -515,111 +496,5 @@ func crosscheck(workers int) error {
 		return fmt.Errorf("%d engine/fixture disagreements", disagreements)
 	}
 	fmt.Println("all engines agree with the sequential optimum on every fixture")
-	return nil
-}
-
-// runCalibrate measures the auto engine's routing crossover and the
-// blocked engines' best tile edge on this machine — the same best-of-k
-// solve timing benchCore uses, pointed at the decisions the compiled-in
-// DefaultAutoCutoff / DefaultTileSize constants hard-code — and writes
-// them as a calibration profile. Every threshold in the profile is
-// backed by the recorded probes, so the file is an auditable
-// measurement, not an opinion.
-func runCalibrate(quick bool, workers int, outPath string) error {
-	prof := &calibrate.Profile{
-		Schema:     calibrate.Schema,
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    workers,
-	}
-	ctx := context.Background()
-	const reps = 2 // best-of-2 after one warm solve
-	timeSolve := func(engine string, in *sublineardp.Instance, opts ...sublineardp.Option) (int64, error) {
-		solver, err := sublineardp.NewSolver(engine,
-			append([]sublineardp.Option{sublineardp.WithWorkers(workers)}, opts...)...)
-		if err != nil {
-			return 0, err
-		}
-		if _, err := solver.Solve(ctx, in); err != nil { // warm pool + arena
-			return 0, err
-		}
-		best := int64(math.MaxInt64)
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			if _, err := solver.Solve(ctx, in); err != nil {
-				return 0, err
-			}
-			if ns := time.Since(start).Nanoseconds(); ns < best {
-				best = ns
-			}
-		}
-		return best, nil
-	}
-
-	sizes := []int{32, 48, 64, 96, 128, 192, 256}
-	tileN, tiles := 1024, []int{32, 64, 128, 256}
-	if quick {
-		sizes = []int{16, 32, 48, 64}
-		tileN, tiles = 256, []int{32, 64, 128}
-	}
-
-	// One sweep, two engines per size: the cutoff is the largest size
-	// where the sequential scan still beats the pipelined tiles.
-	cutoff := 0
-	for _, n := range sizes {
-		in := problems.RandomMatrixChain(n, 50, 1).Materialize()
-		seqNs, err := timeSolve(sublineardp.EngineSequential, in)
-		if err != nil {
-			return err
-		}
-		pipeNs, err := timeSolve(sublineardp.EngineBlockedPipe, in)
-		if err != nil {
-			return err
-		}
-		prof.Probes = append(prof.Probes,
-			calibrate.Probe{Kind: "cutoff", Engine: sublineardp.EngineSequential, N: n, NsPerOp: seqNs},
-			calibrate.Probe{Kind: "cutoff", Engine: sublineardp.EngineBlockedPipe, N: n, NsPerOp: pipeNs})
-		if seqNs <= pipeNs {
-			cutoff = n
-		}
-		fmt.Printf("calibrate n=%-4d sequential %-12v blocked-pipe %-12v\n",
-			n, time.Duration(seqNs).Round(time.Microsecond),
-			time.Duration(pipeNs).Round(time.Microsecond))
-	}
-	if cutoff == 0 {
-		// Sequential lost even at the smallest probe: route everything
-		// at or below half that size to it anyway — probing smaller
-		// instances than this measures timer noise, not engines.
-		cutoff = sizes[0] / 2
-	}
-	prof.AutoCutoff = cutoff
-
-	// Tile probe: the pipelined engine at a size where the tile edge
-	// matters, over a spread of edges around the compiled-in default.
-	bestTile, bestNs := 0, int64(math.MaxInt64)
-	tin := problems.RandomMatrixChain(tileN, 50, 1)
-	if tileN <= maxMaterializeN {
-		tin = tin.Materialize()
-	}
-	for _, tile := range tiles {
-		ns, err := timeSolve(sublineardp.EngineBlockedPipe, tin, sublineardp.WithTileSize(tile))
-		if err != nil {
-			return err
-		}
-		prof.Probes = append(prof.Probes, calibrate.Probe{
-			Kind: "tile", Engine: sublineardp.EngineBlockedPipe, N: tileN, Tile: tile, NsPerOp: ns})
-		if ns < bestNs {
-			bestNs, bestTile = ns, tile
-		}
-		fmt.Printf("calibrate n=%-4d tile=%-4d blocked-pipe %v\n",
-			tileN, tile, time.Duration(ns).Round(time.Microsecond))
-	}
-	prof.TileSize = bestTile
-
-	if err := prof.Save(outPath); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (auto_cutoff=%d tile_size=%d, %d probes)\n",
-		outPath, prof.AutoCutoff, prof.TileSize, len(prof.Probes))
 	return nil
 }

@@ -111,7 +111,6 @@ func configFromArgs(args []string) (serve.Config, string, error) {
 		cacheCap = fs.Int("cache", 4096, "rendered-response cache entries (negative disables caching)")
 		timeout  = fs.Duration("timeout", 30*time.Second, "server-side deadline per request")
 		poolW    = fs.Int("pool", 0, "worker pool width (0 = the process-wide default pool)")
-		calPath  = fs.String("calibration", "", "machine calibration profile from `dpbench -calibrate` (\"\" = none)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return serve.Config{}, "", err
@@ -130,13 +129,6 @@ func configFromArgs(args []string) (serve.Config, string, error) {
 	}
 	if *poolW > 0 {
 		cfg.Pool = sublineardp.NewPool(*poolW)
-	}
-	if *calPath != "" {
-		prof, err := sublineardp.LoadCalibration(*calPath)
-		if err != nil {
-			return serve.Config{}, "", fmt.Errorf("-calibration: %w", err)
-		}
-		cfg.Calibration = prof
 	}
 	return cfg, *addr, nil
 }

@@ -153,11 +153,9 @@ func main() {
 
 	// The sequential reference doubles as the convergence target for the
 	// iterative engines' ConvergedAt instrumentation. It runs under the
-	// same deadline, and is skipped when the solve itself will be the
-	// sequential DP (directly, or via auto's small-instance route) — no
-	// point solving twice.
-	solvesSequentially := engineName == sublineardp.EngineSequential ||
-		(engineName == sublineardp.EngineAuto && in.N <= sublineardp.DefaultAutoCutoff)
+	// same deadline, and is skipped when the solve itself is the
+	// sequential DP — no point solving twice.
+	solvesSequentially := engineName == sublineardp.EngineSequential
 	var seqRes *seq.Result
 	if !solvesSequentially {
 		var err error

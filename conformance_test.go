@@ -445,18 +445,18 @@ func TestKnuthYaoConformanceMatrix(t *testing.T) {
 func TestConvexityRouting(t *testing.T) {
 	ctx := context.Background()
 
-	// auto on a non-convex instance keeps its size-tier choice.
+	// auto on a non-convex instance takes blocked-pipe above the cutoff.
 	chain := problems.RandomMatrixChain(100, 60, 2)
 	sol, err := sublineardp.MustNewSolver(sublineardp.EngineAuto).Solve(ctx, chain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Engine == sublineardp.EngineBlockedKY {
-		t.Fatalf("auto routed non-convex %s to the pruned engine", chain.Name)
+	if sol.Engine != sublineardp.EngineBlockedPipe {
+		t.Fatalf("auto routed non-convex %s to %q, want %q", chain.Name, sol.Engine, sublineardp.EngineBlockedPipe)
 	}
 
-	// auto on declared-convex min-plus prefers the pruned engine on both
-	// parallel tiers (mid and large), and keeps sequential below cutoff.
+	// auto on declared-convex min-plus prefers the pruned engine above
+	// the cutoff, and takes blocked-pipe at or below it.
 	for _, n := range []int{100, 300} {
 		in := problems.RandomOBST(n, 50, int64(n))
 		sol, err := sublineardp.MustNewSolver(sublineardp.EngineAuto).Solve(ctx, in)
@@ -471,8 +471,8 @@ func TestConvexityRouting(t *testing.T) {
 	if sol, err = sublineardp.MustNewSolver(sublineardp.EngineAuto).Solve(ctx, small); err != nil {
 		t.Fatal(err)
 	}
-	if sol.Engine != sublineardp.EngineSequential {
-		t.Errorf("auto below cutoff chose %q, want sequential", sol.Engine)
+	if sol.Engine != sublineardp.EngineBlockedPipe {
+		t.Errorf("auto below cutoff chose %q, want %q", sol.Engine, sublineardp.EngineBlockedPipe)
 	}
 
 	// WithConvexity forces the pruned engine at every size...

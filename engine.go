@@ -34,16 +34,16 @@ type Engine interface {
 
 // Registry names of the built-in engines.
 const (
-	// EngineAuto picks an engine per instance by size: n <= AutoCutoff
-	// goes to the sequential scan and larger instances to the
-	// blocked-pipe tile engine (O(n^2) memory, no barriers);
-	// declared-convex min-plus instances above the
-	// cutoff take the Knuth-Yao pruned engine instead. The cutoff
-	// defaults to DefaultAutoCutoff; WithCalibration installs the
-	// measured, machine-local value a `dpbench -calibrate` pass derived.
+	// EngineAuto picks a tile engine per instance: declared-convex
+	// min-plus instances above AutoCutoff (or at any size under
+	// WithConvexity) take the Knuth-Yao pruned engine, everything else
+	// the blocked-pipe engine (O(n^2) memory, no barriers), which beats
+	// the sequential scan from n = 32 up. The cutoff defaults to
+	// DefaultAutoCutoff.
 	EngineAuto = "auto"
-	// EngineSequential is the classic O(n^3) dynamic program (records
-	// split points, so Solution.Tree is O(n)).
+	// EngineSequential is the classic O(n^3) dynamic program, the oracle
+	// every other engine is checked against (records split points, so
+	// Solution.Tree is O(n)). Auto never routes to it.
 	EngineSequential = "sequential"
 	// EngineWavefront is the span-parallel linear-time baseline.
 	EngineWavefront = "wavefront"
@@ -135,7 +135,7 @@ type EngineInfo struct {
 // generic entry (their RegisterEngine call site is the authority on the
 // options they interpret).
 var builtinInfo = map[string]EngineInfo{
-	EngineAuto: {Description: "size-based selector: sequential at n <= cutoff, blocked-pipe above it (blocked-ky for declared-convex min-plus instances)",
+	EngineAuto: {Description: "selector: blocked-pipe, or blocked-ky for declared-convex min-plus instances above the cutoff",
 		Options: "WithAutoCutoff, WithConvexity, WithSemiring + the chosen engine's options"},
 	EngineSequential: {Description: "classic O(n^3) dynamic program with O(n) tree reconstruction",
 		Options: "WithSemiring"},
@@ -418,13 +418,13 @@ func kyGate(cfg *Config, in *Instance) error {
 	return nil
 }
 
-// autoEngine is the size-based meta-engine: small instances go to the
-// sequential scan, larger ones to the pipelined blocked engine — under
-// any algebra, since both targets are generic. The returned Solution
-// names the engine actually chosen. Routing is purely by size and
-// convexity: options are interpreted by the chosen engine, so the HLV
-// iteration knobs (WithTermination, WithMaxIterations, WithHistory,
-// WithTarget) never take effect here. Callers that need per-iteration
+// autoEngine is the routing meta-engine: every instance goes to a tile
+// engine — blocked-pipe under any algebra, or blocked-ky for a
+// declared-convex min-plus instance. The returned Solution names the
+// engine actually chosen. Routing is purely by size and convexity:
+// options are interpreted by the chosen engine, so the HLV iteration
+// knobs (WithTermination, WithMaxIterations, WithHistory, WithTarget)
+// never take effect here. Callers that need per-iteration
 // instrumentation should name an HLV engine explicitly.
 type autoEngine struct{}
 
@@ -434,12 +434,12 @@ func (autoEngine) Solve(ctx context.Context, in *Instance, cfg *Config) (*Soluti
 	return pickAuto(in, cfg).Solve(ctx, in, cfg)
 }
 
-// pickAuto resolves the auto engine's choice for an instance. Size sets
-// the tier; a declared-convex min-plus instance above the sequential
-// cutoff takes the Knuth-Yao pruned engine instead of the tile tier
-// (its O(n^2) work dominates), and WithConvexity(true) forces the
-// pruned engine at every size — Solve has already rejected ineligible
-// instances by then.
+// pickAuto resolves the auto engine's choice for an instance: a
+// declared-convex min-plus instance above the cutoff takes the
+// Knuth-Yao pruned engine (its O(n^2) work dominates), and
+// WithConvexity(true) forces the pruned engine at every size — Solve
+// has already rejected ineligible instances by then. Everything else
+// runs on blocked-pipe.
 func pickAuto(in *Instance, cfg *Config) Engine {
 	name := pickAutoName(in, cfg)
 	e, ok := LookupEngine(name)
@@ -454,18 +454,13 @@ func pickAuto(in *Instance, cfg *Config) Engine {
 // SolveBatch consults to group tile-destined instances into one shared
 // scheduler.
 func pickAutoName(in *Instance, cfg *Config) string {
-	n := in.N
 	cutoff := cfg.AutoCutoff
 	if cutoff <= 0 {
 		cutoff = DefaultAutoCutoff
 	}
 	kyEligible := in.Convex && algebra.ResolveName(cfg.Semiring, in.Algebra) == algebra.NameMinPlus
-	switch {
-	case kyEligible && (cfg.Convexity || n > cutoff):
+	if kyEligible && (cfg.Convexity || in.N > cutoff) {
 		return EngineBlockedKY
-	case n <= cutoff:
-		return EngineSequential
-	default:
-		return EngineBlockedPipe
 	}
+	return EngineBlockedPipe
 }

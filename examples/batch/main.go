@@ -1,9 +1,8 @@
 // Batch serving: fan a mixed stream of matrix-chain, OBST and
 // triangulation requests across the worker-pool scheduler, letting the
-// "auto" engine route each instance by size — small ones to the
-// sequential scan, large ones to the pipelined blocked engine, or to the
-// Knuth-Yao pruned one for the convex OBSTs — under one deadline, the
-// shape of a production request handler.
+// "auto" engine route each instance — to the pipelined blocked engine,
+// or to the Knuth-Yao pruned one for the convex OBSTs above the cutoff —
+// under one deadline, the shape of a production request handler.
 //
 // Run with:
 //

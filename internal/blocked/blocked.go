@@ -178,7 +178,8 @@ func Solve(in *recurrence.Instance, opt Options) *Result {
 	return res
 }
 
-// SolveCtx is Solve with cooperative cancellation, polled once per tile.
+// SolveCtx is Solve with cooperative cancellation, polled once per tile
+// and once per closure row.
 func SolveCtx(ctx context.Context, in *recurrence.Instance, opt Options) (*Result, error) {
 	ts, err := newTiles(in, opt, 1, false)
 	if err != nil {
@@ -197,8 +198,12 @@ func SolveCtx(ctx context.Context, in *recurrence.Instance, opt Options) (*Resul
 					aWork += ts.foldRowInterior(fbuf, i, I, I+d)
 				}
 			}
-			bWork += ts.closeTile(fbuf, I, I+d)
+			bWork += ts.closeTile(ctx, fbuf, I, I+d)
 		}
+	}
+	// A cancel during the last close leaves a partial table.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	ts.charge(aWork, bWork)
 	return ts.result(), nil

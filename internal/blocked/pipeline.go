@@ -253,6 +253,8 @@ func (p *pipeSolve) rowTask(g *parutil.TaskGraph, i, J int) {
 // the rest of row I to the right, the rest of column J upward. Counter
 // bookkeeping runs even for a cancelled item so a shared graph always
 // drains — cancellation abandons work, never wedges co-batched solves.
+// A close the context cut short (closeTile polls it per row) marks the
+// item failed, so its partial table is never returned.
 func (p *pipeSolve) closeTask(g *parutil.TaskGraph, I, J int) {
 	switch {
 	case p.ctx.Err() != nil:
@@ -261,8 +263,11 @@ func (p *pipeSolve) closeTask(g *parutil.TaskGraph, I, J int) {
 		p.bWork.Add(p.ts.closeTileKY(I, J))
 	default:
 		fbuf := getFbuf(p.b)
-		p.bWork.Add(p.ts.closeTile(*fbuf, I, J))
+		p.bWork.Add(p.ts.closeTile(p.ctx, *fbuf, I, J))
 		fbufPool.Put(fbuf)
+		if p.ctx.Err() != nil {
+			p.failed.Store(true)
+		}
 	}
 	nb := p.nb
 	for J2 := J + 1; J2 < nb; J2++ {

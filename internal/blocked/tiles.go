@@ -1,6 +1,7 @@
 package blocked
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -43,7 +44,7 @@ type tiles interface {
 	hi(B int) int
 	result() *Result
 	foldRowInterior(fbuf []cost.Cost, i, I, J int) int64
-	closeTile(fbuf []cost.Cost, I, J int) int64
+	closeTile(ctx context.Context, fbuf []cost.Cost, I, J int) int64
 	closeTileKY(I, J int) int64
 	charge(aWork, bWork int64)
 }
@@ -223,13 +224,17 @@ func (t *tileSolver[S]) foldRowInterior(fbuf []cost.Cost, i, I, J int) int64 {
 // the triangular DP of the block; off-diagonal tiles first fold their
 // block-I splits (the rows below, already final), then sweep the block-J
 // splits forward — the strictly interior blocks were folded in by
-// phase A.
-func (t *tileSolver[S]) closeTile(fbuf []cost.Cost, I, J int) int64 {
+// phase A. ctx is polled once per row: a cancelled close stops early
+// with a partial tile, and the caller must discard the table.
+func (t *tileSolver[S]) closeTile(ctx context.Context, fbuf []cost.Cost, I, J int) int64 {
 	i0, i1 := t.lo(I), t.hi(I)
 	j0, j1 := t.lo(J), t.hi(J)
 	var work int64
 	if I == J {
 		for i := i1 - 2; i >= i0; i-- {
+			if ctx.Err() != nil {
+				return work
+			}
 			for k := i + 1; k < j1-1; k++ {
 				m := j1 - k - 1
 				t.relaxRun(fbuf, i, k, k+1, m)
@@ -240,6 +245,9 @@ func (t *tileSolver[S]) closeTile(fbuf []cost.Cost, I, J int) int64 {
 	}
 	m := j1 - j0
 	for i := i1 - 1; i >= i0; i-- {
+		if ctx.Err() != nil {
+			return work
+		}
 		if t.fPanel != nil {
 			for k := i + 1; k < i1; k++ {
 				t.relaxRun(fbuf, i, k, j0, m)

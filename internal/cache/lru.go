@@ -7,9 +7,10 @@ import (
 )
 
 // Stats is the cache's counter snapshot. All counters are cumulative
-// since construction; they are exported verbatim on /metrics and the
-// serving tests assert arithmetic identities over them (for example
-// hits + misses == lookups).
+// since construction. Only tests read them, asserting arithmetic
+// identities over them (for example hits + misses == lookups);
+// dpserved's /metrics counts hits, misses and coalesced requests with
+// its own counters.
 type Stats struct {
 	Hits       int64 // Get found the key
 	Misses     int64 // Get did not find the key

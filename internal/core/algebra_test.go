@@ -1,10 +1,4 @@
-// Package semiring holds the cross-algebra checks of the solvers: the
-// same recurrence evaluated over min-plus, max-plus and bool-plan by the
-// sequential scan and by the paper's dense HLV iteration, each checked
-// against seq.BruteForce or against an equivalent min-plus instance.
-// The semirings themselves live in internal/algebra; this package has
-// no code of its own.
-package semiring
+package core
 
 import (
 	"math/rand"
@@ -12,50 +6,14 @@ import (
 	"testing/quick"
 
 	"sublineardp/internal/algebra"
-	"sublineardp/internal/core"
 	"sublineardp/internal/cost"
 	"sublineardp/internal/problems"
 	"sublineardp/internal/recurrence"
 	"sublineardp/internal/seq"
 )
 
-func hlvDense(in *recurrence.Instance) *core.Result {
-	return core.Solve(in, core.Options{Variant: core.Dense})
-}
-
-// Min-plus declared explicitly on the instance must agree with the
-// default (undeclared) min-plus pipeline on the same instances.
-func TestMinPlusMatchesPrimaryPipeline(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		n := 4 + int(seed)
-		primary := problems.RandomInstance(n, 40, seed)
-		declared := problems.RandomInstance(n, 40, seed)
-		declared.Algebra = algebra.NameMinPlus
-		want := seq.Solve(primary).Cost()
-		if got := seq.Solve(declared).Cost(); got != want {
-			t.Fatalf("seed %d: declared min-plus sequential %d != primary %d", seed, got, want)
-		}
-		if got := hlvDense(declared).Cost(); got != want {
-			t.Fatalf("seed %d: declared min-plus hlv-dense %d != primary %d", seed, got, want)
-		}
-	}
-}
-
-// Max-plus: the parallel iteration must converge to the brute-force
-// maximum within the Lemma 3.3 budget — the pebbling argument is
-// order-symmetric.
-func TestMaxPlusAgainstBruteForce(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		n := 3 + int(seed%6)
-		in := problems.RandomAlgebraInstance(algebra.NameMaxPlus, n, 50, seed)
-		want := seq.BruteForce(in)
-		if got := seq.Solve(in).Cost(); got != want {
-			t.Fatalf("seed %d: max-plus sequential %d != brute %d", seed, got, want)
-		}
-		if got := hlvDense(in).Cost(); got != want {
-			t.Fatalf("seed %d: max-plus hlv-dense %d != brute %d", seed, got, want)
-		}
-	}
+func hlvDense(in *recurrence.Instance) *Result {
+	return Solve(in, Options{Variant: Dense})
 }
 
 // Bool feasibility: allowed splits form a random subset; the bool-plan
@@ -103,7 +61,7 @@ func TestBoolPlanMatchesInfeasibilityOfMinPlus(t *testing.T) {
 // semiring, not just reach the answer eventually.
 func TestConvergenceWithinBudgetAllRings(t *testing.T) {
 	const n = 9
-	budget := core.DefaultIterations(n)
+	budget := DefaultIterations(n)
 	for _, alg := range []string{algebra.NameMinPlus, algebra.NameMaxPlus, algebra.NameBoolPlan} {
 		for seed := int64(0); seed < 4; seed++ {
 			in := problems.RandomAlgebraInstance(alg, n, 30, seed)

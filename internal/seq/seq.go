@@ -27,9 +27,9 @@ type Result struct {
 	zero   cost.Cost // the algebra's "no solution" value, for Tree gating
 }
 
-// Solve runs the O(n^3) dynamic program span by span, under the
-// instance's declared algebra. Ties between splits resolve to the
-// smallest k, making the reconstruction deterministic.
+// Solve runs the O(n^3) dynamic program under the instance's declared
+// algebra. Ties between splits resolve to the smallest k, making the
+// reconstruction deterministic.
 func Solve(in *recurrence.Instance) *Result {
 	res, err := SolveCtx(context.Background(), in)
 	if err != nil {
@@ -41,19 +41,17 @@ func Solve(in *recurrence.Instance) *Result {
 }
 
 // SolveCtx is Solve with cooperative cancellation: the context is checked
-// once per table cell (O(n^2) checks against O(n^3) work, so cancellation
-// is prompt even when Init/F are expensive callbacks). A cancelled or
-// expired context aborts with a nil Result and ctx.Err().
+// once per final table cell (O(n^2) checks against O(n^3) work, so
+// cancellation is prompt even when Init/F are expensive callbacks). A
+// cancelled or expired context aborts with a nil Result and ctx.Err().
 func SolveCtx(ctx context.Context, in *recurrence.Instance) (*Result, error) {
 	return SolveSemiringCtx(ctx, in, nil)
 }
 
 // SolveSemiringCtx is SolveCtx under an explicit algebra override
 // (nil = the instance's declared algebra, min-plus by default). The
-// min-plus instantiation runs a dedicated scalar loop — it is the
-// auto-engine's small-instance serving path — and is bitwise what
-// SolveCtx always computed; every other algebra runs the same sweep
-// through the semiring's operations.
+// shipped algebras run the sweep instantiated at their concrete type;
+// any other algebra runs it through the Kernel interface.
 func SolveSemiringCtx(ctx context.Context, in *recurrence.Instance, sr algebra.Semiring) (*Result, error) {
 	k, err := algebra.Resolve(sr, in.Algebra)
 	if err != nil {
@@ -67,16 +65,21 @@ func SolveSemiringCtx(ctx context.Context, in *recurrence.Instance, sr algebra.S
 		N:      n,
 		zero:   k.Zero(),
 	}
-	for i := range res.splits { //lint:allow ctxpoll O(n^2) split-matrix sentinel fill before the polled span sweep
+	for i := range res.splits { //lint:allow ctxpoll O(n^2) split-matrix sentinel fill before the polled sweep
 		res.splits[i] = -1
 	}
-	for i := 0; i < n; i++ { //lint:allow ctxpoll O(n) Init fill before the polled span sweep
+	for i := 0; i < n; i++ { //lint:allow ctxpoll O(n) Init fill before the polled sweep
 		res.Table.Set(i, i+1, in.Init(i))
 	}
-	if _, minPlus := k.(algebra.MinPlus); minPlus {
-		err = solveMinPlus(ctx, in, res)
-	} else {
-		err = solveSemiring(ctx, in, res, k)
+	switch k := k.(type) {
+	case algebra.MinPlus:
+		err = sweep(ctx, in, res, k)
+	case algebra.MaxPlus:
+		err = sweep(ctx, in, res, k)
+	case algebra.BoolPlan:
+		err = sweep(ctx, in, res, k)
+	default:
+		err = sweep[algebra.Kernel](ctx, in, res, k)
 	}
 	if err != nil {
 		return nil, err
@@ -84,56 +87,34 @@ func SolveSemiringCtx(ctx context.Context, in *recurrence.Instance, sr algebra.S
 	return res, nil
 }
 
-// solveMinPlus is the concrete min-plus sweep.
-func solveMinPlus(ctx context.Context, in *recurrence.Instance, res *Result) error {
+// sweep fills the table row by row, bottom-up. Within row i, k runs
+// ascending: cell (i,k) is final once every smaller split has been
+// folded into it, and is then forward-relaxed with row k (final, being
+// lower) into the rest of row i. So every cell still sees its
+// candidates in ascending k, and strict Better keeps the smallest k of
+// a tie.
+func sweep[K algebra.Kernel](ctx context.Context, in *recurrence.Instance, res *Result, sr K) error {
 	n := in.N
 	size := n + 1
-	for span := 2; span <= n; span++ {
-		for i := 0; i+span <= n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			j := i + span
-			best := cost.Inf
-			bestK := int32(-1)
-			for k := i + 1; k < j; k++ {
-				v := cost.Add3(in.F(i, k, j), res.Table.At(i, k), res.Table.At(k, j)) //lint:allow bulkonly concrete min-plus serving loop: in.F is a direct func-field call here, no dictionary dispatch
-				if v < best {
-					best = v
-					bestK = int32(k)
-				}
-			}
-			res.Work += int64(span - 1)
-			res.Table.Set(i, j, best)
-			res.splits[i*size+j] = bestK
+	data, zero := res.Table.Data(), sr.Zero()
+	for i := n - 2; i >= 0; i-- {
+		ri, si := data[i*size:(i+1)*size], res.splits[i*size:(i+1)*size]
+		for j := i + 2; j <= n; j++ {
+			ri[j] = zero
 		}
-	}
-	return nil
-}
-
-// solveSemiring is the same sweep over an arbitrary algebra. Better is
-// strict, so ties keep the smallest k exactly like the min-plus loop.
-func solveSemiring(ctx context.Context, in *recurrence.Instance, res *Result, sr algebra.Kernel) error {
-	n := in.N
-	size := n + 1
-	for span := 2; span <= n; span++ {
-		for i := 0; i+span <= n; i++ {
+		for k := i + 1; k < n; k++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			j := i + span
-			best := sr.Zero()
-			bestK := int32(-1)
-			for k := i + 1; k < j; k++ {
-				v := sr.Extend3(in.F(i, k, j), res.Table.At(i, k), res.Table.At(k, j)) //lint:allow bulkonly the engine-independent reference scan every bulk kernel is conformance-pinned against
-				if sr.Better(v, best) {
-					best = v
-					bestK = int32(k)
+			cik, rk := ri[k], data[k*size:(k+1)*size]
+			for j := k + 1; j <= n; j++ {
+				v := sr.Extend3(in.F(i, k, j), cik, rk[j]) //lint:allow bulkonly the engine-independent reference scan every bulk kernel is conformance-pinned against
+				if sr.Better(v, ri[j]) {
+					ri[j] = v
+					si[j] = int32(k)
 				}
 			}
-			res.Work += int64(span - 1)
-			res.Table.Set(i, j, best)
-			res.splits[i*size+j] = bestK
+			res.Work += int64(n - k)
 		}
 	}
 	return nil

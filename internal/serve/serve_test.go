@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"sublineardp"
-	"sublineardp/internal/calibrate"
 	"sublineardp/internal/cost"
 	"sublineardp/internal/problems"
 	"sublineardp/internal/seq"
@@ -377,6 +376,126 @@ func TestDifferentOptionsDoNotShareCacheEntries(t *testing.T) {
 	}
 }
 
+// Options are keyed by meaning, not spelling: a variant that only spells
+// out what its base already meant — the default mode or termination, or
+// the semiring the instance declares — answers from the base's entry.
+func TestEquivalentOptionSpellingsShareCacheEntries(t *testing.T) {
+	banded := wire.Options{Engine: "hlv-banded"}
+	dims := []int{8, 3, 9, 4, 7, 2, 8}
+	starts, ends, weights := problems.RandomJobs(20, 5)
+	cases := []struct {
+		name    string
+		base    wire.Request
+		variant func(*wire.Options)
+	}{
+		{"mode", wire.Request{Kind: wire.KindMatrixChain, Dims: dims, Options: banded},
+			func(o *wire.Options) { o.Mode = "sync" }},
+		{"termination", wire.Request{Kind: wire.KindMatrixChain, Dims: dims, Options: banded},
+			func(o *wire.Options) { o.Termination = "fixed" }},
+		{"semiring_default", wire.Request{Kind: wire.KindMatrixChain, Dims: dims},
+			func(o *wire.Options) { o.Semiring = "min-plus" }},
+		{"semiring_declared", wire.Request{Kind: wire.KindWorstChain, Dims: dims},
+			func(o *wire.Options) { o.Semiring = "max-plus" }},
+		{"semiring_declared_chain", wire.Request{Kind: wire.KindWIS, Starts: starts, Ends: ends, Weights: weights},
+			func(o *wire.Options) { o.Semiring = "max-plus" }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, hs := newTestServer(t, Config{})
+			variant := tc.base
+			tc.variant(&variant.Options)
+			if variant.Options == tc.base.Options {
+				t.Fatal("the variant changes no option")
+			}
+			var r [2]wire.Response
+			for i, req := range []*wire.Request{&tc.base, &variant} {
+				resp, body := postSolve(t, hs.URL, req)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("request %d: status %d (%s)", i, resp.StatusCode, body)
+				}
+				if err := json.Unmarshal(body, &r[i]); err != nil {
+					t.Fatal(err)
+				}
+				if m := srv.Metrics(); r[i].Cached != (i == 1) || m.Solved != 1 {
+					t.Fatalf("request %d: cached %v, metrics %+v, want one solve and then a hit", i, r[i].Cached, m)
+				}
+			}
+			if r[0].TableDigest != r[1].TableDigest {
+				t.Fatalf("table digest %s, base %s", r[1].TableDigest, r[0].TableDigest)
+			}
+		})
+	}
+}
+
+// An explicit semiring wins over the instance's declared algebra, min-plus
+// included: a worstchain (declared max-plus) solved under min-plus is the
+// plain matrix chain.
+func TestMinPlusOverrideWinsOverDeclaredAlgebra(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	dims := []int{8, 3, 9, 4, 7, 2, 8}
+	var r [2]wire.Response
+	for i, req := range []*wire.Request{
+		{Kind: wire.KindWorstChain, Dims: dims, Options: wire.Options{Semiring: "min-plus"}},
+		{Kind: wire.KindMatrixChain, Dims: dims},
+	} {
+		resp, body := postSolve(t, hs.URL, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d (%s)", i, resp.StatusCode, body)
+		}
+		if err := json.Unmarshal(body, &r[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r[0].TableDigest != r[1].TableDigest || r[0].Cost != r[1].Cost || r[0].Algebra != "" {
+		t.Fatalf("worstchain under min-plus: cost %d digest %s algebra %q, matrixchain cost %d digest %s",
+			r[0].Cost, r[0].TableDigest, r[0].Algebra, r[1].Cost, r[1].TableDigest)
+	}
+}
+
+// A request without a semiring override and one naming another
+// instance's declared algebra share a batch signature, and a batch
+// solves under its lead's options: both must still solve under their
+// own algebra. The lone first request makes the server busy, so the
+// pair collects into one batch, led by the worstchain.
+func TestBatchLeadWithoutOverrideKeepsMembersAlgebra(t *testing.T) {
+	srv, hs := newTestServer(t, Config{BatchWindow: 300 * time.Millisecond, MaxBatch: 8})
+	if resp, body := postSolve(t, hs.URL, &wire.Request{Kind: wire.KindMatrixChain, Dims: []int{2, 3, 4, 5}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%s)", resp.StatusCode, body)
+	}
+	dims := []int{8, 3, 9, 4, 7, 2, 8}
+	reqs := []*wire.Request{
+		{Kind: wire.KindWorstChain, Dims: dims},
+		{Kind: wire.KindMatrixChain, Dims: dims, Options: wire.Options{Semiring: "max-plus"}},
+	}
+	got := make([]wire.Response, len(reqs))
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, body := postSolve(t, hs.URL, req)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: status %d (%s)", i, resp.StatusCode, body)
+				return
+			}
+			if err := json.Unmarshal(body, &got[i]); err != nil {
+				t.Error(err)
+			}
+		}()
+		time.Sleep(20 * time.Millisecond) // the worstchain leads the batch
+	}
+	wg.Wait()
+	if m := srv.Metrics(); m.Batches != 2 || m.Solved != 3 {
+		t.Fatalf("metrics %+v, want the pair solved in one second batch", m)
+	}
+	for i, req := range reqs {
+		want, _ := directDigest(t, req)
+		if got[i].TableDigest != want || got[i].Algebra != "max-plus" {
+			t.Errorf("request %d: digest %s algebra %q, want %s under max-plus", i, got[i].TableDigest, got[i].Algebra, want)
+		}
+	}
+}
+
 func TestAdmissionQueueShedsWith503(t *testing.T) {
 	// QueueDepth 1 and a parked engine: the first request holds the only
 	// slot while its solve waits for release, the second is shed
@@ -513,51 +632,6 @@ func TestBatcherBurstAfterDispatchWaitsAtMostAWindow(t *testing.T) {
 	}
 	if m.Batches-1 >= burst/2 {
 		t.Fatalf("%d batches for a burst of %d: batcher not coalescing", m.Batches-1, burst)
-	}
-}
-
-// A calibration profile attached to the server (dpserved -calibration)
-// re-routes auto solves by its measured cutoff — here a profile whose
-// tiny cutoff pushes a modest request onto the pipelined tile engine the
-// defaults would never choose at that size — while a request that sets
-// the same knob explicitly keeps its own value.
-func TestCalibrationProfileRoutesAutoSolves(t *testing.T) {
-	_, hs := newTestServer(t, Config{Calibration: &sublineardp.Calibration{
-		Schema:     calibrate.Schema,
-		AutoCutoff: 4,
-		TileSize:   8,
-	}})
-	dims := make([]int, 21) // n = 20: sequential under default routing
-	for i := range dims {
-		dims[i] = (i*7)%13 + 1
-	}
-
-	resp, body := postSolve(t, hs.URL, &wire.Request{
-		ID: "cal-1", Kind: wire.KindMatrixChain, Dims: dims,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var wr wire.Response
-	if err := json.Unmarshal(body, &wr); err != nil {
-		t.Fatal(err)
-	}
-	if wr.Engine != sublineardp.EngineBlockedPipe {
-		t.Fatalf("calibrated auto solve ran %q, want %q", wr.Engine, sublineardp.EngineBlockedPipe)
-	}
-
-	resp, body = postSolve(t, hs.URL, &wire.Request{
-		ID: "cal-2", Kind: wire.KindMatrixChain, Dims: dims,
-		Options: wire.Options{AutoCutoff: 64},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &wr); err != nil {
-		t.Fatal(err)
-	}
-	if wr.Engine != sublineardp.EngineSequential {
-		t.Fatalf("explicit auto_cutoff lost to the server profile: engine %q", wr.Engine)
 	}
 }
 

@@ -21,6 +21,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -32,6 +33,7 @@ import (
 	"time"
 
 	"sublineardp"
+	"sublineardp/internal/algebra"
 	"sublineardp/internal/cache"
 	"sublineardp/internal/wire"
 )
@@ -82,11 +84,6 @@ type Config struct {
 	// Pool is the worker pool every batch dispatches onto (nil = the
 	// process-wide shared pool).
 	Pool *sublineardp.Pool
-	// Calibration, when non-nil, is the machine-local profile written by
-	// `dpbench -calibrate`: its measured auto-routing cutoffs and tile
-	// size apply to every solve, with knobs a request sets explicitly
-	// still winning (see sublineardp.WithCalibration).
-	Calibration *sublineardp.Calibration
 }
 
 func (c Config) withDefaults() Config {
@@ -308,11 +305,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if s.cfg.Calibration != nil {
-		// Fill-if-unset semantics: the machine profile supplies routing
-		// cutoffs and tile size only where the request did not.
-		opts = append(opts, sublineardp.WithCalibration(s.cfg.Calibration))
-	}
 	var in *sublineardp.Instance
 	var chain *sublineardp.Chain
 	if isChain {
@@ -458,23 +450,51 @@ func renderBits(h *cache.Hasher, req *wire.Request) *cache.Hasher {
 // always pass false — reconstruction there reads the value vector and
 // does not change the solve).
 //
+// Options are keyed by meaning, not spelling: an empty mode is "sync",
+// an empty termination "fixed", and the semiring is the one the solve
+// runs under — the override, else the instance's declared algebra
+// (declared), else min-plus.
+//
 // Every wire.Options field must be read here or carry a keycoverage
 // exemption on its declaration; dplint enforces it.
-func optionsSig(engine string, o wire.Options, splits bool) string {
+func optionsSig(engine string, o wire.Options, declared string, splits bool) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|%s|%s|%d|%d|%v|%d|%d|%d|%v",
-		engine, o.Mode, o.Termination, o.Semiring, o.MaxIterations,
+	b.Grow(64)
+	// The names go in with WriteString: boxed into Fprintf's arguments,
+	// each resolved name would cost a heap allocation on every cache hit.
+	for _, s := range [...]string{engine, cmp.Or(o.Mode, "sync"), cmp.Or(o.Termination, "fixed"),
+		algebra.ResolveName(nil, cmp.Or(o.Semiring, declared))} {
+		b.WriteString(s)
+		b.WriteByte('|')
+	}
+	fmt.Fprintf(&b, "%d|%d|%v|%d|%d|%d|%v", o.MaxIterations,
 		o.BandRadius, o.Window, o.TileSize, o.Workers, o.AutoCutoff,
 		splits)
 	return b.String()
 }
 
+// explicitSemiring names in the options the algebra a request without
+// an override solves under: its instance's declared one. optionsSig keys
+// that algebra, so such a request shares its signature with one naming
+// it, and a batch group solves under its lead's options — which must
+// then put every task of the group on that algebra.
+func explicitSemiring(opts []sublineardp.Option, o wire.Options, declared string) []sublineardp.Option {
+	if o.Semiring != "" {
+		return opts
+	}
+	if sr, ok := sublineardp.LookupSemiring(algebra.ResolveName(nil, declared)); ok {
+		opts = append(opts, sublineardp.WithSemiring(sr))
+	}
+	return opts
+}
+
 // solve runs the cache → single-flight → batcher protocol for one
 // admitted interval request and returns its rendered response.
 func (s *Server) solve(ctx context.Context, in *sublineardp.Instance, engine string, req *wire.Request, opts []sublineardp.Option) (*wire.Response, via, error) {
-	sig := optionsSig(engine, req.Options, req.ReturnSplits)
+	sig := optionsSig(engine, req.Options, in.Algebra, req.ReturnSplits)
 	key, keyed := solveKey(in, sig, req)
 	render := func(fctx context.Context) (*wire.Response, error) {
+		opts := explicitSemiring(opts, req.Options, in.Algebra)
 		r, err := s.submit(fctx, &task{in: in, engine: engine, opts: opts, sig: sig, ctx: fctx})
 		if err != nil {
 			return nil, err
@@ -500,9 +520,10 @@ func chainSolveKey(c *sublineardp.Chain, sig string, req *wire.Request) (cache.K
 func (s *Server) solveChain(ctx context.Context, c *sublineardp.Chain, engine string, req *wire.Request, opts []sublineardp.Option) (*wire.Response, via, error) {
 	// The signature prefix keeps chain tasks out of interval SolveBatch
 	// groups: runGroup dispatches a group by its head task's class.
-	sig := "chain|" + optionsSig(engine, req.Options, false)
+	sig := "chain|" + optionsSig(engine, req.Options, c.Algebra, false)
 	key, keyed := chainSolveKey(c, sig, req)
 	render := func(fctx context.Context) (*wire.Response, error) {
+		opts := explicitSemiring(opts, req.Options, c.Algebra)
 		r, err := s.submit(fctx, &task{chain: c, engine: engine, opts: opts, sig: sig, ctx: fctx})
 		if err != nil {
 			return nil, err

@@ -460,7 +460,7 @@ func (r *Request) SolverOptions() ([]sublineardp.Option, error) {
 		return nil, fmt.Errorf("wire: unknown termination %q", o.Termination)
 	}
 	switch o.Semiring {
-	case "", "min-plus":
+	case "":
 	default:
 		sr, ok := sublineardp.LookupSemiring(o.Semiring)
 		if !ok {

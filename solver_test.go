@@ -171,45 +171,51 @@ func TestAutoEngineSelectsBySize(t *testing.T) {
 	if s.EngineName() != sublineardp.EngineAuto {
 		t.Fatalf("EngineName = %q", s.EngineName())
 	}
-	// Two tiers: the sequential scan up to DefaultAutoCutoff, the
-	// barrier-free pipelined blocked engine above it — O(n^2) memory,
-	// zero wavefront barriers (Solution.Stats pins the latter), and the
-	// sequential table bit for bit.
-	for _, tc := range []struct {
-		n    int
-		want string
-	}{
-		{sublineardp.DefaultAutoCutoff, sublineardp.EngineSequential},
-		{sublineardp.DefaultAutoCutoff + 1, sublineardp.EngineBlockedPipe},
-		{128, sublineardp.EngineBlockedPipe},
-		{256, sublineardp.EngineBlockedPipe},
-	} {
-		in := problems.RandomMatrixChain(tc.n, 50, int64(tc.n))
+	// Without declared convexity every size takes the barrier-free
+	// pipelined blocked engine — O(n^2) memory, zero wavefront barriers
+	// (Solution.Stats pins the latter), and the sequential table bit for
+	// bit.
+	for _, n := range []int{1, 2, 12, sublineardp.DefaultAutoCutoff, sublineardp.DefaultAutoCutoff + 1, 128, 256} {
+		in := problems.RandomMatrixChain(n, 50, int64(n))
 		sol, err := s.Solve(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sol.Engine != tc.want {
-			t.Errorf("n=%d routed to %q, want %q", tc.n, sol.Engine, tc.want)
+		if sol.Engine != sublineardp.EngineBlockedPipe {
+			t.Errorf("n=%d routed to %q, want %q", n, sol.Engine, sublineardp.EngineBlockedPipe)
 			continue
 		}
 		if !sol.Table.Equal(seq.Solve(in).Table) {
-			t.Errorf("n=%d: %s table differs from sequential", tc.n, sol.Engine)
+			t.Errorf("n=%d: %s table differs from sequential", n, sol.Engine)
 		}
-		if tc.want == sublineardp.EngineBlockedPipe && (sol.Stats.Barriers != 0 || sol.Stats.Tasks == 0) {
-			t.Errorf("n=%d: blocked-pipe stats = %+v, want 0 barriers and non-zero tasks", tc.n, sol.Stats)
+		if sol.Stats.Barriers != 0 || sol.Stats.Tasks == 0 {
+			t.Errorf("n=%d: blocked-pipe stats = %+v, want 0 barriers and non-zero tasks", n, sol.Stats)
 		}
 	}
 
-	// A custom cutoff flips a small instance to the parallel tier.
-	small := sublineardp.NewShaped(sublineardp.CompleteTree(12))
-	tight := sublineardp.MustNewSolver(sublineardp.EngineAuto, sublineardp.WithAutoCutoff(4))
-	sol, err := tight.Solve(context.Background(), small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Engine != sublineardp.EngineBlockedPipe {
-		t.Errorf("cutoff=4: n=%d routed to %q, want blocked-pipe", small.N, sol.Engine)
+	// Size picks the tier of a declared-convex instance: blocked-pipe up
+	// to the cutoff, blocked-ky above it, and a custom cutoff moves the
+	// boundary.
+	small := problems.RandomOBST(12, 50, 3)
+	for _, tc := range []struct {
+		cutoff int
+		want   string
+	}{
+		{0, sublineardp.EngineBlockedPipe},
+		{small.N, sublineardp.EngineBlockedPipe},
+		{small.N - 1, sublineardp.EngineBlockedKY},
+		{4, sublineardp.EngineBlockedKY},
+	} {
+		sol, err := sublineardp.MustNewSolver(sublineardp.EngineAuto, sublineardp.WithAutoCutoff(tc.cutoff)).Solve(context.Background(), small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Engine != tc.want {
+			t.Errorf("cutoff=%d: convex n=%d routed to %q, want %q", tc.cutoff, small.N, sol.Engine, tc.want)
+		}
+		if !sol.Table.Equal(seq.Solve(small).Table) {
+			t.Errorf("cutoff=%d: %s table differs from sequential", tc.cutoff, sol.Engine)
+		}
 	}
 }
 

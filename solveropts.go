@@ -130,19 +130,17 @@ type Config struct {
 	// (0 = GOMAXPROCS). Ignored by single solves.
 	Concurrency int
 
-	// AutoCutoff is the instance size at or below which the "auto"
-	// engine picks "sequential" instead of "blocked-pipe" (0 = the
-	// DefaultAutoCutoff). Small instances are solved faster by the
-	// cache-friendly O(n^3) scan than by any parallel schedule.
+	// AutoCutoff is the instance size above which the "auto" engine
+	// sends a declared-convex min-plus instance to "blocked-ky" instead
+	// of "blocked-pipe" (0 = DefaultAutoCutoff).
 	AutoCutoff int
 
 	// Convexity demands the Knuth-Yao pruned path: Solve fails with
 	// ErrConvexityRequired unless the instance declares the convexity
 	// conditions (Instance.Convex) under min-plus, and the "auto" engine
 	// routes eligible instances to "blocked-ky" at every size. Off, auto
-	// still *prefers* the pruned engine for eligible instances above the
-	// sequential cutoff — this knob turns that preference into a
-	// contract.
+	// still *prefers* the pruned engine for eligible instances above
+	// AutoCutoff — this knob turns that preference into a contract.
 	Convexity bool
 
 	// RecordSplits asks the engine to record optimal split points during
@@ -155,9 +153,9 @@ type Config struct {
 	RecordSplits bool
 }
 
-// DefaultAutoCutoff is the default small-instance threshold of the
-// "auto" engine: at n <= 64 the sequential O(n^3) scan beats the
-// parallel engines' scheduling overhead on real hardware.
+// DefaultAutoCutoff is the default Knuth-Yao threshold of the "auto"
+// engine: declared-convex min-plus instances above n = 64 take the
+// pruned blocked-ky engine, smaller ones blocked-pipe.
 const DefaultAutoCutoff = 64
 
 // Option configures a Solver, a single Solve call, or a SolveBatch run.
@@ -217,9 +215,9 @@ func WithSemiring(sr Semiring) Option { return func(c *Config) { c.Semiring = sr
 // (0 = GOMAXPROCS).
 func WithConcurrency(n int) Option { return func(c *Config) { c.Concurrency = n } }
 
-// WithAutoCutoff sets the instance size at or below which the "auto"
-// engine (and SolveBatch's default scheduling) picks the sequential
-// engine (0 = DefaultAutoCutoff).
+// WithAutoCutoff sets the instance size above which the "auto" engine
+// (and SolveBatch's default scheduling) sends declared-convex min-plus
+// instances to blocked-ky (0 = DefaultAutoCutoff).
 func WithAutoCutoff(n int) Option { return func(c *Config) { c.AutoCutoff = n } }
 
 // WithConvexity demands the Knuth-Yao pruned path: the solve fails with
