@@ -321,3 +321,49 @@ func pipelineInstances() []*recurrence.Instance {
 		problems.Zigzag(19),
 	}
 }
+
+// A Zero left factor c(i,k) skips its F run before FPanel is called. On
+// the span-2 wall — every (i,i+2) banned, so every span of two or more
+// objects is infeasible — only the leaf splits k = i+1 have a non-Zero
+// left factor, so the runs evaluated cover at most one row of cells per
+// i: O(n²) F cells against the O(n³) a run per split would cost. Table
+// and splits stay bitwise those of the sequential DP.
+func TestPipelinedSkipsZeroLeftRuns(t *testing.T) {
+	const n = 200
+	var wall [][2]int
+	for i := 0; i+2 <= n; i++ {
+		wall = append(wall, [2]int{i, i + 2})
+	}
+	in := problems.ForbiddenSplits(n, wall)
+	var cells atomic.Int64
+	fPanel := in.FPanel
+	in.FPanel = func(i, k, j0 int, dst []cost.Cost) {
+		cells.Add(int64(len(dst)))
+		fPanel(i, k, j0, dst)
+	}
+	want := seq.Solve(in)
+	if want.Cost() != 0 {
+		t.Fatalf("span-2 wall is feasible: c(0,%d) = %d", n, want.Cost())
+	}
+	for _, record := range []bool{false, true} {
+		for _, tile := range []int{0, 7, 64} {
+			cells.Store(0)
+			got, err := SolvePipeCtx(context.Background(), in, Options{TileSize: tile, RecordSplits: record})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c := cells.Load(); c > (n+1)*(n+1) {
+				t.Errorf("record=%v tile=%d: %d F-run cells evaluated, want <= %d", record, tile, c, (n+1)*(n+1))
+			}
+			if !bitwiseEqual(got.Table, want.Table) {
+				t.Errorf("record=%v tile=%d: table differs: %v", record, tile, got.Table.Diff(want.Table, 3))
+			}
+			if record {
+				if i, j, ok := splitsDiffer(got, want, n); ok {
+					t.Errorf("tile=%d: split(%d,%d) = %d, sequential recorded %d",
+						tile, i, j, got.Split(i, j), want.Split(i, j))
+				}
+			}
+		}
+	}
+}

@@ -168,9 +168,13 @@ func (t *tileSolver[S]) hi(B int) int {
 // relaxRun folds split k into the m cells (i, j0..j0+m-1). With a bulk F
 // (Instance.FPanel) the f run fills in one tight loop and the
 // three-stream RelaxSplitRow consumes it; otherwise RelaxSplitPanel
-// evaluates F per candidate inside the kernel body.
+// evaluates F per candidate inside the kernel body. A Zero left factor
+// c(i,k) annihilates every candidate of the run, and every split-row
+// body returns on it without reading f, so the run is skipped before its
+// f values are computed: tables and splits are unchanged, and an
+// infeasible region (a bool-plan constraint wall) costs no F calls.
 func (t *tileSolver[S]) relaxRun(fbuf []cost.Cost, i, k, j0, m int) {
-	if m <= 0 {
+	if m <= 0 || t.sr.IsZero(t.data[i*t.stride+k]) {
 		return
 	}
 	if t.fPanel != nil {

@@ -1,8 +1,9 @@
 package problems
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sublineardp/internal/algebra"
 	"sublineardp/internal/cost"
@@ -60,6 +61,11 @@ func WorstCaseMatrixChain(dims []int) *recurrence.Instance {
 // exists. Pairs must satisfy 0 <= i < j <= n; duplicates are tolerated.
 // The forbidden list is snapshotted, sorted and deduplicated, so the
 // canonical encoding is order-independent.
+//
+// The bans are kept as a sorted list per row (4 B per pair plus 4 B per
+// row): F and Init binary-search row i, and FPanel — F does not depend
+// on k — fills its run with 1 and zeroes the row's bans inside it, one
+// binary search per run rather than a lookup per candidate.
 func ForbiddenSplits(n int, forbidden [][2]int) *recurrence.Instance {
 	if n < 1 {
 		panic(fmt.Sprintf("problems: ForbiddenSplits needs n >= 1, got %d", n))
@@ -71,25 +77,27 @@ func ForbiddenSplits(n int, forbidden [][2]int) *recurrence.Instance {
 			panic(fmt.Sprintf("problems: forbidden pair (%d,%d) outside 0 <= i < j <= %d", p[0], p[1], n))
 		}
 	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a][0] != pairs[b][0] {
-			return pairs[a][0] < pairs[b][0]
-		}
-		return pairs[a][1] < pairs[b][1]
+	slices.SortFunc(pairs, func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 	})
-	dedup := pairs[:0]
-	for i, p := range pairs {
-		if i == 0 || p != pairs[i-1] {
-			dedup = append(dedup, p)
-		}
-	}
-	pairs = dedup
-	sz := n + 1
-	banned := make(map[int]struct{}, len(pairs))
+	pairs = slices.Compact(pairs)
+	// CSR: row i's banned right ends, ascending, are
+	// ends[rowStart[i]:rowStart[i+1]].
+	rowStart := make([]int32, n+2)
+	ends := make([]int32, len(pairs))
 	flat := make([]int64, 0, 2*len(pairs))
-	for _, p := range pairs {
-		banned[p[0]*sz+p[1]] = struct{}{}
+	for t, p := range pairs {
+		rowStart[p[0]+1]++
+		ends[t] = int32(p[1])
 		flat = append(flat, int64(p[0]), int64(p[1]))
+	}
+	for i := 1; i < len(rowStart); i++ {
+		rowStart[i] += rowStart[i-1]
+	}
+	bans := func(i int) []int32 { return ends[rowStart[i]:rowStart[i+1]] }
+	banned := func(i, j int) bool {
+		_, bad := slices.BinarySearch(bans(i), int32(j))
+		return bad
 	}
 	return &recurrence.Instance{
 		N:       n,
@@ -97,24 +105,29 @@ func ForbiddenSplits(n int, forbidden [][2]int) *recurrence.Instance {
 		Algebra: algebra.NameBoolPlan,
 		Canon:   func() []byte { return canon("boolsplit", []int64{int64(n)}, flat) },
 		Init: func(i int) cost.Cost {
-			if _, bad := banned[i*sz+i+1]; bad {
+			if banned(i, i+1) {
 				return 0
 			}
 			return 1
 		},
 		F: func(i, k, j int) cost.Cost {
-			if _, bad := banned[i*sz+j]; bad {
+			if banned(i, j) {
 				return 0
 			}
 			return 1
 		},
 		FPanel: func(i, k, j0 int, dst []cost.Cost) {
 			for t := range dst {
-				if _, bad := banned[i*sz+j0+t]; bad {
-					dst[t] = 0
-				} else {
-					dst[t] = 1
+				dst[t] = 1
+			}
+			row := bans(i)
+			first, _ := slices.BinarySearch(row, int32(j0))
+			for _, j := range row[first:] {
+				t := int(j) - j0
+				if t >= len(dst) {
+					break
 				}
+				dst[t] = 0
 			}
 		},
 	}

@@ -40,6 +40,13 @@ type Instance struct {
 	// engine's panels) use it to amortise the per-candidate closure call
 	// into one tight loop. Constructors whose f has a cheap row form set
 	// it; Materialize always provides one (a flat-table copy).
+	//
+	// Cost contract: O(1) per cell, with no hashing or search per cell —
+	// the engines' work counts price each candidate's f as one step. A
+	// k-independent f is a row fill (plus, for a sparse exception list,
+	// one search per run). Engines may skip a run whose left factor
+	// c(i,k) is the algebra's Zero, so FPanel must be a pure function of
+	// its arguments, and it may be called from several goroutines at once.
 	FPanel func(i, k, j0 int, dst []cost.Cost)
 
 	// Name labels the instance in experiment tables and error messages.

@@ -133,6 +133,9 @@ func FeasibilitySpans(n int, seed int64) [][2]int {
 		}
 		return forbidden
 	}
+	if n == 2 {
+		return nil // the root is the only span of two or more objects
+	}
 	rng := rand.New(rand.NewSource(seed))
 	m := 1 + n/3
 	for len(forbidden) < m {

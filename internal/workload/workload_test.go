@@ -165,6 +165,21 @@ func TestFeasibilityPlanGenerator(t *testing.T) {
 	}
 }
 
+// Every n >= 2 samples in bounded time — at n = 2 the root is the only
+// span the random branch could ban, and it never bans the root — and
+// every sampled pair is a span of two or more objects below the root.
+func TestFeasibilitySpansSmallN(t *testing.T) {
+	for n := 2; n <= 6; n++ {
+		for seed := int64(0); seed < 8; seed++ {
+			for _, p := range FeasibilitySpans(n, seed) {
+				if p[0] < 0 || p[1] > n || p[1]-p[0] < 2 || (p[0] == 0 && p[1] == n && seed%4 != 3) {
+					t.Fatalf("n=%d seed=%d: sampled pair %v", n, seed, p)
+				}
+			}
+		}
+	}
+}
+
 // The chain families must declare their semirings, be canonicalisable
 // (servable/cacheable), validate, and agree between the sequential and
 // LLP engines.
