@@ -4,14 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
 
 	"sublineardp/internal/algebra"
 	"sublineardp/internal/llp"
-	"sublineardp/internal/parutil"
 	"sublineardp/internal/problems"
 	"sublineardp/internal/recurrence"
 	"sublineardp/internal/seq"
@@ -408,58 +406,6 @@ func (s *ChainSolver) Solve(ctx context.Context, c *Chain) (*ChainSolution, erro
 	}
 	sol.Elapsed = time.Since(start)
 	return sol, nil
-}
-
-// SolveChainBatch fans a slice of chains across a worker pool, exactly
-// as SolveBatch does for interval instances: one shared pool, per-solve
-// Workers defaulted to 1 under batch-level parallelism, order-stable
-// complete results, per-index error wrapping, cooperative cancellation.
-func SolveChainBatch(ctx context.Context, chains []*Chain, opts ...Option) ([]*ChainSolution, error) {
-	cfg := buildConfig(opts)
-	if cfg.Engine == "" {
-		cfg.Engine = ChainEngineAuto
-	}
-	workers := cfg.Concurrency
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(chains) {
-		workers = len(chains)
-	}
-	if cfg.Workers == 0 && workers > 1 {
-		cfg.Workers = 1
-	}
-	pool := cfg.Pool
-	if pool == nil {
-		pool = parutil.Default()
-		cfg.Pool = pool
-	}
-	solver, err := NewChainSolver(cfg.Engine, func(c *Config) { *c = cfg })
-	if err != nil {
-		return nil, err
-	}
-
-	out := make([]*ChainSolution, len(chains))
-	if len(chains) == 0 {
-		return out, nil
-	}
-	errs := make([]error, len(chains))
-	pool.ForChunked(workers, len(chains), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c := chains[i]
-			label := "<nil>"
-			if c != nil {
-				label = c.Name
-			}
-			sol, err := solver.Solve(ctx, c)
-			if err != nil {
-				errs[i] = fmt.Errorf("chain %d (%s): %w", i, label, err)
-				continue
-			}
-			out[i] = sol
-		}
-	})
-	return out, errors.Join(errs...)
 }
 
 // NewSegmentedLeastSquares returns the segmented least squares chain

@@ -261,36 +261,3 @@ func TestChainSolutionNilSafety(t *testing.T) {
 		t.Fatalf("vectorless max-plus solution Cost = %d, want the algebra's Zero", zero.Cost())
 	}
 }
-
-func TestSolveChainBatch(t *testing.T) {
-	xs, ys := problems.RandomSeries(25, 4)
-	s, e, w := problems.RandomJobs(18, 6)
-	chains := []*sublineardp.Chain{
-		problems.SegmentedLeastSquares(xs, ys, 300),
-		nil,
-		problems.IntervalScheduling(s, e, w),
-		problems.SubsetSum(40, []int64{3, 11}),
-	}
-	sols, err := sublineardp.SolveChainBatch(context.Background(), chains, sublineardp.WithConcurrency(3))
-	if err == nil {
-		t.Fatal("batch with a nil chain returned no error")
-	}
-	if sols[1] != nil {
-		t.Fatal("nil chain produced a solution")
-	}
-	for i, c := range chains {
-		if c == nil {
-			continue
-		}
-		if sols[i] == nil {
-			t.Fatalf("chain %d has no solution", i)
-		}
-		direct, derr := sublineardp.MustNewChainSolver("").Solve(context.Background(), c)
-		if derr != nil {
-			t.Fatal(derr)
-		}
-		if sols[i].Cost() != direct.Cost() {
-			t.Fatalf("chain %d: batch cost %d, direct %d", i, sols[i].Cost(), direct.Cost())
-		}
-	}
-}

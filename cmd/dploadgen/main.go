@@ -19,8 +19,8 @@
 //
 // The mlplarge family is the blocked-pipe tier's load: matrix chains of
 // at least n = 1024 regardless of -n, meant to run at low -distinct so
-// the server's batcher sees repeats of a few heavy instances and its
-// overlapped SolveBatch groups stay hot:
+// the server sees repeats of a few heavy instances, folded by its cache
+// and single-flight:
 //
 //	dploadgen -mix mlplarge:1 -distinct 2 -duration 30s -concurrency 4
 //
@@ -157,9 +157,8 @@ func buildRequest(family string, n int, seed int64, rng *rand.Rand) (*wire.Reque
 	case "mlplarge":
 		// The blocked-pipe tier's family: the mlp chain shape at n >= 1024
 		// no matter what -n says. Run it at low -distinct — a handful of
-		// heavy instances repeating is what fills the server's overlapped
-		// SolveBatch groups (and, warm, its cache) rather than a long tail
-		// of cold O(n^3) solves.
+		// heavy instances repeating is what the server's single-flight and,
+		// warm, its cache fold, rather than a long tail of cold O(n^3) solves.
 		big := n
 		if big < 1024 {
 			big = 1024

@@ -1,5 +1,5 @@
-// Command dpserved serves the Solver API over HTTP/JSON: a coalescing,
-// caching front end over the pooled tile-parallel runtime.
+// Command dpserved serves the Solver API over HTTP/JSON: a caching,
+// single-flight front end over the pooled tile-parallel runtime.
 //
 //	dpserved -addr :8080
 //	curl -s localhost:8080/healthz
@@ -14,11 +14,8 @@
 // are defined (and golden-tested) in internal/wire.
 //
 // The serving knobs mirror the paper's cost model the way DESIGN.md
-// describes: -queue bounds admitted work (shed beyond it), -batch-window
-// and -max-batch shape how arrival concurrency folds into SolveBatch
-// calls (dispatches at least a window apart, so a miss on a quiet server
-// goes out at once and the window caps the wait under load), -pool sizes
-// the one worker pool every batch dispatches onto.
+// describes: -queue bounds admitted work (shed beyond it), and -pool
+// sizes the one worker pool every solve dispatches onto.
 //
 // SIGINT or SIGTERM shuts the server down gracefully: requests in flight
 // get up to 10s to be answered before the process exits.
@@ -57,9 +54,8 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	log.Printf("dpserved: listening on %s (engine=%s queue=%d window=%s batch<=%d cache=%d maxn=%d semirings=%v)",
-		addr, cfg.Engine, cfg.QueueDepth, cfg.BatchWindow, cfg.MaxBatch, cfg.CacheCapacity, cfg.MaxN,
-		sublineardp.Semirings())
+	log.Printf("dpserved: listening on %s (engine=%s queue=%d cache=%d maxn=%d semirings=%v)",
+		addr, cfg.Engine, cfg.QueueDepth, cfg.CacheCapacity, cfg.MaxN, sublineardp.Semirings())
 	if err := serveUntil(ctx, srv, ln, shutdownGrace); err != nil {
 		log.Fatalf("dpserved: %v", err)
 	}
@@ -69,12 +65,11 @@ func main() {
 const shutdownGrace = 10 * time.Second
 
 // serveUntil serves srv on ln until ctx is cancelled or serving fails,
-// then shuts down gracefully: it stops accepting connections, waits up
-// to grace for in-flight requests to be answered, and only then closes
-// srv. It returns once all of that is done, so a caller that exits
-// afterwards never cuts off a response.
+// then shuts down gracefully: it stops accepting connections and waits
+// up to grace for in-flight requests to be answered. Every request is
+// answered inside its handler, so it returns only once all of that is
+// done, and a caller that exits afterwards never cuts off a response.
 func serveUntil(ctx context.Context, srv *serve.Server, ln net.Listener, grace time.Duration) error {
-	defer srv.Close()
 	hs := &http.Server{Handler: srv.Handler()}
 	served := make(chan error, 1)
 	go func() { served <- hs.Serve(ln) }()
@@ -105,9 +100,6 @@ func configFromArgs(args []string) (serve.Config, string, error) {
 		maxNH    = fs.Int("maxn-heavy", 64, "size limit for the O(n^4)-memory engines hlv-dense/rytter")
 		maxW     = fs.Int("max-workers", 256, "largest accepted per-request workers option")
 		queue    = fs.Int("queue", 256, "admission queue depth (further requests are shed with 503)")
-		window   = fs.Duration("batch-window", 2*time.Millisecond, "least time between batch dispatches: a miss on a quiet server dispatches at once, under load a batch collects up to this long")
-		maxBatch = fs.Int("max-batch", 32, "max instances per SolveBatch dispatch")
-		conc     = fs.Int("concurrency", 0, "instances solved at once per batch (0 = GOMAXPROCS)")
 		cacheCap = fs.Int("cache", 4096, "rendered-response cache entries (negative disables caching)")
 		timeout  = fs.Duration("timeout", 30*time.Second, "server-side deadline per request")
 		poolW    = fs.Int("pool", 0, "worker pool width (0 = the process-wide default pool)")
@@ -121,9 +113,6 @@ func configFromArgs(args []string) (serve.Config, string, error) {
 		MaxNHeavy:      *maxNH,
 		MaxWorkers:     *maxW,
 		QueueDepth:     *queue,
-		BatchWindow:    *window,
-		MaxBatch:       *maxBatch,
-		Concurrency:    *conc,
 		CacheCapacity:  *cacheCap,
 		RequestTimeout: *timeout,
 	}

@@ -27,8 +27,6 @@ func TestConfigFromArgs(t *testing.T) {
 		"-engine", "hlv-banded",
 		"-maxn", "512",
 		"-queue", "7",
-		"-batch-window", "5ms",
-		"-max-batch", "9",
 		"-cache", "11",
 		"-timeout", "3s",
 	})
@@ -40,8 +38,7 @@ func TestConfigFromArgs(t *testing.T) {
 	}
 	want := serve.Config{
 		Engine: "hlv-banded", MaxN: 512, MaxNHeavy: 64, MaxWorkers: 256,
-		QueueDepth: 7, BatchWindow: 5 * time.Millisecond, MaxBatch: 9,
-		CacheCapacity: 11, RequestTimeout: 3 * time.Second,
+		QueueDepth: 7, CacheCapacity: 11, RequestTimeout: 3 * time.Second,
 	}
 	if cfg != want {
 		t.Errorf("cfg = %+v, want %+v", cfg, want)
@@ -62,7 +59,6 @@ func TestServerSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 

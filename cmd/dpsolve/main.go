@@ -16,9 +16,7 @@
 //	dpsolve -problem subsetsum -n 100 -seed 3
 //	dpsolve -request req.json       # solve a dpserved wire request offline
 //
-// -engines lists the registry. The old -algo flag is kept as a
-// deprecated alias (seq|knuth|wavefront|dense|banded|rytter); "knuth"
-// resolves to the registered blocked-ky pruned engine.
+// -engines lists the registry.
 package main
 
 import (
@@ -51,7 +49,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "random seed for generated instances")
 		dims    = flag.String("dims", "", "comma-separated matrix dimensions (matrixchain only)")
 		engine  = flag.String("engine", "", "engine registry name (see -engines); default auto")
-		algo    = flag.String("algo", "", "deprecated alias for -engine: seq | knuth | wavefront | dense | banded | rytter")
 		mode    = flag.String("mode", "sync", "sync | chaotic (hlv engines only)")
 		term    = flag.String("term", "fixed", "fixed | w-stable | wpw-stable")
 		ring    = flag.String("semiring", "", "algebra override: min-plus | max-plus | bool-plan | any registered name (default: the instance's)")
@@ -92,25 +89,11 @@ func main() {
 		return
 	}
 
-	engineName, err := resolveEngine(*engine, *algo)
-	if err != nil {
-		fatal(err)
-	}
-
 	in, err := buildInstance(*problem, *n, *seed, *dims)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("instance: %s (n=%d)\n", in.Name, in.N)
-
-	// Knuth's O(n^2) speedup is a registered engine now (blocked-ky);
-	// "knuth" survives as a deprecated alias that keeps its historical
-	// min-plus-only error texts.
-	if engineName == "knuth" {
-		if engineName, err = knuthAlias(*ring, in); err != nil {
-			fatal(err)
-		}
-	}
 
 	opts := []sublineardp.Option{
 		sublineardp.WithWorkers(*workers),
@@ -155,7 +138,7 @@ func main() {
 	// iterative engines' ConvergedAt instrumentation. It runs under the
 	// same deadline, and is skipped when the solve itself is the
 	// sequential DP — no point solving twice.
-	solvesSequentially := engineName == sublineardp.EngineSequential
+	solvesSequentially := *engine == sublineardp.EngineSequential
 	var seqRes *seq.Result
 	if !solvesSequentially {
 		var err error
@@ -166,7 +149,7 @@ func main() {
 		opts = append(opts, sublineardp.WithTarget(seqRes.Table))
 	}
 
-	solver, err := sublineardp.NewSolver(engineName, opts...)
+	solver, err := sublineardp.NewSolver(*engine, opts...)
 	if err != nil {
 		fatal(err)
 	}
@@ -339,49 +322,6 @@ func runWireRequest(path string, timeout time.Duration) error {
 		return fmt.Errorf("solve aborted: %w", err)
 	}
 	return enc.Encode(wire.NewResponse(&req, sol))
-}
-
-// knuthAlias resolves the deprecated "knuth" pseudo-engine to the
-// registered Knuth-Yao pruned engine. It used to bypass the registry
-// entirely (a special-cased seq.SolveKnuth run); the pruned blocked
-// engine is the same algorithm behind the real Engine interface, so the
-// alias now only preserves the historical min-plus-only error texts
-// (pinned by main_test.go) before handing over. Eligibility beyond the
-// algebra — the instance must declare convexity — is the engine's own
-// contract and surfaces as ErrConvexityRequired.
-func knuthAlias(ring string, in *recurrence.Instance) (string, error) {
-	if ring != "" && ring != "min-plus" {
-		return "", fmt.Errorf("knuth is min-plus only (quadrangle inequality); drop -semiring %q", ring)
-	}
-	if in.Algebra != "" && in.Algebra != "min-plus" {
-		return "", fmt.Errorf("knuth is min-plus only (quadrangle inequality); instance %q declares %q", in.Name, in.Algebra)
-	}
-	return sublineardp.EngineBlockedKY, nil
-}
-
-// resolveEngine folds the deprecated -algo spelling into the registry
-// namespace. "knuth" passes through for the alias handling in main.
-func resolveEngine(engine, algo string) (string, error) {
-	if engine != "" && algo != "" {
-		return "", fmt.Errorf("use either -engine or the deprecated -algo, not both")
-	}
-	if engine != "" {
-		return engine, nil
-	}
-	switch algo {
-	case "":
-		return sublineardp.EngineAuto, nil
-	case "seq":
-		return sublineardp.EngineSequential, nil
-	case "dense":
-		return sublineardp.EngineHLVDense, nil
-	case "banded":
-		return sublineardp.EngineHLVBanded, nil
-	case "wavefront", "rytter", "knuth":
-		return algo, nil
-	default:
-		return "", fmt.Errorf("unknown -algo %q", algo)
-	}
 }
 
 // report prints the unified Solution; seqRes may be nil when the engine

@@ -1,12 +1,8 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"strings"
 	"testing"
-
-	"sublineardp"
 )
 
 func TestBuildInstanceFamilies(t *testing.T) {
@@ -57,62 +53,5 @@ func TestBuildInstanceErrors(t *testing.T) {
 	}
 	if _, err := buildInstance("matrixchain", 5, 1, "3,x,4"); err == nil {
 		t.Fatal("bad dims accepted")
-	}
-}
-
-// The deprecated "knuth" spelling must keep resolving — through -algo
-// and as an -engine name — to the registered pruned engine, with its
-// historical min-plus-only error texts intact. Scripts parse these.
-func TestKnuthAliasRoutesToPrunedEngine(t *testing.T) {
-	name, err := resolveEngine("", "knuth")
-	if err != nil || name != "knuth" {
-		t.Fatalf("resolveEngine(-algo knuth) = %q, %v", name, err)
-	}
-	if _, err := resolveEngine("blocked-ky", "knuth"); err == nil {
-		t.Fatal("-engine plus -algo must error")
-	}
-
-	obst, err := buildInstance("obst", 8, 1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := knuthAlias("", obst)
-	if err != nil {
-		t.Fatalf("knuth alias on obst: %v", err)
-	}
-	if engine != sublineardp.EngineBlockedKY {
-		t.Fatalf("knuth alias resolved to %q, want %q", engine, sublineardp.EngineBlockedKY)
-	}
-	if _, err := knuthAlias("min-plus", obst); err != nil {
-		t.Fatalf("explicit -semiring min-plus must stay allowed: %v", err)
-	}
-
-	if _, err := knuthAlias("max-plus", obst); err == nil ||
-		err.Error() != `knuth is min-plus only (quadrangle inequality); drop -semiring "max-plus"` {
-		t.Fatalf("semiring override error text changed: %v", err)
-	}
-	worst, err := buildInstance("worstchain", 6, 1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := knuthAlias("", worst); err == nil ||
-		!strings.Contains(err.Error(), "knuth is min-plus only (quadrangle inequality); instance") {
-		t.Fatalf("declared-algebra error text changed: %v", err)
-	}
-
-	// The alias hands eligibility to the engine: a min-plus instance that
-	// does not declare convexity passes the alias but fails the solve
-	// with the package sentinel.
-	chain, err := buildInstance("matrixchain", 6, 1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err = knuthAlias("", chain)
-	if err != nil {
-		t.Fatalf("alias must not pre-judge convexity: %v", err)
-	}
-	_, err = sublineardp.MustNewSolver(engine).Solve(context.Background(), chain)
-	if !errors.Is(err, sublineardp.ErrConvexityRequired) {
-		t.Fatalf("pruned engine on matrixchain: err = %v, want ErrConvexityRequired", err)
 	}
 }

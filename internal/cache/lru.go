@@ -3,21 +3,7 @@ package cache
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 )
-
-// Stats is the cache's counter snapshot. All counters are cumulative
-// since construction. Only tests read them, asserting arithmetic
-// identities over them (for example hits + misses == lookups);
-// dpserved's /metrics counts hits, misses and coalesced requests with
-// its own counters.
-type Stats struct {
-	Hits       int64 // Get found the key
-	Misses     int64 // Get did not find the key
-	Insertions int64 // Add stored a new key
-	Updates    int64 // Add overwrote an existing key
-	Evictions  int64 // an entry was dropped to respect capacity
-}
 
 // Sharded is a fixed-capacity LRU over Keys, split into independently
 // locked shards so concurrent serving traffic does not serialise on one
@@ -28,8 +14,6 @@ type Stats struct {
 // keeping eviction decisions lock-local.
 type Sharded[V any] struct {
 	shards []lruShard[V]
-
-	hits, misses, insertions, updates, evictions atomic.Int64
 }
 
 type lruShard[V any] struct {
@@ -76,11 +60,9 @@ func (c *Sharded[V]) Get(key Key) (V, bool) {
 		s.ll.MoveToFront(el)
 		v := el.Value.(*lruEntry[V]).val
 		s.mu.Unlock()
-		c.hits.Add(1)
 		return v, true
 	}
 	s.mu.Unlock()
-	c.misses.Add(1)
 	var zero V
 	return zero, false
 }
@@ -94,22 +76,15 @@ func (c *Sharded[V]) Add(key Key, v V) {
 		el.Value.(*lruEntry[V]).val = v
 		s.ll.MoveToFront(el)
 		s.mu.Unlock()
-		c.updates.Add(1)
 		return
 	}
-	evicted := false
 	if s.ll.Len() >= s.cap {
 		last := s.ll.Back()
 		s.ll.Remove(last)
 		delete(s.m, last.Value.(*lruEntry[V]).key)
-		evicted = true
 	}
 	s.m[key] = s.ll.PushFront(&lruEntry[V]{key: key, val: v})
 	s.mu.Unlock()
-	c.insertions.Add(1)
-	if evicted {
-		c.evictions.Add(1)
-	}
 }
 
 // Len returns the current number of resident entries.
@@ -122,15 +97,4 @@ func (c *Sharded[V]) Len() int {
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// Stats returns a snapshot of the cumulative counters.
-func (c *Sharded[V]) Stats() Stats {
-	return Stats{
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		Insertions: c.insertions.Load(),
-		Updates:    c.updates.Load(),
-		Evictions:  c.evictions.Load(),
-	}
 }

@@ -32,8 +32,6 @@ type metrics struct {
 	coalesced atomic.Int64 // folded into an identical in-flight solve
 	solved    atomic.Int64 // led a flight: an engine actually ran
 
-	batches       atomic.Int64 // SolveBatch calls issued by the batcher
-	batchSolves   atomic.Int64 // instances across all batches (== solved when healthy)
 	queueDepth    atomic.Int64 // currently admitted requests (gauge)
 	cacheEntries  func() int   // resident LRU entries (gauge)
 	latencyMu     sync.Mutex
@@ -81,8 +79,6 @@ func (m *metrics) write(w io.Writer) {
 	counter("dpserved_cache_hits_total", "responses served from the resident solution cache", m.cacheHits.Load())
 	counter("dpserved_coalesced_total", "requests folded into an identical in-flight solve", m.coalesced.Load())
 	counter("dpserved_solved_total", "requests that led a flight (an engine ran)", m.solved.Load())
-	counter("dpserved_batches_total", "SolveBatch calls issued by the coalescing batcher", m.batches.Load())
-	counter("dpserved_batch_instances_total", "instances solved across all batches", m.batchSolves.Load())
 	gauge("dpserved_queue_depth", "currently admitted in-flight requests", m.queueDepth.Load())
 	if m.cacheEntries != nil {
 		gauge("dpserved_cache_entries", "resident solution cache entries", int64(m.cacheEntries()))

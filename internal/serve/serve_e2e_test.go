@@ -3,8 +3,8 @@ package serve
 // End-to-end suite: a real dpserved serving stack — Server mounted on an
 // http.Server bound to a loopback listener, talked to over TCP by real
 // HTTP clients — under concurrent mixed traffic. Runs in the CI race
-// job. The three tests carry the acceptance criteria of the serving
-// layer:
+// job. The first four tests carry the acceptance criteria of the
+// serving layer:
 //
 //   - mixed matrixchain/OBST/triangulation traffic answers bitwise
 //     identically to direct Solver.Solve calls, and the coalescing /
@@ -13,8 +13,10 @@ package serve
 //     solve (single-flight), and a subsequent identical request is a
 //     cache hit served without touching the pool;
 //   - a client disconnect mid-solve propagates through single-flight
-//     refcounting and the batcher's refcounted batch context into the
-//     engine's context — the hook tile-level kernel abort hangs off.
+//     refcounting into the engine's context — the hook tile-level kernel
+//     abort hangs off;
+//   - that cancellation is per request: a sibling miss solving at the
+//     same time under the same options keeps running.
 
 import (
 	"bytes"
@@ -50,7 +52,6 @@ func startLoopback(t *testing.T, s *Server) string {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		hs.Shutdown(ctx)
-		s.Close()
 	})
 	return "http://" + ln.Addr().String()
 }
@@ -195,7 +196,7 @@ func directDigest(t *testing.T, req *wire.Request) (string, int64) {
 }
 
 func TestE2EMixedTrafficBitwiseMatchesDirectSolve(t *testing.T) {
-	srv, err := New(Config{BatchWindow: time.Millisecond, MaxBatch: 16})
+	srv, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,9 +269,6 @@ func TestE2EMixedTrafficBitwiseMatchesDirectSolve(t *testing.T) {
 	if distinct := int64(len(reqs)); m.Solved != distinct {
 		t.Fatalf("solved %d, want exactly one solve per distinct key (%d)", m.Solved, distinct)
 	}
-	if m.BatchInstances != m.Solved {
-		t.Fatalf("batch instances %d != solved %d", m.BatchInstances, m.Solved)
-	}
 	if m.QueueDepth != 0 {
 		t.Fatalf("queue depth %d after drain", m.QueueDepth)
 	}
@@ -282,7 +280,7 @@ func TestE2EMixedTrafficBitwiseMatchesDirectSolve(t *testing.T) {
 // direct Solver.Solve.
 func TestE2ESingleFlightAndCacheHit(t *testing.T) {
 	eng := registerBlockEngine(t, "e2e-block")
-	srv, err := New(Config{BatchWindow: time.Millisecond})
+	srv, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,12 +351,12 @@ func TestE2ESingleFlightAndCacheHit(t *testing.T) {
 		t.Fatalf("%d solved / %d coalesced, want 1 / %d", solved, coalesced, concurrent-1)
 	}
 	m := srv.Metrics()
-	if m.Solved != 1 || m.Coalesced != concurrent-1 || m.BatchInstances != 1 {
-		t.Fatalf("metrics %+v, want 1 solved / %d coalesced / 1 batch instance", m, concurrent-1)
+	if m.Solved != 1 || m.Coalesced != concurrent-1 {
+		t.Fatalf("metrics %+v, want 1 solved / %d coalesced", m, concurrent-1)
 	}
 
 	// One more identical request: a resident cache hit — no new engine
-	// call, no new batch instance, i.e. the pool is never touched.
+	// call, no new solve, i.e. the pool is never touched.
 	resp, err := http.Post(base+"/solve", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -378,8 +376,8 @@ func TestE2ESingleFlightAndCacheHit(t *testing.T) {
 		t.Fatal("cache hit ran the engine")
 	}
 	m = srv.Metrics()
-	if m.CacheHits != 1 || m.BatchInstances != 1 {
-		t.Fatalf("metrics after hit %+v, want 1 hit and still 1 batch instance", m)
+	if m.CacheHits != 1 || m.Solved != 1 {
+		t.Fatalf("metrics after hit %+v, want 1 hit and still 1 solve", m)
 	}
 
 	// The served table is the direct Solver.Solve result, bitwise.
@@ -395,13 +393,12 @@ func TestE2ESingleFlightAndCacheHit(t *testing.T) {
 
 // TestE2EClientDisconnectCancelsSolve proves the cancellation chain:
 // client TCP disconnect → request context → single-flight refcount
-// (last waiter gone) → batcher's refcounted batch context → SolveBatch
-// → the engine's ctx. The engine here parks on ctx.Done exactly where a
-// real kernel polls it per tile, so observing the signal is observing
-// the tile-abort hook.
+// (last waiter gone) → Solver.Solve → the engine's ctx. The engine here
+// parks on ctx.Done exactly where a real kernel polls it per tile, so
+// observing the signal is observing the tile-abort hook.
 func TestE2EClientDisconnectCancelsSolve(t *testing.T) {
 	eng := registerBlockEngine(t, "e2e-block-cancel")
-	srv, err := New(Config{BatchWindow: time.Millisecond})
+	srv, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,6 +453,106 @@ func TestE2EClientDisconnectCancelsSolve(t *testing.T) {
 	}
 }
 
+// TestE2ECancelledMissLeavesSiblingSolving pins per-request
+// cancellation: with the server busy on one parked solve, two distinct
+// misses under the same options enter the engine together, and
+// disconnecting one of them cancels that solve alone — the other stays
+// parked until released and then answers with the direct solve's table.
+func TestE2ECancelledMissLeavesSiblingSolving(t *testing.T) {
+	eng := registerBlockEngine(t, "e2e-block-sibling")
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := startLoopback(t, srv)
+	release := sync.OnceFunc(func() { close(eng.release) })
+	defer release()
+
+	post := func(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+		body, _ := json.Marshal(req)
+		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/solve", bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		resp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		var wr wire.Response
+		if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil {
+			return nil, err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return nil, fmt.Errorf("status %d", resp.StatusCode)
+		}
+		return &wr, nil
+	}
+	type result struct {
+		resp *wire.Response
+		err  error
+	}
+	start := func(ctx context.Context, dims []int) (*wire.Request, chan result) {
+		req := &wire.Request{Kind: wire.KindMatrixChain, Dims: dims,
+			Options: wire.Options{Engine: eng.name}}
+		done := make(chan result, 1)
+		go func() {
+			resp, err := post(ctx, req)
+			done <- result{resp, err}
+		}()
+		return req, done
+	}
+	awaitEntered := func(what string) {
+		t.Helper()
+		select {
+		case <-eng.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never reached the engine", what)
+		}
+	}
+
+	_, doneA := start(context.Background(), []int{2, 3, 4, 5})
+	awaitEntered("request A")
+	ctxB, cancelB := context.WithCancel(context.Background())
+	defer cancelB()
+	_, doneB := start(ctxB, []int{3, 4, 5, 6})
+	reqC, doneC := start(context.Background(), []int{4, 5, 6, 7})
+	awaitEntered("request B or C")
+	awaitEntered("request B or C")
+
+	cancelB()
+	select {
+	case <-eng.cancelled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelling B never reached its engine context")
+	}
+	if r := <-doneB; r.err == nil {
+		t.Fatal("cancelled request B got a response")
+	}
+	select {
+	case <-eng.cancelled:
+		t.Fatal("cancelling B cancelled a sibling solve too")
+	case r := <-doneC:
+		t.Fatalf("request C finished while its engine was parked: %+v", r)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	release()
+	if r := <-doneA; r.err != nil {
+		t.Fatalf("request A: %v", r.err)
+	}
+	r := <-doneC
+	if r.err != nil {
+		t.Fatalf("request C: %v", r.err)
+	}
+	if want, _ := directDigest(t, reqC); r.resp.TableDigest != want {
+		t.Fatalf("request C digest %s, direct solve %s", r.resp.TableDigest, want)
+	}
+	if n := len(eng.cancelled); n != 0 {
+		t.Fatalf("%d more engine solves cancelled, want only B's", n)
+	}
+}
+
 // TestE2EOverloadCounterIdentity drives the server into overload and
 // asserts the full counter balance: every request resolves as exactly
 // one of admitted (ok/clientGone/timeout/solveError), shed (503 from a
@@ -465,7 +562,7 @@ func TestE2EClientDisconnectCancelsSolve(t *testing.T) {
 // suite above never exercises.
 func TestE2EOverloadCounterIdentity(t *testing.T) {
 	eng := registerBlockEngine(t, "e2e-block-overload")
-	srv, err := New(Config{QueueDepth: 1, BatchWindow: time.Millisecond})
+	srv, err := New(Config{QueueDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,7 +650,7 @@ func TestE2EOverloadCounterIdentity(t *testing.T) {
 // same parameters under different algebras yield distinct TableDigests,
 // each cached under its own key, bitwise equal to direct Solver.Solve.
 func TestE2EAlgebraCacheSeparation(t *testing.T) {
-	srv, err := New(Config{BatchWindow: time.Millisecond})
+	srv, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -690,7 +787,7 @@ func directChainDigest(t *testing.T, req *wire.Request) (string, int64) {
 // interval requests occupy separate cache entries, and the counter
 // identity balances.
 func TestE2EChainRoundTrip(t *testing.T) {
-	srv, err := New(Config{BatchWindow: time.Millisecond})
+	srv, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -799,9 +896,6 @@ func TestE2EChainRoundTrip(t *testing.T) {
 	if m.Solved != int64(len(reqs))+1 {
 		t.Fatalf("solved %d, want %d", m.Solved, len(reqs)+1)
 	}
-	if m.BatchInstances != m.Solved {
-		t.Fatalf("batch instances %d != solved %d", m.BatchInstances, m.Solved)
-	}
 	if m.QueueDepth != 0 {
 		t.Fatalf("queue depth %d after drain", m.QueueDepth)
 	}
@@ -814,7 +908,7 @@ func TestE2EChainRoundTrip(t *testing.T) {
 // tree in O(n)), and return_splits participates in the cache key — a
 // plain twin of a splits-recording request is a separate entry.
 func TestE2EReconstructionRoundTrip(t *testing.T) {
-	srv, err := New(Config{BatchWindow: time.Millisecond})
+	srv, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -836,8 +930,8 @@ func TestE2EReconstructionRoundTrip(t *testing.T) {
 		return &wr
 	}
 
-	// A matrix chain big enough to route blocked-sized work through the
-	// batcher, solved with recorded splits.
+	// A matrix chain big enough for blocked-sized work, solved with
+	// recorded splits.
 	rng := rand.New(rand.NewSource(21))
 	dims := make([]int, 81)
 	for i := range dims {

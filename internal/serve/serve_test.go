@@ -29,7 +29,6 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		hs.Close()
-		s.Close()
 	})
 	return s, hs
 }
@@ -317,8 +316,8 @@ func TestCacheHitServedWithoutSolving(t *testing.T) {
 		t.Fatal("cached response differs from solved response")
 	}
 	m := srv.Metrics()
-	if m.Solved != 1 || m.CacheHits != 1 || m.BatchInstances != 1 {
-		t.Fatalf("metrics %+v, want 1 solved / 1 hit / 1 batched instance", m)
+	if m.Solved != 1 || m.CacheHits != 1 {
+		t.Fatalf("metrics %+v, want 1 solved / 1 hit", m)
 	}
 }
 
@@ -453,15 +452,10 @@ func TestMinPlusOverrideWinsOverDeclaredAlgebra(t *testing.T) {
 }
 
 // A request without a semiring override and one naming another
-// instance's declared algebra share a batch signature, and a batch
-// solves under its lead's options: both must still solve under their
-// own algebra. The lone first request makes the server busy, so the
-// pair collects into one batch, led by the worstchain.
+// instance's declared algebra share an options signature: solved side by
+// side, each must still solve under its own algebra.
 func TestBatchLeadWithoutOverrideKeepsMembersAlgebra(t *testing.T) {
-	srv, hs := newTestServer(t, Config{BatchWindow: 300 * time.Millisecond, MaxBatch: 8})
-	if resp, body := postSolve(t, hs.URL, &wire.Request{Kind: wire.KindMatrixChain, Dims: []int{2, 3, 4, 5}}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d (%s)", resp.StatusCode, body)
-	}
+	srv, hs := newTestServer(t, Config{})
 	dims := []int{8, 3, 9, 4, 7, 2, 8}
 	reqs := []*wire.Request{
 		{Kind: wire.KindWorstChain, Dims: dims},
@@ -482,11 +476,10 @@ func TestBatchLeadWithoutOverrideKeepsMembersAlgebra(t *testing.T) {
 				t.Error(err)
 			}
 		}()
-		time.Sleep(20 * time.Millisecond) // the worstchain leads the batch
 	}
 	wg.Wait()
-	if m := srv.Metrics(); m.Batches != 2 || m.Solved != 3 {
-		t.Fatalf("metrics %+v, want the pair solved in one second batch", m)
+	if m := srv.Metrics(); m.Solved != 2 {
+		t.Fatalf("metrics %+v, want the pair solved as two instances", m)
 	}
 	for i, req := range reqs {
 		want, _ := directDigest(t, req)
@@ -540,98 +533,6 @@ func TestRequestTimeoutIs504(t *testing.T) {
 	}
 	if m := srv.Metrics(); m.Timeouts != 1 {
 		t.Fatalf("metrics %+v, want 1 timeout", m)
-	}
-}
-
-func TestBatcherCoalescesAWindow(t *testing.T) {
-	// Distinct instances arriving within one long window must be folded
-	// into few SolveBatch dispatches, not one per request.
-	srv, hs := newTestServer(t, Config{BatchWindow: 150 * time.Millisecond, MaxBatch: 64})
-	const n = 12
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			req := &wire.Request{Kind: wire.KindMatrixChain,
-				Dims: []int{i + 2, i + 3, i + 4, i + 5}}
-			resp, body := postSolve(t, hs.URL, req)
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("req %d: %d %s", i, resp.StatusCode, body)
-			}
-		}(i)
-	}
-	wg.Wait()
-	m := srv.Metrics()
-	if m.Solved != n || m.BatchInstances != n {
-		t.Fatalf("metrics %+v, want %d solved instances", m, n)
-	}
-	if m.Batches >= n/2 {
-		t.Fatalf("%d batches for %d concurrent requests: batcher not coalescing", m.Batches, n)
-	}
-}
-
-// A miss on a quiet server dispatches at once: the window caps the batch
-// wait instead of adding it to every lone request.
-func TestBatcherDispatchesAtOnceWhenQuiet(t *testing.T) {
-	const window = 2 * time.Second
-	_, hs := newTestServer(t, Config{BatchWindow: window})
-	solveFast := func(dims []int) time.Time {
-		start := time.Now()
-		resp, body := postSolve(t, hs.URL, &wire.Request{Kind: wire.KindMatrixChain, Dims: dims})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d (%s), want 200", resp.StatusCode, body)
-		}
-		if d := time.Since(start); d > window/4 {
-			t.Fatalf("lone request took %v on a quiet server (window %v)", d, window)
-		}
-		return time.Now()
-	}
-	done := solveFast([]int{2, 3, 4, 5})
-	// The first batch dispatched before its response arrived, so a
-	// window after that the server is quiet again.
-	time.Sleep(time.Until(done.Add(window)))
-	solveFast([]int{3, 4, 5, 6})
-}
-
-// A burst arriving just after a dispatch waits out the rest of that
-// window, folded into one batch, and no request waits longer than it.
-func TestBatcherBurstAfterDispatchWaitsAtMostAWindow(t *testing.T) {
-	const window = 500 * time.Millisecond
-	srv, hs := newTestServer(t, Config{BatchWindow: window, MaxBatch: 64})
-	loneStart := time.Now()
-	if resp, body := postSolve(t, hs.URL, &wire.Request{Kind: wire.KindMatrixChain, Dims: []int{2, 3, 4, 5}}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d (%s), want 200", resp.StatusCode, body)
-	}
-	const burst = 8
-	var wg sync.WaitGroup
-	for i := 0; i < burst; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			start := time.Now()
-			resp, body := postSolve(t, hs.URL, &wire.Request{Kind: wire.KindMatrixChain,
-				Dims: []int{i + 3, i + 4, i + 5, i + 6}})
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("req %d: %d %s", i, resp.StatusCode, body)
-			}
-			if d := time.Since(start); d > 2*window {
-				t.Errorf("req %d waited %v, more than the %v window allows", i, d, window)
-			}
-		}(i)
-	}
-	wg.Wait()
-	// The lone request dispatched after loneStart, and the burst's batch
-	// no sooner than a window after that.
-	if d := time.Since(loneStart); d < window {
-		t.Fatalf("burst answered %v after the previous dispatch, inside one %v window", d, window)
-	}
-	m := srv.Metrics()
-	if m.Solved != burst+1 || m.BatchInstances != burst+1 {
-		t.Fatalf("metrics %+v, want %d solved instances", m, burst+1)
-	}
-	if m.Batches-1 >= burst/2 {
-		t.Fatalf("%d batches for a burst of %d: batcher not coalescing", m.Batches-1, burst)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package serve is the HTTP serving layer over the Solver API — the
-// front end cmd/dpserved mounts. One Server owns three cooperating
+// front end cmd/dpserved mounts. One Server owns two cooperating
 // mechanisms, each sized by a Config knob whose mapping onto the paper's
 // processor-count model is documented in DESIGN.md:
 //
@@ -13,11 +13,10 @@
 //     solving options and rendering bits, so a resident rendered
 //     response answers without touching the pool and identical in-flight
 //     requests fold into one solve.
-//   - a coalescing batcher: cache-missing flights are folded into
-//     SolveBatch calls on one shared pool, dispatched at least a
-//     BatchWindow apart — arrival concurrency becomes batch-level
-//     parallelism instead of goroutine oversubscription, and a miss on
-//     a quiet server dispatches at once instead of waiting a window.
+//
+// A cache miss is solved by its flight's leader, directly on the shared
+// pool, under the flight's context: only identical requests share it, so
+// abandoning one miss cancels that solve alone.
 package serve
 
 import (
@@ -28,8 +27,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sublineardp"
@@ -62,17 +59,6 @@ type Config struct {
 	// QueueDepth is the admission budget: how many requests may be past
 	// admission at once (default 256). The full queue sheds with 503.
 	QueueDepth int
-	// BatchWindow is the least time between two batch dispatches
-	// (default 2ms), and so the most a task waits in the batcher: a task
-	// reaching a quiet server, one window or more after the previous
-	// dispatch, goes out at once; under load, tasks collect until one
-	// window after the previous dispatch.
-	BatchWindow time.Duration
-	// MaxBatch caps instances per SolveBatch dispatch (default 32).
-	MaxBatch int
-	// Concurrency bounds how many instances one SolveBatch dispatch
-	// solves at once (default GOMAXPROCS, see SolveBatch).
-	Concurrency int
 	// CacheCapacity is the response LRU size in entries (default 4096;
 	// negative disables caching and single-flight entirely). Entries are
 	// rendered responses, O(n) bytes each, so residency is bounded by
@@ -81,7 +67,7 @@ type Config struct {
 	// RequestTimeout is the server-side deadline per admitted request
 	// (default 30s; negative = none).
 	RequestTimeout time.Duration
-	// Pool is the worker pool every batch dispatches onto (nil = the
+	// Pool is the worker pool every solve dispatches onto (nil = the
 	// process-wide shared pool).
 	Pool *sublineardp.Pool
 }
@@ -102,12 +88,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
-	}
 	if c.CacheCapacity == 0 {
 		c.CacheCapacity = 4096
 	}
@@ -117,8 +97,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the serving layer. Build with New, mount Handler, Close when
-// done.
+// Server is the serving layer. Build with New and mount Handler. It has
+// nothing to close: every request is answered inside its handler, so a
+// graceful http.Server.Shutdown drains it.
 type Server struct {
 	cfg Config
 	met *metrics
@@ -137,31 +118,10 @@ type Server struct {
 	clru   *cache.Sharded[*wire.Response] // nil when caching disabled
 	cgroup cache.Group[*wire.Response]
 
-	slots   chan struct{} // admission tokens; buffered to QueueDepth
-	batchCh chan *task
-
-	done    chan struct{}
-	closing atomic.Bool
-	wg      sync.WaitGroup
+	slots chan struct{} // admission tokens; buffered to QueueDepth
 }
 
-type task struct {
-	in     *sublineardp.Instance // interval instance; nil for chain tasks
-	chain  *sublineardp.Chain    // chain instance; nil for interval tasks
-	engine string
-	opts   []sublineardp.Option
-	sig    string // options signature: tasks with equal sig share a SolveBatch
-	ctx    context.Context
-	res    chan taskResult
-}
-
-type taskResult struct {
-	sol  *sublineardp.Solution
-	csol *sublineardp.ChainSolution
-	err  error
-}
-
-// New validates the configuration and starts the batcher.
+// New validates the configuration.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if _, ok := sublineardp.LookupEngine(cfg.Engine); !ok {
@@ -169,10 +129,8 @@ func New(cfg Config) (*Server, error) {
 			cfg.Engine, sublineardp.Engines())
 	}
 	s := &Server{
-		cfg:     cfg,
-		slots:   make(chan struct{}, cfg.QueueDepth),
-		batchCh: make(chan *task),
-		done:    make(chan struct{}),
+		cfg:   cfg,
+		slots: make(chan struct{}, cfg.QueueDepth),
 	}
 	if cfg.CacheCapacity > 0 {
 		s.lru = cache.New[*wire.Response](cfg.CacheCapacity, 16)
@@ -183,17 +141,7 @@ func New(cfg Config) (*Server, error) {
 		entries = func() int { return s.lru.Len() + s.clru.Len() }
 	}
 	s.met = newMetrics(entries)
-	s.wg.Add(1)
-	go s.batcher()
 	return s, nil
-}
-
-// Close stops accepting new work and waits for the batcher to drain.
-func (s *Server) Close() {
-	if s.closing.CompareAndSwap(false, true) {
-		close(s.done)
-	}
-	s.wg.Wait()
 }
 
 // Metrics returns the counter surface (for tests and embedding).
@@ -205,7 +153,6 @@ type MetricsSnapshot struct {
 	ClientGone, RejectedFull, BadRequests int64
 	Timeouts, SolveErrors                 int64
 	CacheHits, Coalesced, Solved          int64
-	Batches, BatchInstances               int64
 	QueueDepth                            int64
 }
 
@@ -217,7 +164,6 @@ func (s *Server) snapshot() MetricsSnapshot {
 		BadRequests: m.badRequests.Load(), Timeouts: m.timeouts.Load(),
 		SolveErrors: m.solveErrors.Load(), CacheHits: m.cacheHits.Load(),
 		Coalesced: m.coalesced.Load(), Solved: m.solved.Load(),
-		Batches: m.batches.Load(), BatchInstances: m.batchSolves.Load(),
 		QueueDepth: m.queueDepth.Load(),
 	}
 }
@@ -435,20 +381,17 @@ func solveKey(in *sublineardp.Instance, sig string, req *wire.Request) (cache.Ke
 // solve alike but must never answer for each other, and neither must a
 // chain return_splits request and its plain twin. (An interval
 // return_splits also changes the solve, so the signature already
-// carries it.) The batching signature leaves these bits out, so
-// requests differing only in them still share a SolveBatch.
+// carries it.)
 func renderBits(h *cache.Hasher, req *wire.Request) *cache.Hasher {
 	return h.Bool("want_tree", req.WantTree).Bool("return_splits", req.ReturnSplits)
 }
 
 // optionsSig renders the solving configuration of a request into the
-// string that both content-addresses it (with the instance) and groups
-// batcher tasks: tasks with equal signatures are safe to fold into one
-// SolveBatch call. splits keys split recording: a split-recording
-// solve carries reconstruction state a non-recording one does not, so
-// the two never share a cache entry or a batch group (chain requests
-// always pass false — reconstruction there reads the value vector and
-// does not change the solve).
+// string that content-addresses it with the instance. splits keys split
+// recording: a split-recording solve carries reconstruction state a
+// non-recording one does not, so the two never share a cache entry
+// (chain requests always pass false — reconstruction there reads the
+// value vector and does not change the solve).
 //
 // Options are keyed by meaning, not spelling: an empty mode is "sync",
 // an empty termination "fixed", and the semiring is the one the solve
@@ -473,40 +416,27 @@ func optionsSig(engine string, o wire.Options, declared string, splits bool) str
 	return b.String()
 }
 
-// explicitSemiring names in the options the algebra a request without
-// an override solves under: its instance's declared one. optionsSig keys
-// that algebra, so such a request shares its signature with one naming
-// it, and a batch group solves under its lead's options — which must
-// then put every task of the group on that algebra.
-func explicitSemiring(opts []sublineardp.Option, o wire.Options, declared string) []sublineardp.Option {
-	if o.Semiring != "" {
-		return opts
-	}
-	if sr, ok := sublineardp.LookupSemiring(algebra.ResolveName(nil, declared)); ok {
-		opts = append(opts, sublineardp.WithSemiring(sr))
-	}
-	return opts
-}
-
-// solve runs the cache → single-flight → batcher protocol for one
+// solve runs the cache → single-flight → engine protocol for one
 // admitted interval request and returns its rendered response.
 func (s *Server) solve(ctx context.Context, in *sublineardp.Instance, engine string, req *wire.Request, opts []sublineardp.Option) (*wire.Response, via, error) {
-	sig := optionsSig(engine, req.Options, in.Algebra, req.ReturnSplits)
-	key, keyed := solveKey(in, sig, req)
+	key, keyed := solveKey(in, optionsSig(engine, req.Options, in.Algebra, req.ReturnSplits), req)
 	render := func(fctx context.Context) (*wire.Response, error) {
-		opts := explicitSemiring(opts, req.Options, in.Algebra)
-		r, err := s.submit(fctx, &task{in: in, engine: engine, opts: opts, sig: sig, ctx: fctx})
+		solver, err := sublineardp.NewSolver(engine, append(opts, sublineardp.WithPool(s.cfg.Pool))...)
 		if err != nil {
 			return nil, err
 		}
-		return wire.NewResponse(req, r.sol), nil
+		sol, err := solver.Solve(fctx, in)
+		if err != nil {
+			return nil, err
+		}
+		return wire.NewResponse(req, sol), nil
 	}
 	return fromCache(ctx, s.lru, &s.group, key, keyed, render)
 }
 
-// chainSolveKey is solveKey for chain requests. The "chain|" signature
-// prefix (set by the caller) plus the chain's own canonical domain tags
-// keep chain entries disjoint from interval ones.
+// chainSolveKey is solveKey for chain requests. The "chain" tag and the
+// chain's own canonical domain tags keep chain entries disjoint from
+// interval ones.
 func chainSolveKey(c *sublineardp.Chain, sig string, req *wire.Request) (cache.Key, bool) {
 	canon, ok := c.Canonical()
 	if !ok {
@@ -515,20 +445,20 @@ func chainSolveKey(c *sublineardp.Chain, sig string, req *wire.Request) (cache.K
 	return renderBits(cache.NewHasher().Bytes("chain", canon).String("opts", sig), req).Sum(), true
 }
 
-// solveChain runs the cache → single-flight → batcher protocol for one
+// solveChain runs the cache → single-flight → engine protocol for one
 // admitted chain request, against the chain store.
 func (s *Server) solveChain(ctx context.Context, c *sublineardp.Chain, engine string, req *wire.Request, opts []sublineardp.Option) (*wire.Response, via, error) {
-	// The signature prefix keeps chain tasks out of interval SolveBatch
-	// groups: runGroup dispatches a group by its head task's class.
-	sig := "chain|" + optionsSig(engine, req.Options, c.Algebra, false)
-	key, keyed := chainSolveKey(c, sig, req)
+	key, keyed := chainSolveKey(c, optionsSig(engine, req.Options, c.Algebra, false), req)
 	render := func(fctx context.Context) (*wire.Response, error) {
-		opts := explicitSemiring(opts, req.Options, c.Algebra)
-		r, err := s.submit(fctx, &task{chain: c, engine: engine, opts: opts, sig: sig, ctx: fctx})
+		solver, err := sublineardp.NewChainSolver(engine, append(opts, sublineardp.WithPool(s.cfg.Pool))...)
 		if err != nil {
 			return nil, err
 		}
-		return wire.NewChainResponse(req, r.csol), nil
+		csol, err := solver.Solve(fctx, c)
+		if err != nil {
+			return nil, err
+		}
+		return wire.NewChainResponse(req, csol), nil
 	}
 	return fromCache(ctx, s.clru, &s.cgroup, key, keyed, render)
 }
@@ -563,181 +493,6 @@ func fromCache(ctx context.Context, lru *cache.Sharded[*wire.Response], group *c
 		return resp, viaCoalesced, nil
 	}
 	return resp, viaSolved, nil
-}
-
-// submit hands a task to the batcher and waits for its result.
-func (s *Server) submit(ctx context.Context, t *task) (taskResult, error) {
-	t.res = make(chan taskResult, 1)
-	select {
-	case s.batchCh <- t:
-	case <-ctx.Done():
-		return taskResult{}, ctx.Err()
-	case <-s.done:
-		return taskResult{}, errors.New("server shutting down")
-	}
-	select {
-	case r := <-t.res:
-		return r, r.err
-	case <-ctx.Done():
-		return taskResult{}, ctx.Err()
-	}
-}
-
-// batcher folds tasks into batches with dispatches at least one
-// BatchWindow apart. On a quiet server (the previous dispatch is a window
-// or more in the past) a task dispatches at once, taking along whatever
-// is already queued; otherwise the batch collects until a window after
-// the previous dispatch or until it is full. A burst therefore still
-// folds into few SolveBatch calls, while no task waits longer than one
-// window. Batches dispatch asynchronously so the next one can fill while
-// this one solves.
-func (s *Server) batcher() {
-	defer s.wg.Done()
-	var last time.Time // when the previous batch dispatched
-	for {
-		var first *task
-		select {
-		case first = <-s.batchCh:
-		case <-s.done:
-			return
-		}
-		batch := []*task{first}
-		if wait := time.Until(last.Add(s.cfg.BatchWindow)); wait > 0 {
-			timer := time.NewTimer(wait)
-		collect:
-			for len(batch) < s.cfg.MaxBatch {
-				select {
-				case t := <-s.batchCh:
-					batch = append(batch, t)
-				case <-timer.C:
-					break collect
-				case <-s.done:
-					break collect
-				}
-			}
-			timer.Stop()
-		} else {
-		drain:
-			for len(batch) < s.cfg.MaxBatch {
-				select {
-				case t := <-s.batchCh:
-					batch = append(batch, t)
-				default:
-					break drain
-				}
-			}
-		}
-		last = time.Now()
-		s.wg.Add(1)
-		go func(batch []*task) {
-			defer s.wg.Done()
-			s.runBatch(batch)
-		}(batch)
-	}
-}
-
-// runBatch partitions a window by options signature and dispatches one
-// SolveBatch per group on the shared pool. The batch context is
-// refcounted over the member tasks' contexts: it cancels only when every
-// member has been abandoned, which is how a client disconnect propagates
-// down to tile-level kernel abort without killing co-batched strangers.
-func (s *Server) runBatch(batch []*task) {
-	groups := make(map[string][]*task)
-	for _, t := range batch {
-		groups[t.sig] = append(groups[t.sig], t)
-	}
-	// Dispatch groups concurrently: signatures are independent solves,
-	// and serialising them would head-of-line block a window's small
-	// requests behind an unrelated large batch.
-	var gwg sync.WaitGroup
-	for _, group := range groups {
-		gwg.Add(1)
-		go func(group []*task) {
-			defer gwg.Done()
-			s.runGroup(group)
-		}(group)
-	}
-	gwg.Wait()
-}
-
-// runGroup dispatches one options-signature group as a SolveBatch (or,
-// for chain groups, SolveChainBatch) call. The "chain|" signature prefix
-// guarantees a group is homogeneous — its head task's class is the whole
-// group's class.
-func (s *Server) runGroup(group []*task) {
-	bctx, cancel := context.WithCancel(context.Background())
-	remaining := int64(len(group))
-	var pending atomic.Int64
-	pending.Store(remaining)
-	for _, t := range group {
-		go func(done <-chan struct{}) {
-			<-done
-			if pending.Add(-1) == 0 {
-				cancel()
-			}
-		}(t.ctx.Done())
-	}
-
-	lead := group[0]
-	opts := append(append([]sublineardp.Option(nil), lead.opts...),
-		sublineardp.WithEngine(lead.engine),
-		sublineardp.WithPool(s.cfg.Pool),
-		sublineardp.WithConcurrency(s.cfg.Concurrency),
-	)
-	s.met.batches.Add(1)
-	s.met.batchSolves.Add(int64(len(group)))
-
-	fail := func(t *task, err error) error {
-		terr := t.ctx.Err()
-		if terr == nil {
-			terr = bctx.Err()
-		}
-		if terr == nil {
-			if err != nil {
-				terr = err
-			} else {
-				terr = errors.New("solve produced no solution")
-			}
-		}
-		return terr
-	}
-
-	if lead.chain != nil {
-		chains := make([]*sublineardp.Chain, len(group))
-		for i, t := range group {
-			chains[i] = t.chain
-		}
-		csols, err := sublineardp.SolveChainBatch(bctx, chains, opts...)
-		if csols == nil {
-			csols = make([]*sublineardp.ChainSolution, len(group))
-		}
-		for i, t := range group {
-			if csols[i] != nil {
-				t.res <- taskResult{csol: csols[i]}
-				continue
-			}
-			t.res <- taskResult{err: fail(t, err)}
-		}
-		cancel()
-		return
-	}
-
-	instances := make([]*sublineardp.Instance, len(group))
-	for i, t := range group {
-		instances[i] = t.in
-	}
-	sols, err := sublineardp.SolveBatch(bctx, instances, opts...)
-	if sols == nil {
-		sols = make([]*sublineardp.Solution, len(group))
-	}
-	for i, t := range group {
-		if sols[i] != nil {
-			t.res <- taskResult{sol: sols[i]}
-			continue
-		}
-		t.res <- taskResult{err: fail(t, err)}
-	}
-	cancel() // the watcher normally fires it; this makes vet-visible cleanup unconditional
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
