@@ -116,44 +116,45 @@ type Kernel interface {
 	RelaxRows(dst, src []cost.Cost, m, cnt0, cntInc, s1, s1Step, d, dStep, s, sStep, stride int)
 	ReduceRelax(best cost.Cost, a, b []cost.Cost, sh ReduceShape) cost.Cost
 
-	// RelaxSplitPanel and RelaxSplitRow are the blocked engine's bulk
+	// FoldSplitPanel and FoldSplitRow are the tile engines' bulk
 	// kernels: full three-operand relaxations of recurrence (*) against a
-	// flat row-major c table (stride = row length), sweeping j-contiguous
-	// destination runs — one indirect kernel call covers a whole panel of
-	// candidates, so only the per-candidate f evaluation remains inside
-	// the loop.
+	// flat c table whose rows rows locates (cell (r,c) at
+	// rows.Org(r)+c), sweeping j-contiguous destination runs — one
+	// indirect kernel call covers a whole panel of candidates, so only
+	// the per-candidate f evaluation remains inside the loop.
 	//
-	// RelaxSplitPanel accumulates one split run [ka,kb) into one output
-	// row, evaluating f through the instance callback per candidate: for
-	// every k in the run with a present tab[i*stride+k],
+	// FoldSplitPanel accumulates one split run [ka,kb) into one output
+	// row, evaluating f through the instance callback per candidate:
+	// writing c(r,c) for tab[rows.Org(r)+c], for every k in the run with
+	// a present c(i,k),
 	//
-	//	tab[i*stride+j] ⊕= f(i,k,j) ⊗ tab[i*stride+k] ⊗ tab[k*stride+j]
+	//	c(i,j) ⊕= f(i,k,j) ⊗ c(i,k) ⊗ c(k,j)
 	//
 	// for the m cells j = j0..j0+m-1. Callers guarantee i < ka and
 	// kb <= j0, so the destination segment never aliases a read.
 	//
-	// RelaxSplitRow is the single-split form with the f run already bulk
+	// FoldSplitRow is the single-split form with the f run already bulk
 	// evaluated (Instance.FPanel): dst, right and fRow are three parallel
 	// contiguous streams,
 	//
-	//	tab[i*stride+j0+t] ⊕= fRow[t] ⊗ tab[i*stride+k] ⊗ tab[k*stride+j0+t]
+	//	c(i,j0+t) ⊕= fRow[t] ⊗ c(i,k) ⊗ c(k,j0+t)
 	//
 	// Implementations must match the generic fold order
 	// Extend3(f, left, right) observably — reassociating is legal only
 	// when the concrete Extend commutes.
-	RelaxSplitPanel(tab []cost.Cost, stride, i, ka, kb, j0, m int, f SplitFunc)
-	RelaxSplitRow(tab []cost.Cost, stride, i, k, j0, m int, fRow []cost.Cost)
+	FoldSplitPanel(tab []cost.Cost, rows Rows, i, ka, kb, j0, m int, f SplitFunc)
+	FoldSplitRow(tab []cost.Cost, rows Rows, i, k, j0, m int, fRow []cost.Cost)
 
-	// RelaxSplitPanelRec and RelaxSplitRowRec are the split-recording
-	// twins of RelaxSplitPanel/RelaxSplitRow: spl is an int32 matrix
-	// parallel to tab (same flat layout and stride, -1 meaning "no split
+	// FoldSplitPanelRec and FoldSplitRowRec are the split-recording
+	// twins of FoldSplitPanel/FoldSplitRow: spl is an int32 matrix
+	// parallel to tab (same flat layout, -1 meaning "no split
 	// recorded"), and alongside every value relaxation the primitives
-	// maintain spl[i*stride+j] = the smallest k whose candidate achieves
-	// the cell's current value:
+	// maintain the split of cell (i,j) = the smallest k whose candidate
+	// achieves the cell's current value:
 	//
-	//   - on a strict improvement, spl[d] = k;
+	//   - on a strict improvement, the split becomes k;
 	//   - on a genuine tie (the candidate equals the cell and is not the
-	//     algebra's Zero), spl[d] = min(spl[d], k).
+	//     algebra's Zero), it becomes min(split, k).
 	//
 	// The tie clause makes the recorded split independent of candidate
 	// evaluation order: the blocked engine folds candidates in
@@ -163,21 +164,45 @@ type Kernel interface {
 	// exactly the sequential reference's first-strict-improver-in-
 	// ascending-k choice. Value writes must stay bitwise identical to the
 	// non-recording primitives (the conformance matrix gates this).
-	RelaxSplitPanelRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j0, m int, f SplitFunc)
-	RelaxSplitRowRec(tab []cost.Cost, spl []int32, stride, i, k, j0, m int, fRow []cost.Cost)
+	FoldSplitPanelRec(tab []cost.Cost, spl []int32, rows Rows, i, ka, kb, j0, m int, f SplitFunc)
+	FoldSplitRowRec(tab []cost.Cost, spl []int32, rows Rows, i, k, j0, m int, fRow []cost.Cost)
 
-	// RelaxSplitCellRec is the range-clipped single-cell form the
+	// FoldSplitCellRec is the range-clipped single-cell form the
 	// Knuth–Yao pruned engine closes cells with: it folds the candidate
 	// run k in [ka,kb) into the one destination cell (i,j), recording
-	// under RelaxSplitPanelRec's smallest-k tie discipline. Callers
+	// under FoldSplitPanelRec's smallest-k tie discipline. Callers
 	// guarantee i < ka and kb <= j. It is exactly
-	// RelaxSplitPanelRec(tab, spl, stride, i, ka, kb, j, 1, f) — value
+	// FoldSplitPanelRec(tab, spl, rows, i, ka, kb, j, 1, f) — value
 	// writes bit-for-bit, recorded split identical — restated as its own
 	// primitive so a pruned sweep whose windows average O(1) candidates
 	// pays one direct call per cell instead of a panel dispatch, and so
-	// the clipped bounds are explicit in the engine's hot loop.
+	// the clipped bounds are explicit in the engine's hot loop. Its
+	// right factors c(k,j) are a column walk: rows's origins make it a
+	// first-order sequence.
+	FoldSplitCellRec(tab []cost.Cost, spl []int32, rows Rows, i, ka, kb, j int, f SplitFunc)
+
+	// RelaxSplitPanelRec, RelaxSplitRowRec and RelaxSplitCellRec are the
+	// recording primitives on a dense row-major table of row length
+	// stride: each is its Fold form with Rows{Step: stride}.
+	RelaxSplitPanelRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j0, m int, f SplitFunc)
+	RelaxSplitRowRec(tab []cost.Cost, spl []int32, stride, i, k, j0, m int, fRow []cost.Cost)
 	RelaxSplitCellRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j int, f SplitFunc)
 }
+
+// Rows is the row geometry of a flat cost table as the split
+// primitives address it: row r starts at the flat origin
+//
+//	Org(r) = r·Step − r(r−1)/2·Drop
+//
+// and cell (r,c) lives at Org(r)+c, so consecutive origins differ by
+// Step − r·Drop and a column walk down rows k, k+1, … is a first-order
+// sequence. A dense row-major table of row length s is Rows{Step: s};
+// the packed upper triangle recurrence.Table stores for N objects is
+// Rows{Step: N−1, Drop: 1}.
+type Rows struct{ Step, Drop int }
+
+// Org returns the flat origin of row r.
+func (g Rows) Org(r int) int { return r*g.Step - (r*(r-1)>>1)*g.Drop }
 
 // SplitFunc evaluates the decomposition cost f(i,k,j) of splitting node
 // (i,j) at k — the shape of recurrence.Instance.F, threaded into the
@@ -392,24 +417,25 @@ func (MinPlus) ReduceRelax(best cost.Cost, a, b []cost.Cost, sh ReduceShape) cos
 	return best
 }
 
-// RelaxSplitPanel: the min-plus body is two contiguous streams (the
+// FoldSplitPanel: the min-plus body is two contiguous streams (the
 // destination row segment and the k'th source row segment) plus one
 // scalar left factor per run row. left and f are pruned at Inf; source
 // cells are canonical (<= Inf), so a candidate through an Inf cell sums
 // above Inf and loses every `v < dst` test exactly as a saturated Inf
 // would — the discipline of RelaxPanel, bitwise-matching cost.Add3.
-func (MinPlus) RelaxSplitPanel(tab []cost.Cost, stride, i, ka, kb, j0, m int, f SplitFunc) {
+func (MinPlus) FoldSplitPanel(tab []cost.Cost, rows Rows, i, ka, kb, j0, m int, f SplitFunc) {
 	if m <= 0 {
 		return
 	}
-	row := i * stride
+	row := rows.Org(i)
 	dst := tab[row+j0 : row+j0+m]
-	for k := ka; k < kb; k++ {
+	ok, step := rows.Org(ka), rows.Step-ka*rows.Drop
+	for k := ka; k < kb; k, ok, step = k+1, ok+step, step-rows.Drop {
 		left := tab[row+k]
 		if left >= posInf {
 			continue
 		}
-		src := tab[k*stride+j0 : k*stride+j0+m]
+		src := tab[ok+j0 : ok+j0+m]
 		for t := range dst {
 			fv := f(i, k, j0+t)
 			if fv >= posInf {
@@ -422,19 +448,20 @@ func (MinPlus) RelaxSplitPanel(tab []cost.Cost, stride, i, ka, kb, j0, m int, f 
 	}
 }
 
-// RelaxSplitRow: the min-plus three-stream run — f pre-evaluated, left
+// FoldSplitRow: the min-plus three-stream run — f pre-evaluated, left
 // scalar, right and dst contiguous. Same pruning discipline as
-// RelaxSplitPanel.
-func (MinPlus) RelaxSplitRow(tab []cost.Cost, stride, i, k, j0, m int, fRow []cost.Cost) {
+// FoldSplitPanel.
+func (MinPlus) FoldSplitRow(tab []cost.Cost, rows Rows, i, k, j0, m int, fRow []cost.Cost) {
 	if m <= 0 {
 		return
 	}
-	left := tab[i*stride+k]
+	row, ok := rows.Org(i), rows.Org(k)
+	left := tab[row+k]
 	if left >= posInf {
 		return
 	}
-	dst := tab[i*stride+j0 : i*stride+j0+m]
-	src := tab[k*stride+j0 : k*stride+j0+m]
+	dst := tab[row+j0 : row+j0+m]
+	src := tab[ok+j0 : ok+j0+m]
 	fRow = fRow[:m]
 	for t := range dst {
 		fv := fRow[t]
@@ -447,24 +474,25 @@ func (MinPlus) RelaxSplitRow(tab []cost.Cost, stride, i, k, j0, m int, fRow []co
 	}
 }
 
-// RelaxSplitPanelRec is RelaxSplitPanel with split recording. The raw
+// FoldSplitPanelRec is FoldSplitPanel with split recording. The raw
 // sum of pruned finite factors can still reach or exceed Inf (a
 // saturated candidate), so the tie clause additionally requires
 // v < Inf: a fabricated Inf == Inf match must never record a split.
-// Value writes are bit-for-bit those of RelaxSplitPanel.
-func (MinPlus) RelaxSplitPanelRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j0, m int, f SplitFunc) {
+// Value writes are bit-for-bit those of FoldSplitPanel.
+func (MinPlus) FoldSplitPanelRec(tab []cost.Cost, spl []int32, rows Rows, i, ka, kb, j0, m int, f SplitFunc) {
 	if m <= 0 {
 		return
 	}
-	row := i * stride
+	row := rows.Org(i)
 	dst := tab[row+j0 : row+j0+m]
 	dsp := spl[row+j0 : row+j0+m]
-	for k := ka; k < kb; k++ {
+	ok, step := rows.Org(ka), rows.Step-ka*rows.Drop
+	for k := ka; k < kb; k, ok, step = k+1, ok+step, step-rows.Drop {
 		left := tab[row+k]
 		if left >= posInf {
 			continue
 		}
-		src := tab[k*stride+j0 : k*stride+j0+m]
+		src := tab[ok+j0 : ok+j0+m]
 		for t := range dst {
 			fv := f(i, k, j0+t)
 			if fv >= posInf {
@@ -483,19 +511,20 @@ func (MinPlus) RelaxSplitPanelRec(tab []cost.Cost, spl []int32, stride, i, ka, k
 	}
 }
 
-// RelaxSplitRowRec is RelaxSplitRow with split recording, under
-// RelaxSplitPanelRec's tie discipline.
-func (MinPlus) RelaxSplitRowRec(tab []cost.Cost, spl []int32, stride, i, k, j0, m int, fRow []cost.Cost) {
+// FoldSplitRowRec is FoldSplitRow with split recording, under
+// FoldSplitPanelRec's tie discipline.
+func (MinPlus) FoldSplitRowRec(tab []cost.Cost, spl []int32, rows Rows, i, k, j0, m int, fRow []cost.Cost) {
 	if m <= 0 {
 		return
 	}
-	left := tab[i*stride+k]
+	row, ok := rows.Org(i), rows.Org(k)
+	left := tab[row+k]
 	if left >= posInf {
 		return
 	}
-	dst := tab[i*stride+j0 : i*stride+j0+m]
-	dsp := spl[i*stride+j0 : i*stride+j0+m]
-	src := tab[k*stride+j0 : k*stride+j0+m]
+	dst := tab[row+j0 : row+j0+m]
+	dsp := spl[row+j0 : row+j0+m]
+	src := tab[ok+j0 : ok+j0+m]
 	fRow = fRow[:m]
 	for t := range dst {
 		fv := fRow[t]
@@ -514,16 +543,17 @@ func (MinPlus) RelaxSplitRowRec(tab []cost.Cost, spl []int32, stride, i, k, j0, 
 	}
 }
 
-// RelaxSplitCellRec is the min-plus clipped cell closure: one
+// FoldSplitCellRec is the min-plus clipped cell closure: one
 // destination cell, candidates [ka,kb), best and split carried in
 // registers and stored once. Pruning and tie discipline are those of
-// RelaxSplitPanelRec, so values and splits are bit-for-bit what the
+// FoldSplitPanelRec, so values and splits are bit-for-bit what the
 // m=1 panel form computes.
-func (MinPlus) RelaxSplitCellRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j int, f SplitFunc) {
-	row := i * stride
+func (MinPlus) FoldSplitCellRec(tab []cost.Cost, spl []int32, rows Rows, i, ka, kb, j int, f SplitFunc) {
+	row := rows.Org(i)
 	d := row + j
 	best, bs := tab[d], spl[d]
-	for k := ka; k < kb; k++ {
+	ok, step := rows.Org(ka), rows.Step-ka*rows.Drop
+	for k := ka; k < kb; k, ok, step = k+1, ok+step, step-rows.Drop {
 		left := tab[row+k]
 		if left >= posInf {
 			continue
@@ -532,7 +562,7 @@ func (MinPlus) RelaxSplitCellRec(tab []cost.Cost, spl []int32, stride, i, ka, kb
 		if fv >= posInf {
 			continue
 		}
-		v := left + fv + tab[k*stride+j]
+		v := left + fv + tab[ok+j]
 		if v < best {
 			best = v
 			bs = int32(k)
@@ -543,6 +573,21 @@ func (MinPlus) RelaxSplitCellRec(tab []cost.Cost, spl []int32, stride, i, ka, kb
 		}
 	}
 	tab[d], spl[d] = best, bs
+}
+
+// RelaxSplitPanelRec is FoldSplitPanelRec on a dense table.
+func (s MinPlus) RelaxSplitPanelRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j0, m int, f SplitFunc) {
+	s.FoldSplitPanelRec(tab, spl, Rows{Step: stride}, i, ka, kb, j0, m, f)
+}
+
+// RelaxSplitRowRec is FoldSplitRowRec on a dense table.
+func (s MinPlus) RelaxSplitRowRec(tab []cost.Cost, spl []int32, stride, i, k, j0, m int, fRow []cost.Cost) {
+	s.FoldSplitRowRec(tab, spl, Rows{Step: stride}, i, k, j0, m, fRow)
+}
+
+// RelaxSplitCellRec is FoldSplitCellRec on a dense table.
+func (s MinPlus) RelaxSplitCellRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j int, f SplitFunc) {
+	s.FoldSplitCellRec(tab, spl, Rows{Step: stride}, i, ka, kb, j, f)
 }
 
 // MaxPlus maximises total weight: Combine = max, Extend = saturating +.
@@ -711,21 +756,22 @@ func (MaxPlus) ReduceRelax(best cost.Cost, a, b []cost.Cost, sh ReduceShape) cos
 	return best
 }
 
-// RelaxSplitPanel relaxes upward with every factor pruned at -Inf (an
+// FoldSplitPanel relaxes upward with every factor pruned at -Inf (an
 // absent factor plus a large finite one would land inside the finite
 // range and wrongly win a max).
-func (MaxPlus) RelaxSplitPanel(tab []cost.Cost, stride, i, ka, kb, j0, m int, f SplitFunc) {
+func (MaxPlus) FoldSplitPanel(tab []cost.Cost, rows Rows, i, ka, kb, j0, m int, f SplitFunc) {
 	if m <= 0 {
 		return
 	}
-	row := i * stride
+	row := rows.Org(i)
 	dst := tab[row+j0 : row+j0+m]
-	for k := ka; k < kb; k++ {
+	ok, step := rows.Org(ka), rows.Step-ka*rows.Drop
+	for k := ka; k < kb; k, ok, step = k+1, ok+step, step-rows.Drop {
 		left := tab[row+k]
 		if left <= negInf {
 			continue
 		}
-		src := tab[k*stride+j0 : k*stride+j0+m]
+		src := tab[ok+j0 : ok+j0+m]
 		for t := range dst {
 			r := src[t]
 			if r <= negInf {
@@ -742,18 +788,19 @@ func (MaxPlus) RelaxSplitPanel(tab []cost.Cost, stride, i, ka, kb, j0, m int, f 
 	}
 }
 
-// RelaxSplitRow relaxes the pre-evaluated run upward, pruning every
+// FoldSplitRow relaxes the pre-evaluated run upward, pruning every
 // factor at -Inf.
-func (MaxPlus) RelaxSplitRow(tab []cost.Cost, stride, i, k, j0, m int, fRow []cost.Cost) {
+func (MaxPlus) FoldSplitRow(tab []cost.Cost, rows Rows, i, k, j0, m int, fRow []cost.Cost) {
 	if m <= 0 {
 		return
 	}
-	left := tab[i*stride+k]
+	row, ok := rows.Org(i), rows.Org(k)
+	left := tab[row+k]
 	if left <= negInf {
 		return
 	}
-	dst := tab[i*stride+j0 : i*stride+j0+m]
-	src := tab[k*stride+j0 : k*stride+j0+m]
+	dst := tab[row+j0 : row+j0+m]
+	src := tab[ok+j0 : ok+j0+m]
 	fRow = fRow[:m]
 	for t := range dst {
 		r := src[t]
@@ -770,23 +817,24 @@ func (MaxPlus) RelaxSplitRow(tab []cost.Cost, stride, i, k, j0, m int, fRow []co
 	}
 }
 
-// RelaxSplitPanelRec is RelaxSplitPanel with split recording. All three
+// FoldSplitPanelRec is FoldSplitPanel with split recording. All three
 // factors are already pruned at -Inf, but the raw sum can still saturate
 // below -Inf in principle, so the tie clause mirrors min-plus with
-// v > -Inf. Value writes are bit-for-bit those of RelaxSplitPanel.
-func (MaxPlus) RelaxSplitPanelRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j0, m int, f SplitFunc) {
+// v > -Inf. Value writes are bit-for-bit those of FoldSplitPanel.
+func (MaxPlus) FoldSplitPanelRec(tab []cost.Cost, spl []int32, rows Rows, i, ka, kb, j0, m int, f SplitFunc) {
 	if m <= 0 {
 		return
 	}
-	row := i * stride
+	row := rows.Org(i)
 	dst := tab[row+j0 : row+j0+m]
 	dsp := spl[row+j0 : row+j0+m]
-	for k := ka; k < kb; k++ {
+	ok, step := rows.Org(ka), rows.Step-ka*rows.Drop
+	for k := ka; k < kb; k, ok, step = k+1, ok+step, step-rows.Drop {
 		left := tab[row+k]
 		if left <= negInf {
 			continue
 		}
-		src := tab[k*stride+j0 : k*stride+j0+m]
+		src := tab[ok+j0 : ok+j0+m]
 		for t := range dst {
 			r := src[t]
 			if r <= negInf {
@@ -809,19 +857,20 @@ func (MaxPlus) RelaxSplitPanelRec(tab []cost.Cost, spl []int32, stride, i, ka, k
 	}
 }
 
-// RelaxSplitRowRec is RelaxSplitRow with split recording, under
-// RelaxSplitPanelRec's tie discipline.
-func (MaxPlus) RelaxSplitRowRec(tab []cost.Cost, spl []int32, stride, i, k, j0, m int, fRow []cost.Cost) {
+// FoldSplitRowRec is FoldSplitRow with split recording, under
+// FoldSplitPanelRec's tie discipline.
+func (MaxPlus) FoldSplitRowRec(tab []cost.Cost, spl []int32, rows Rows, i, k, j0, m int, fRow []cost.Cost) {
 	if m <= 0 {
 		return
 	}
-	left := tab[i*stride+k]
+	row, ok := rows.Org(i), rows.Org(k)
+	left := tab[row+k]
 	if left <= negInf {
 		return
 	}
-	dst := tab[i*stride+j0 : i*stride+j0+m]
-	dsp := spl[i*stride+j0 : i*stride+j0+m]
-	src := tab[k*stride+j0 : k*stride+j0+m]
+	dst := tab[row+j0 : row+j0+m]
+	dsp := spl[row+j0 : row+j0+m]
+	src := tab[ok+j0 : ok+j0+m]
 	fRow = fRow[:m]
 	for t := range dst {
 		r := src[t]
@@ -844,18 +893,19 @@ func (MaxPlus) RelaxSplitRowRec(tab []cost.Cost, spl []int32, stride, i, k, j0, 
 	}
 }
 
-// RelaxSplitCellRec is the max-plus clipped cell closure, pruning every
-// factor at -Inf under RelaxSplitPanelRec's tie discipline.
-func (MaxPlus) RelaxSplitCellRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j int, f SplitFunc) {
-	row := i * stride
+// FoldSplitCellRec is the max-plus clipped cell closure, pruning every
+// factor at -Inf under FoldSplitPanelRec's tie discipline.
+func (MaxPlus) FoldSplitCellRec(tab []cost.Cost, spl []int32, rows Rows, i, ka, kb, j int, f SplitFunc) {
+	row := rows.Org(i)
 	d := row + j
 	best, bs := tab[d], spl[d]
-	for k := ka; k < kb; k++ {
+	ok, step := rows.Org(ka), rows.Step-ka*rows.Drop
+	for k := ka; k < kb; k, ok, step = k+1, ok+step, step-rows.Drop {
 		left := tab[row+k]
 		if left <= negInf {
 			continue
 		}
-		r := tab[k*stride+j]
+		r := tab[ok+j]
 		if r <= negInf {
 			continue
 		}
@@ -874,6 +924,21 @@ func (MaxPlus) RelaxSplitCellRec(tab []cost.Cost, spl []int32, stride, i, ka, kb
 		}
 	}
 	tab[d], spl[d] = best, bs
+}
+
+// RelaxSplitPanelRec is FoldSplitPanelRec on a dense table.
+func (s MaxPlus) RelaxSplitPanelRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j0, m int, f SplitFunc) {
+	s.FoldSplitPanelRec(tab, spl, Rows{Step: stride}, i, ka, kb, j0, m, f)
+}
+
+// RelaxSplitRowRec is FoldSplitRowRec on a dense table.
+func (s MaxPlus) RelaxSplitRowRec(tab []cost.Cost, spl []int32, stride, i, k, j0, m int, fRow []cost.Cost) {
+	s.FoldSplitRowRec(tab, spl, Rows{Step: stride}, i, k, j0, m, fRow)
+}
+
+// RelaxSplitCellRec is FoldSplitCellRec on a dense table.
+func (s MaxPlus) RelaxSplitCellRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j int, f SplitFunc) {
+	s.FoldSplitCellRec(tab, spl, Rows{Step: stride}, i, ka, kb, j, f)
 }
 
 // BoolPlan decides feasibility: values are 0 (impossible) and nonzero
@@ -1016,19 +1081,20 @@ func (BoolPlan) RelaxRows(dst, src []cost.Cost, m, cnt0, cntInc, s1i, s1Step, dS
 	}
 }
 
-// RelaxSplitPanel turns on every cell of the run with a feasible
+// FoldSplitPanel turns on every cell of the run with a feasible
 // candidate; already-on cells skip the f evaluation entirely.
-func (BoolPlan) RelaxSplitPanel(tab []cost.Cost, stride, i, ka, kb, j0, m int, f SplitFunc) {
+func (BoolPlan) FoldSplitPanel(tab []cost.Cost, rows Rows, i, ka, kb, j0, m int, f SplitFunc) {
 	if m <= 0 {
 		return
 	}
-	row := i * stride
+	row := rows.Org(i)
 	dst := tab[row+j0 : row+j0+m]
-	for k := ka; k < kb; k++ {
+	ok, step := rows.Org(ka), rows.Step-ka*rows.Drop
+	for k := ka; k < kb; k, ok, step = k+1, ok+step, step-rows.Drop {
 		if tab[row+k] == 0 {
 			continue
 		}
-		src := tab[k*stride+j0 : k*stride+j0+m]
+		src := tab[ok+j0 : ok+j0+m]
 		for t := range dst {
 			if dst[t] == 0 && src[t] != 0 && f(i, k, j0+t) != 0 {
 				dst[t] = 1
@@ -1037,14 +1103,15 @@ func (BoolPlan) RelaxSplitPanel(tab []cost.Cost, stride, i, ka, kb, j0, m int, f
 	}
 }
 
-// RelaxSplitRow turns on every off cell of the pre-evaluated run whose
+// FoldSplitRow turns on every off cell of the pre-evaluated run whose
 // candidate is feasible.
-func (BoolPlan) RelaxSplitRow(tab []cost.Cost, stride, i, k, j0, m int, fRow []cost.Cost) {
-	if m <= 0 || tab[i*stride+k] == 0 {
+func (BoolPlan) FoldSplitRow(tab []cost.Cost, rows Rows, i, k, j0, m int, fRow []cost.Cost) {
+	row, ok := rows.Org(i), rows.Org(k)
+	if m <= 0 || tab[row+k] == 0 {
 		return
 	}
-	dst := tab[i*stride+j0 : i*stride+j0+m]
-	src := tab[k*stride+j0 : k*stride+j0+m]
+	dst := tab[row+j0 : row+j0+m]
+	src := tab[ok+j0 : ok+j0+m]
 	fRow = fRow[:m]
 	for t := range dst {
 		if dst[t] == 0 && src[t] != 0 && fRow[t] != 0 {
@@ -1053,24 +1120,25 @@ func (BoolPlan) RelaxSplitRow(tab []cost.Cost, stride, i, k, j0, m int, fRow []c
 	}
 }
 
-// RelaxSplitPanelRec is RelaxSplitPanel with split recording. Unlike the
+// FoldSplitPanelRec is FoldSplitPanel with split recording. Unlike the
 // non-recording body it cannot skip the f evaluation once a cell is on:
 // a feasible candidate at a smaller k than the recorded split is a tie
 // that must lower the split. It still skips f whenever the recorded
 // split is already <= k. Value writes are bit-for-bit those of
-// RelaxSplitPanel.
-func (BoolPlan) RelaxSplitPanelRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j0, m int, f SplitFunc) {
+// FoldSplitPanel.
+func (BoolPlan) FoldSplitPanelRec(tab []cost.Cost, spl []int32, rows Rows, i, ka, kb, j0, m int, f SplitFunc) {
 	if m <= 0 {
 		return
 	}
-	row := i * stride
+	row := rows.Org(i)
 	dst := tab[row+j0 : row+j0+m]
 	dsp := spl[row+j0 : row+j0+m]
-	for k := ka; k < kb; k++ {
+	ok, step := rows.Org(ka), rows.Step-ka*rows.Drop
+	for k := ka; k < kb; k, ok, step = k+1, ok+step, step-rows.Drop {
 		if tab[row+k] == 0 {
 			continue
 		}
-		src := tab[k*stride+j0 : k*stride+j0+m]
+		src := tab[ok+j0 : ok+j0+m]
 		for t := range dst {
 			if dst[t] != 0 {
 				if s := dsp[t]; s >= 0 && s <= int32(k) {
@@ -1087,15 +1155,16 @@ func (BoolPlan) RelaxSplitPanelRec(tab []cost.Cost, spl []int32, stride, i, ka, 
 	}
 }
 
-// RelaxSplitRowRec is RelaxSplitRow with split recording, under
-// RelaxSplitPanelRec's tie discipline.
-func (BoolPlan) RelaxSplitRowRec(tab []cost.Cost, spl []int32, stride, i, k, j0, m int, fRow []cost.Cost) {
-	if m <= 0 || tab[i*stride+k] == 0 {
+// FoldSplitRowRec is FoldSplitRow with split recording, under
+// FoldSplitPanelRec's tie discipline.
+func (BoolPlan) FoldSplitRowRec(tab []cost.Cost, spl []int32, rows Rows, i, k, j0, m int, fRow []cost.Cost) {
+	row, ok := rows.Org(i), rows.Org(k)
+	if m <= 0 || tab[row+k] == 0 {
 		return
 	}
-	dst := tab[i*stride+j0 : i*stride+j0+m]
-	dsp := spl[i*stride+j0 : i*stride+j0+m]
-	src := tab[k*stride+j0 : k*stride+j0+m]
+	dst := tab[row+j0 : row+j0+m]
+	dsp := spl[row+j0 : row+j0+m]
+	src := tab[ok+j0 : ok+j0+m]
 	fRow = fRow[:m]
 	for t := range dst {
 		if dst[t] != 0 {
@@ -1112,14 +1181,15 @@ func (BoolPlan) RelaxSplitRowRec(tab []cost.Cost, spl []int32, stride, i, k, j0,
 	}
 }
 
-// RelaxSplitCellRec is the bool-plan clipped cell closure: once the
+// FoldSplitCellRec is the bool-plan clipped cell closure: once the
 // cell is on with a recorded split at or below k the remaining
 // (ascending) candidates cannot lower it, so the scan stops early;
-// otherwise it follows RelaxSplitPanelRec's discipline exactly.
-func (BoolPlan) RelaxSplitCellRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j int, f SplitFunc) {
-	row := i * stride
+// otherwise it follows FoldSplitPanelRec's discipline exactly.
+func (BoolPlan) FoldSplitCellRec(tab []cost.Cost, spl []int32, rows Rows, i, ka, kb, j int, f SplitFunc) {
+	row := rows.Org(i)
 	d := row + j
-	for k := ka; k < kb; k++ {
+	ok, step := rows.Org(ka), rows.Step-ka*rows.Drop
+	for k := ka; k < kb; k, ok, step = k+1, ok+step, step-rows.Drop {
 		if on := tab[d] != 0; on {
 			if s := spl[d]; s >= 0 && s <= int32(k) {
 				return
@@ -1128,11 +1198,26 @@ func (BoolPlan) RelaxSplitCellRec(tab []cost.Cost, spl []int32, stride, i, ka, k
 		if tab[row+k] == 0 {
 			continue
 		}
-		if tab[k*stride+j] != 0 && f(i, k, j) != 0 {
+		if tab[ok+j] != 0 && f(i, k, j) != 0 {
 			tab[d] = 1
 			spl[d] = int32(k)
 		}
 	}
+}
+
+// RelaxSplitPanelRec is FoldSplitPanelRec on a dense table.
+func (s BoolPlan) RelaxSplitPanelRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j0, m int, f SplitFunc) {
+	s.FoldSplitPanelRec(tab, spl, Rows{Step: stride}, i, ka, kb, j0, m, f)
+}
+
+// RelaxSplitRowRec is FoldSplitRowRec on a dense table.
+func (s BoolPlan) RelaxSplitRowRec(tab []cost.Cost, spl []int32, stride, i, k, j0, m int, fRow []cost.Cost) {
+	s.FoldSplitRowRec(tab, spl, Rows{Step: stride}, i, k, j0, m, fRow)
+}
+
+// RelaxSplitCellRec is FoldSplitCellRec on a dense table.
+func (s BoolPlan) RelaxSplitCellRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j int, f SplitFunc) {
+	s.FoldSplitCellRec(tab, spl, Rows{Step: stride}, i, ka, kb, j, f)
 }
 
 // ReduceRelax short-circuits once any candidate is feasible.

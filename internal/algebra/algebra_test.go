@@ -227,58 +227,72 @@ func TestRelaxRowsMatchesPanelEncoding(t *testing.T) {
 	}
 }
 
+// splitStride is the row length of the split primitives' test tables.
+const splitStride = 16
+
+// splitLayouts are the two geometries the split primitives run on: a
+// dense row-major table of row length splitStride (what the stride
+// adapters address) and the packed upper triangle over
+// splitStride-1 objects (what recurrence.Table stores). Both hold
+// every column index below splitStride on every row the tests touch.
+var splitLayouts = []Rows{{Step: splitStride}, {Step: splitStride - 2, Drop: 1}}
+
+// splitTableLen is the flat length of a test table under rows.
+func splitTableLen(rows Rows) int { return rows.Org(splitStride-1) + splitStride }
+
 // The blocked engine's split primitives must agree with the generic
 // reference walk on randomised table layouts — same contract as the
 // panel/reduce pinning above, including rows/cells that hold the
-// algebra's Zero.
+// algebra's Zero — on the dense and the packed geometry alike.
 func TestSplitPrimitivesMatchGenericWalk(t *testing.T) {
 	kernels := []Kernel{MinPlus{}, MaxPlus{}, BoolPlan{}, derived{leftmost{}}}
 	rng := rand.New(rand.NewSource(99))
-	const stride = 16
 	for trial := 0; trial < 300; trial++ {
-		for _, k := range kernels {
-			tabA := make([]cost.Cost, stride*stride)
-			for i := range tabA {
-				tabA[i] = k.Norm(cost.Cost(rng.Int63n(60)))
-				if rng.Intn(4) == 0 {
-					tabA[i] = k.Zero()
+		for _, rows := range splitLayouts {
+			for _, k := range kernels {
+				tabA := make([]cost.Cost, splitTableLen(rows))
+				for i := range tabA {
+					tabA[i] = k.Norm(cost.Cost(rng.Int63n(60)))
+					if rng.Intn(4) == 0 {
+						tabA[i] = k.Zero()
+					}
 				}
-			}
-			f := func(i, s, j int) cost.Cost {
-				v := cost.Cost((i*7 + s*3 + j) % 11)
-				if v == 10 {
-					return k.Zero()
+				f := func(i, s, j int) cost.Cost {
+					v := cost.Cost((i*7 + s*3 + j) % 11)
+					if v == 10 {
+						return k.Zero()
+					}
+					return v
 				}
-				return v
-			}
-			// A legal panel layout: i < ka <= kb <= j0, run inside the row.
-			i := rng.Intn(4)
-			ka := i + 1 + rng.Intn(3)
-			kb := ka + rng.Intn(4)
-			j0 := kb + rng.Intn(3)
-			m := rng.Intn(stride - j0 + 1)
-			tabB := append([]cost.Cost(nil), tabA...)
-			k.RelaxSplitPanel(tabA, stride, i, ka, kb, j0, m, f)
-			relaxSplitPanelGeneric(k, tabB, stride, i, ka, kb, j0, m, f)
-			for c := range tabA {
-				if tabA[c] != tabB[c] {
-					t.Fatalf("%s: RelaxSplitPanel diverges from generic at %d (%d vs %d), i=%d ka=%d kb=%d j0=%d m=%d",
-						k.Name(), c, tabA[c], tabB[c], i, ka, kb, j0, m)
+				// A legal panel layout: i < ka <= kb <= j0, run inside the row.
+				i := rng.Intn(4)
+				ka := i + 1 + rng.Intn(3)
+				kb := ka + rng.Intn(4)
+				j0 := kb + rng.Intn(3)
+				m := rng.Intn(splitStride - j0 + 1)
+				tabB := append([]cost.Cost(nil), tabA...)
+				k.FoldSplitPanel(tabA, rows, i, ka, kb, j0, m, f)
+				foldSplitPanelGeneric(k, tabB, rows, i, ka, kb, j0, m, f)
+				for c := range tabA {
+					if tabA[c] != tabB[c] {
+						t.Fatalf("%s %+v: FoldSplitPanel diverges from generic at %d (%d vs %d), i=%d ka=%d kb=%d j0=%d m=%d",
+							k.Name(), rows, c, tabA[c], tabB[c], i, ka, kb, j0, m)
+					}
 				}
-			}
 
-			// RelaxSplitRow with a pre-evaluated f run of the same shape.
-			fRow := make([]cost.Cost, m)
-			for t := range fRow {
-				fRow[t] = f(i, ka, j0+t)
-			}
-			tabC := append([]cost.Cost(nil), tabA...)
-			k.RelaxSplitRow(tabA, stride, i, ka, j0, m, fRow)
-			relaxSplitRowGeneric(k, tabC, stride, i, ka, j0, m, fRow)
-			for c := range tabA {
-				if tabA[c] != tabC[c] {
-					t.Fatalf("%s: RelaxSplitRow diverges from generic at %d (%d vs %d), i=%d k=%d j0=%d m=%d",
-						k.Name(), c, tabA[c], tabC[c], i, ka, j0, m)
+				// FoldSplitRow with a pre-evaluated f run of the same shape.
+				fRow := make([]cost.Cost, m)
+				for t := range fRow {
+					fRow[t] = f(i, ka, j0+t)
+				}
+				tabC := append([]cost.Cost(nil), tabA...)
+				k.FoldSplitRow(tabA, rows, i, ka, j0, m, fRow)
+				foldSplitRowGeneric(k, tabC, rows, i, ka, j0, m, fRow)
+				for c := range tabA {
+					if tabA[c] != tabC[c] {
+						t.Fatalf("%s %+v: FoldSplitRow diverges from generic at %d (%d vs %d), i=%d k=%d j0=%d m=%d",
+							k.Name(), rows, c, tabA[c], tabC[c], i, ka, j0, m)
+					}
 				}
 			}
 		}
@@ -288,122 +302,139 @@ func TestSplitPrimitivesMatchGenericWalk(t *testing.T) {
 // The recording split primitives must (a) agree with the generic
 // recording reference walk on both the value table and the split
 // matrix, and (b) write the exact same value bytes as the non-recording
-// primitives — recording is observable only through spl.
+// primitives — recording is observable only through spl. The dense
+// geometry runs through the stride adapters, the packed one through
+// the Fold forms directly.
 func TestSplitRecPrimitivesMatchGenericWalk(t *testing.T) {
 	kernels := []Kernel{MinPlus{}, MaxPlus{}, BoolPlan{}, derived{leftmost{}}}
 	rng := rand.New(rand.NewSource(123))
-	const stride = 16
 	for trial := 0; trial < 300; trial++ {
-		for _, k := range kernels {
-			tabA := make([]cost.Cost, stride*stride)
-			splA := make([]int32, stride*stride)
-			for c := range tabA {
-				tabA[c] = k.Norm(cost.Cost(rng.Int63n(60)))
-				if rng.Intn(4) == 0 {
-					tabA[c] = k.Zero()
+		for _, rows := range splitLayouts {
+			for _, k := range kernels {
+				tabA := make([]cost.Cost, splitTableLen(rows))
+				splA := make([]int32, len(tabA))
+				for c := range tabA {
+					tabA[c] = k.Norm(cost.Cost(rng.Int63n(60)))
+					if rng.Intn(4) == 0 {
+						tabA[c] = k.Zero()
+					}
+					// A prior recording state: none, or some earlier split.
+					splA[c] = -1
+					if rng.Intn(3) == 0 {
+						splA[c] = int32(rng.Intn(8))
+					}
 				}
-				// A prior recording state: none, or some earlier split.
-				splA[c] = -1
-				if rng.Intn(3) == 0 {
-					splA[c] = int32(rng.Intn(8))
+				f := func(i, s, j int) cost.Cost {
+					v := cost.Cost((i*7 + s*3 + j) % 11)
+					if v == 10 {
+						return k.Zero()
+					}
+					return v
 				}
-			}
-			f := func(i, s, j int) cost.Cost {
-				v := cost.Cost((i*7 + s*3 + j) % 11)
-				if v == 10 {
-					return k.Zero()
+				i := rng.Intn(4)
+				ka := i + 1 + rng.Intn(3)
+				kb := ka + rng.Intn(4)
+				j0 := kb + rng.Intn(3)
+				m := rng.Intn(splitStride - j0 + 1)
+				tabB := append([]cost.Cost(nil), tabA...)
+				splB := append([]int32(nil), splA...)
+				tabPlain := append([]cost.Cost(nil), tabA...)
+				if rows.Drop == 0 {
+					k.RelaxSplitPanelRec(tabA, splA, rows.Step, i, ka, kb, j0, m, f)
+				} else {
+					k.FoldSplitPanelRec(tabA, splA, rows, i, ka, kb, j0, m, f)
 				}
-				return v
-			}
-			i := rng.Intn(4)
-			ka := i + 1 + rng.Intn(3)
-			kb := ka + rng.Intn(4)
-			j0 := kb + rng.Intn(3)
-			m := rng.Intn(stride - j0 + 1)
-			tabB := append([]cost.Cost(nil), tabA...)
-			splB := append([]int32(nil), splA...)
-			tabPlain := append([]cost.Cost(nil), tabA...)
-			k.RelaxSplitPanelRec(tabA, splA, stride, i, ka, kb, j0, m, f)
-			relaxSplitPanelRecGeneric(k, tabB, splB, stride, i, ka, kb, j0, m, f)
-			k.RelaxSplitPanel(tabPlain, stride, i, ka, kb, j0, m, f)
-			for c := range tabA {
-				if tabA[c] != tabB[c] || splA[c] != splB[c] {
-					t.Fatalf("%s: RelaxSplitPanelRec diverges from generic at %d (val %d vs %d, spl %d vs %d), i=%d ka=%d kb=%d j0=%d m=%d",
-						k.Name(), c, tabA[c], tabB[c], splA[c], splB[c], i, ka, kb, j0, m)
+				foldSplitPanelRecGeneric(k, tabB, splB, rows, i, ka, kb, j0, m, f)
+				k.FoldSplitPanel(tabPlain, rows, i, ka, kb, j0, m, f)
+				for c := range tabA {
+					if tabA[c] != tabB[c] || splA[c] != splB[c] {
+						t.Fatalf("%s %+v: FoldSplitPanelRec diverges from generic at %d (val %d vs %d, spl %d vs %d), i=%d ka=%d kb=%d j0=%d m=%d",
+							k.Name(), rows, c, tabA[c], tabB[c], splA[c], splB[c], i, ka, kb, j0, m)
+					}
+					if tabA[c] != tabPlain[c] {
+						t.Fatalf("%s %+v: recording changed a value at %d (%d vs %d), i=%d ka=%d kb=%d j0=%d m=%d",
+							k.Name(), rows, c, tabA[c], tabPlain[c], i, ka, kb, j0, m)
+					}
 				}
-				if tabA[c] != tabPlain[c] {
-					t.Fatalf("%s: recording changed a value at %d (%d vs %d), i=%d ka=%d kb=%d j0=%d m=%d",
-						k.Name(), c, tabA[c], tabPlain[c], i, ka, kb, j0, m)
-				}
-			}
 
-			// RelaxSplitRowRec with a pre-evaluated f run of the same shape.
-			fRow := make([]cost.Cost, m)
-			for t := range fRow {
-				fRow[t] = f(i, ka, j0+t)
-			}
-			tabC := append([]cost.Cost(nil), tabA...)
-			splC := append([]int32(nil), splA...)
-			tabPlain = append(tabPlain[:0], tabA...)
-			k.RelaxSplitRowRec(tabA, splA, stride, i, ka, j0, m, fRow)
-			relaxSplitRowRecGeneric(k, tabC, splC, stride, i, ka, j0, m, fRow)
-			k.RelaxSplitRow(tabPlain, stride, i, ka, j0, m, fRow)
-			for c := range tabA {
-				if tabA[c] != tabC[c] || splA[c] != splC[c] {
-					t.Fatalf("%s: RelaxSplitRowRec diverges from generic at %d (val %d vs %d, spl %d vs %d), i=%d k=%d j0=%d m=%d",
-						k.Name(), c, tabA[c], tabC[c], splA[c], splC[c], i, ka, j0, m)
+				// FoldSplitRowRec with a pre-evaluated f run of the same shape.
+				fRow := make([]cost.Cost, m)
+				for t := range fRow {
+					fRow[t] = f(i, ka, j0+t)
 				}
-				if tabA[c] != tabPlain[c] {
-					t.Fatalf("%s: row recording changed a value at %d (%d vs %d), i=%d k=%d j0=%d m=%d",
-						k.Name(), c, tabA[c], tabPlain[c], i, ka, j0, m)
+				tabC := append([]cost.Cost(nil), tabA...)
+				splC := append([]int32(nil), splA...)
+				tabPlain = append(tabPlain[:0], tabA...)
+				if rows.Drop == 0 {
+					k.RelaxSplitRowRec(tabA, splA, rows.Step, i, ka, j0, m, fRow)
+				} else {
+					k.FoldSplitRowRec(tabA, splA, rows, i, ka, j0, m, fRow)
+				}
+				foldSplitRowRecGeneric(k, tabC, splC, rows, i, ka, j0, m, fRow)
+				k.FoldSplitRow(tabPlain, rows, i, ka, j0, m, fRow)
+				for c := range tabA {
+					if tabA[c] != tabC[c] || splA[c] != splC[c] {
+						t.Fatalf("%s %+v: FoldSplitRowRec diverges from generic at %d (val %d vs %d, spl %d vs %d), i=%d k=%d j0=%d m=%d",
+							k.Name(), rows, c, tabA[c], tabC[c], splA[c], splC[c], i, ka, j0, m)
+					}
+					if tabA[c] != tabPlain[c] {
+						t.Fatalf("%s %+v: row recording changed a value at %d (%d vs %d), i=%d k=%d j0=%d m=%d",
+							k.Name(), rows, c, tabA[c], tabPlain[c], i, ka, j0, m)
+					}
 				}
 			}
 		}
 	}
 }
 
-// RelaxSplitCellRec is specified as exactly the m=1 panel form — the
-// Knuth–Yao driver leans on that to stay bitwise identical to the
-// unpruned engine. Pin every kernel (and the derived fallback) against
-// RelaxSplitPanelRec on random prior states, including pre-recorded
-// splits and Zero-saturated cells.
+// The clipped cell closure is specified as exactly the m=1 panel form
+// — the Knuth–Yao driver leans on that to stay bitwise identical to
+// the unpruned engine. Pin every kernel (and the derived fallback)
+// against FoldSplitPanelRec on random prior states, including
+// pre-recorded splits and Zero-saturated cells, on both geometries
+// (the dense one through RelaxSplitCellRec, the stride adapter).
 func TestRelaxSplitCellRecMatchesPanelForm(t *testing.T) {
 	kernels := []Kernel{MinPlus{}, MaxPlus{}, BoolPlan{}, derived{leftmost{}}}
 	rng := rand.New(rand.NewSource(321))
-	const stride = 16
 	for trial := 0; trial < 300; trial++ {
-		for _, k := range kernels {
-			tabA := make([]cost.Cost, stride*stride)
-			splA := make([]int32, stride*stride)
-			for c := range tabA {
-				tabA[c] = k.Norm(cost.Cost(rng.Int63n(60)))
-				if rng.Intn(4) == 0 {
-					tabA[c] = k.Zero()
+		for _, rows := range splitLayouts {
+			for _, k := range kernels {
+				tabA := make([]cost.Cost, splitTableLen(rows))
+				splA := make([]int32, len(tabA))
+				for c := range tabA {
+					tabA[c] = k.Norm(cost.Cost(rng.Int63n(60)))
+					if rng.Intn(4) == 0 {
+						tabA[c] = k.Zero()
+					}
+					splA[c] = -1
+					if rng.Intn(3) == 0 {
+						splA[c] = int32(rng.Intn(8))
+					}
 				}
-				splA[c] = -1
-				if rng.Intn(3) == 0 {
-					splA[c] = int32(rng.Intn(8))
+				f := func(i, s, j int) cost.Cost {
+					v := cost.Cost((i*5 + s*3 + j) % 11)
+					if v == 10 {
+						return k.Zero()
+					}
+					return v
 				}
-			}
-			f := func(i, s, j int) cost.Cost {
-				v := cost.Cost((i*5 + s*3 + j) % 11)
-				if v == 10 {
-					return k.Zero()
+				i := rng.Intn(4)
+				ka := i + 1 + rng.Intn(3)
+				kb := ka + rng.Intn(4)
+				j := kb + rng.Intn(splitStride-kb)
+				tabB := append([]cost.Cost(nil), tabA...)
+				splB := append([]int32(nil), splA...)
+				if rows.Drop == 0 {
+					k.RelaxSplitCellRec(tabA, splA, rows.Step, i, ka, kb, j, f)
+				} else {
+					k.FoldSplitCellRec(tabA, splA, rows, i, ka, kb, j, f)
 				}
-				return v
-			}
-			i := rng.Intn(4)
-			ka := i + 1 + rng.Intn(3)
-			kb := ka + rng.Intn(4)
-			j := kb + rng.Intn(stride-kb)
-			tabB := append([]cost.Cost(nil), tabA...)
-			splB := append([]int32(nil), splA...)
-			k.RelaxSplitCellRec(tabA, splA, stride, i, ka, kb, j, f)
-			k.RelaxSplitPanelRec(tabB, splB, stride, i, ka, kb, j, 1, f)
-			for c := range tabA {
-				if tabA[c] != tabB[c] || splA[c] != splB[c] {
-					t.Fatalf("%s: RelaxSplitCellRec diverges from m=1 panel at %d (val %d vs %d, spl %d vs %d), i=%d ka=%d kb=%d j=%d",
-						k.Name(), c, tabA[c], tabB[c], splA[c], splB[c], i, ka, kb, j)
+				k.FoldSplitPanelRec(tabB, splB, rows, i, ka, kb, j, 1, f)
+				for c := range tabA {
+					if tabA[c] != tabB[c] || splA[c] != splB[c] {
+						t.Fatalf("%s %+v: FoldSplitCellRec diverges from m=1 panel at %d (val %d vs %d, spl %d vs %d), i=%d ka=%d kb=%d j=%d",
+							k.Name(), rows, c, tabA[c], tabB[c], splA[c], splB[c], i, ka, kb, j)
+					}
 				}
 			}
 		}

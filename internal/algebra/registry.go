@@ -157,24 +157,36 @@ func (d derived) ReduceRelax(best cost.Cost, a, b []cost.Cost, sh ReduceShape) c
 	return reduceRelaxGeneric(d, best, a, b, sh)
 }
 
-func (d derived) RelaxSplitPanel(tab []cost.Cost, stride, i, ka, kb, j0, m int, f SplitFunc) {
-	relaxSplitPanelGeneric(d, tab, stride, i, ka, kb, j0, m, f)
+func (d derived) FoldSplitPanel(tab []cost.Cost, rows Rows, i, ka, kb, j0, m int, f SplitFunc) {
+	foldSplitPanelGeneric(d, tab, rows, i, ka, kb, j0, m, f)
 }
 
-func (d derived) RelaxSplitRow(tab []cost.Cost, stride, i, k, j0, m int, fRow []cost.Cost) {
-	relaxSplitRowGeneric(d, tab, stride, i, k, j0, m, fRow)
+func (d derived) FoldSplitRow(tab []cost.Cost, rows Rows, i, k, j0, m int, fRow []cost.Cost) {
+	foldSplitRowGeneric(d, tab, rows, i, k, j0, m, fRow)
+}
+
+func (d derived) FoldSplitPanelRec(tab []cost.Cost, spl []int32, rows Rows, i, ka, kb, j0, m int, f SplitFunc) {
+	foldSplitPanelRecGeneric(d, tab, spl, rows, i, ka, kb, j0, m, f)
+}
+
+func (d derived) FoldSplitRowRec(tab []cost.Cost, spl []int32, rows Rows, i, k, j0, m int, fRow []cost.Cost) {
+	foldSplitRowRecGeneric(d, tab, spl, rows, i, k, j0, m, fRow)
+}
+
+func (d derived) FoldSplitCellRec(tab []cost.Cost, spl []int32, rows Rows, i, ka, kb, j int, f SplitFunc) {
+	foldSplitPanelRecGeneric(d, tab, spl, rows, i, ka, kb, j, 1, f)
 }
 
 func (d derived) RelaxSplitPanelRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j0, m int, f SplitFunc) {
-	relaxSplitPanelRecGeneric(d, tab, spl, stride, i, ka, kb, j0, m, f)
+	d.FoldSplitPanelRec(tab, spl, Rows{Step: stride}, i, ka, kb, j0, m, f)
 }
 
 func (d derived) RelaxSplitRowRec(tab []cost.Cost, spl []int32, stride, i, k, j0, m int, fRow []cost.Cost) {
-	relaxSplitRowRecGeneric(d, tab, spl, stride, i, k, j0, m, fRow)
+	d.FoldSplitRowRec(tab, spl, Rows{Step: stride}, i, k, j0, m, fRow)
 }
 
 func (d derived) RelaxSplitCellRec(tab []cost.Cost, spl []int32, stride, i, ka, kb, j int, f SplitFunc) {
-	relaxSplitCellRecGeneric(d, tab, spl, stride, i, ka, kb, j, f)
+	d.FoldSplitCellRec(tab, spl, Rows{Step: stride}, i, ka, kb, j, f)
 }
 
 // relaxPanelGeneric is the reference panel walk every specialised
@@ -217,12 +229,12 @@ func relaxPanelGeneric(k Kernel, dst, src []cost.Cost, base []int, p Panel) {
 	}
 }
 
-// relaxSplitPanelGeneric is the reference walk every specialised
-// RelaxSplitPanel must agree with: candidates fold in the sequential
+// foldSplitPanelGeneric is the reference walk every specialised
+// FoldSplitPanel must agree with: candidates fold in the sequential
 // solver's order Extend3(f, left, right), so a non-commutative Extend
 // still observes exactly what seq.SolveSemiringCtx computes.
-func relaxSplitPanelGeneric(k Kernel, tab []cost.Cost, stride, i, ka, kb, j0, m int, f SplitFunc) {
-	row := i * stride
+func foldSplitPanelGeneric(k Kernel, tab []cost.Cost, rows Rows, i, ka, kb, j0, m int, f SplitFunc) {
+	row := rows.Org(i)
 	for s := ka; s < kb; s++ {
 		left := tab[row+s]
 		if k.IsZero(left) {
@@ -230,37 +242,38 @@ func relaxSplitPanelGeneric(k Kernel, tab []cost.Cost, stride, i, ka, kb, j0, m 
 		}
 		for t := 0; t < m; t++ {
 			j := j0 + t
-			if v := k.Extend3(f(i, s, j), left, tab[s*stride+j]); k.Better(v, tab[row+j]) {
+			if v := k.Extend3(f(i, s, j), left, tab[rows.Org(s)+j]); k.Better(v, tab[row+j]) {
 				tab[row+j] = v
 			}
 		}
 	}
 }
 
-// relaxSplitRowGeneric is the reference walk of the pre-evaluated form.
-func relaxSplitRowGeneric(k Kernel, tab []cost.Cost, stride, i, s, j0, m int, fRow []cost.Cost) {
-	left := tab[i*stride+s]
+// foldSplitRowGeneric is the reference walk of the pre-evaluated form.
+func foldSplitRowGeneric(k Kernel, tab []cost.Cost, rows Rows, i, s, j0, m int, fRow []cost.Cost) {
+	row := rows.Org(i)
+	left := tab[row+s]
 	if k.IsZero(left) {
 		return
 	}
-	row := i * stride
 	for t := 0; t < m; t++ {
 		j := j0 + t
-		if v := k.Extend3(fRow[t], left, tab[s*stride+j]); k.Better(v, tab[row+j]) {
+		if v := k.Extend3(fRow[t], left, tab[rows.Org(s)+j]); k.Better(v, tab[row+j]) {
 			tab[row+j] = v
 		}
 	}
 }
 
-// relaxSplitPanelRecGeneric is the reference recording walk every
-// specialised RelaxSplitPanelRec must agree with (the algebra package
+// foldSplitPanelRecGeneric is the reference recording walk every
+// specialised FoldSplitPanelRec must agree with (the algebra package
 // tests pin the shipped ones against it). The tie clause — a candidate
 // that neither improves nor is improved by the cell, and is not Zero,
 // lowers the recorded split to min(current, k) — is what makes the
 // result independent of candidate evaluation order; see the Kernel
-// interface comment.
-func relaxSplitPanelRecGeneric(k Kernel, tab []cost.Cost, spl []int32, stride, i, ka, kb, j0, m int, f SplitFunc) {
-	row := i * stride
+// interface comment. With m = 1 it is also the reference of the
+// clipped cell closure FoldSplitCellRec.
+func foldSplitPanelRecGeneric(k Kernel, tab []cost.Cost, spl []int32, rows Rows, i, ka, kb, j0, m int, f SplitFunc) {
+	row := rows.Org(i)
 	for s := ka; s < kb; s++ {
 		left := tab[row+s]
 		if k.IsZero(left) {
@@ -269,7 +282,7 @@ func relaxSplitPanelRecGeneric(k Kernel, tab []cost.Cost, spl []int32, stride, i
 		for t := 0; t < m; t++ {
 			j := j0 + t
 			d := row + j
-			v := k.Extend3(f(i, s, j), left, tab[s*stride+j])
+			v := k.Extend3(f(i, s, j), left, tab[rows.Org(s)+j])
 			if k.Better(v, tab[d]) {
 				tab[d] = v
 				spl[d] = int32(s)
@@ -282,18 +295,18 @@ func relaxSplitPanelRecGeneric(k Kernel, tab []cost.Cost, spl []int32, stride, i
 	}
 }
 
-// relaxSplitRowRecGeneric is the reference recording walk of the
+// foldSplitRowRecGeneric is the reference recording walk of the
 // pre-evaluated form.
-func relaxSplitRowRecGeneric(k Kernel, tab []cost.Cost, spl []int32, stride, i, s, j0, m int, fRow []cost.Cost) {
-	left := tab[i*stride+s]
+func foldSplitRowRecGeneric(k Kernel, tab []cost.Cost, spl []int32, rows Rows, i, s, j0, m int, fRow []cost.Cost) {
+	row := rows.Org(i)
+	left := tab[row+s]
 	if k.IsZero(left) {
 		return
 	}
-	row := i * stride
 	for t := 0; t < m; t++ {
 		j := j0 + t
 		d := row + j
-		v := k.Extend3(fRow[t], left, tab[s*stride+j])
+		v := k.Extend3(fRow[t], left, tab[rows.Org(s)+j])
 		if k.Better(v, tab[d]) {
 			tab[d] = v
 			spl[d] = int32(s)
@@ -303,14 +316,6 @@ func relaxSplitRowRecGeneric(k Kernel, tab []cost.Cost, spl []int32, stride, i, 
 			}
 		}
 	}
-}
-
-// relaxSplitCellRecGeneric is the reference walk of the clipped cell
-// closure: definitionally RelaxSplitPanelRec with a length-1 destination
-// run, so every specialised RelaxSplitCellRec is pinned against the
-// panel form rather than against a third body.
-func relaxSplitCellRecGeneric(k Kernel, tab []cost.Cost, spl []int32, stride, i, ka, kb, j int, f SplitFunc) {
-	relaxSplitPanelRecGeneric(k, tab, spl, stride, i, ka, kb, j, 1, f)
 }
 
 // reduceRelaxGeneric is the reference reduction walk.

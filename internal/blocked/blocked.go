@@ -1,7 +1,7 @@
 // Package blocked implements the work-efficient blocked parallel engine
 // for recurrence (*): the c(i,j) triangle is partitioned into B×B tiles
 // scheduled as a dependency graph, so the whole solve costs the
-// sequential O(n^3) work and O(n^2) memory — one flat cost table, no
+// sequential O(n^3) work and O(n^2) memory — one packed cost table, no
 // partial-weight arrays — while exposing (n/B)^2-way parallelism.
 //
 // This is the engine the paper's HLV scheme is missing at scale: HLV
@@ -23,7 +23,7 @@
 // two kinds of unit:
 //
 //   - phase A (J−I >= 2): off-tile accumulation. For every tile row i and
-//     every strictly interior block K, one RelaxSplitPanel call folds the
+//     every strictly interior block K, one FoldSplitPanel call folds the
 //     whole k-run of block K into the row — a GEMM-shaped sweep whose
 //     three streams (destination row, left factors, right row) are
 //     contiguous or scalar, which is what makes the engine faster per
@@ -45,8 +45,8 @@
 // diagonal order on the calling goroutine.
 //
 // The bulk primitives evaluate the instance's F inside the kernel body
-// (RelaxSplitPanel), or consume a pre-evaluated f run when the instance
-// provides a bulk form (Instance.FPanel → RelaxSplitRow), so every
+// (FoldSplitPanel), or consume a pre-evaluated f run when the instance
+// provides a bulk form (Instance.FPanel → FoldSplitRow), so every
 // registered algebra runs at one indirect call per panel and the
 // min-plus loops stay scalar-fast. Results are bitwise identical to
 // the sequential DP under every lawful algebra: candidates form the same
@@ -96,8 +96,8 @@ type Options struct {
 	// RecordSplits also fills Result.Splits with the optimal split point
 	// of every computed span — the O(n) root-to-leaf reconstruction
 	// input, and the prerequisite for Knuth–Yao candidate pruning. Costs
-	// one int32 matrix (4·(n+1)^2 bytes, half the cost table) and one
-	// compare+store per candidate; the value table stays bitwise
+	// one packed int32 matrix (2·n(n+1) bytes, half the cost table) and
+	// one compare+store per candidate; the value table stays bitwise
 	// identical to a non-recording run.
 	RecordSplits bool
 }
@@ -110,10 +110,11 @@ type Result struct {
 	// TileSize echoes the effective block edge B of the run.
 	TileSize int
 	// Splits, filled when Options.RecordSplits is set, is the int32 split
-	// matrix parallel to the table (same flat layout and stride):
-	// Splits[i*stride+j] is the smallest k whose candidate achieves
-	// c(i,j), or -1 for leaves and spans no candidate reaches — exactly
-	// the sequential reference's smallest-k choice, under every algebra.
+	// matrix parallel to the table (same packed layout):
+	// Splits[Table.Rows().Org(i)+j] is the smallest k whose candidate
+	// achieves c(i,j), i < j, or -1 for leaves and spans no candidate
+	// reaches — exactly the sequential reference's smallest-k choice,
+	// under every algebra.
 	Splits []int32
 	// Stats is the solve's scheduler observability snapshot: executed
 	// graph tasks and drain-worker idle nanoseconds (zero for the serial
@@ -126,12 +127,13 @@ type Result struct {
 func (r *Result) Cost() cost.Cost { return r.Table.Root() }
 
 // Split returns the recorded optimal split of span (i,j), or -1 when the
-// span is a leaf, unreachable, or splits were not recorded.
+// span is a leaf, empty (j <= i), unreachable, or splits were not
+// recorded.
 func (r *Result) Split(i, j int) int {
-	if r.Splits == nil {
+	if r.Splits == nil || j <= i {
 		return -1
 	}
-	return int(r.Splits[i*r.Table.Stride()+j])
+	return int(r.Splits[r.Table.Rows().Org(i)+j])
 }
 
 // EffectiveTileSize resolves the block edge a solve of size n runs

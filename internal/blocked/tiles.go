@@ -27,7 +27,7 @@ type tileSolver[S algebra.Kernel] struct {
 	b      int // block edge
 	size   int // n+1
 	nb     int // block count
-	stride int
+	rows   algebra.Rows
 	data   []cost.Cost
 	splits []int32
 	f      algebra.SplitFunc
@@ -107,31 +107,28 @@ func getFbuf(b int) *[]cost.Cost {
 	return p
 }
 
-// newTileSolver allocates and seeds the cost table (and split matrix when
-// recording): Zero-fill of the computed triangle for non-min-plus
+// newTileSolver allocates and seeds the packed cost table (and split
+// matrix when recording): Zero-fill of every cell for non-min-plus
 // algebras, leaf diagonal from Init, splits initialised to -1.
 func newTileSolver[S algebra.Kernel](sr S, in *recurrence.Instance, b int, record bool) *tileSolver[S] {
 	n := in.N
 	size := n + 1
 	tbl := recurrence.NewTable(n)
-	data, stride := tbl.Data(), tbl.Stride()
+	data, rows := tbl.Data(), tbl.Rows()
 	// NewTable pre-fills with Inf — min-plus's Zero. Any other algebra
-	// re-seeds exactly the cells the recurrence computes (i < j), keeping
-	// the untouched lower triangle bitwise identical to the sequential
-	// table.
+	// re-seeds every cell (data[1:]; the pad slot stays Inf, as in the
+	// sequential table).
 	if zero := sr.Zero(); zero != cost.Inf {
-		for i := 0; i < n; i++ {
-			row := i * stride
-			for j := i + 1; j <= n; j++ {
-				data[row+j] = zero
-			}
+		cells := data[1:]
+		for c := range cells {
+			cells[c] = zero
 		}
 	}
 	for i := 0; i < n; i++ {
-		data[i*stride+i+1] = in.Init(i)
+		data[rows.Org(i)+i+1] = in.Init(i)
 	}
 
-	// The split matrix shares the table's flat layout; -1 marks "no
+	// The split matrix shares the table's packed layout; -1 marks "no
 	// candidate recorded". Recording is race-free for the same reason the
 	// value writes are: every kernel call writes only its own destination
 	// run, and parallel units own disjoint runs.
@@ -148,7 +145,7 @@ func newTileSolver[S algebra.Kernel](sr S, in *recurrence.Instance, b int, recor
 
 	return &tileSolver[S]{
 		sr: sr, n: n, b: b, size: size, nb: (size + b - 1) / b,
-		stride: stride, data: data, splits: splits,
+		rows: rows, data: data, splits: splits,
 		f: algebra.SplitFunc(in.F), fPanel: in.FPanel, res: res,
 	}
 }
@@ -167,27 +164,27 @@ func (t *tileSolver[S]) hi(B int) int {
 
 // relaxRun folds split k into the m cells (i, j0..j0+m-1). With a bulk F
 // (Instance.FPanel) the f run fills in one tight loop and the
-// three-stream RelaxSplitRow consumes it; otherwise RelaxSplitPanel
+// three-stream FoldSplitRow consumes it; otherwise FoldSplitPanel
 // evaluates F per candidate inside the kernel body. A Zero left factor
 // c(i,k) annihilates every candidate of the run, and every split-row
 // body returns on it without reading f, so the run is skipped before its
 // f values are computed: tables and splits are unchanged, and an
 // infeasible region (a bool-plan constraint wall) costs no F calls.
 func (t *tileSolver[S]) relaxRun(fbuf []cost.Cost, i, k, j0, m int) {
-	if m <= 0 || t.sr.IsZero(t.data[i*t.stride+k]) {
+	if m <= 0 || t.sr.IsZero(t.data[t.rows.Org(i)+k]) {
 		return
 	}
 	if t.fPanel != nil {
 		t.fPanel(i, k, j0, fbuf[:m])
 		if t.splits != nil {
-			t.sr.RelaxSplitRowRec(t.data, t.splits, t.stride, i, k, j0, m, fbuf)
+			t.sr.FoldSplitRowRec(t.data, t.splits, t.rows, i, k, j0, m, fbuf)
 		} else {
-			t.sr.RelaxSplitRow(t.data, t.stride, i, k, j0, m, fbuf)
+			t.sr.FoldSplitRow(t.data, t.rows, i, k, j0, m, fbuf)
 		}
 	} else if t.splits != nil {
-		t.sr.RelaxSplitPanelRec(t.data, t.splits, t.stride, i, k, k+1, j0, m, t.f)
+		t.sr.FoldSplitPanelRec(t.data, t.splits, t.rows, i, k, k+1, j0, m, t.f)
 	} else {
-		t.sr.RelaxSplitPanel(t.data, t.stride, i, k, k+1, j0, m, t.f)
+		t.sr.FoldSplitPanel(t.data, t.rows, i, k, k+1, j0, m, t.f)
 	}
 }
 
@@ -196,9 +193,9 @@ func (t *tileSolver[S]) relaxRun(fbuf []cost.Cost, i, k, j0, m int) {
 // sweep and the off-diagonal block-I fold share.
 func (t *tileSolver[S]) relaxPanel(i, ka, kb, j0, m int) {
 	if t.splits != nil {
-		t.sr.RelaxSplitPanelRec(t.data, t.splits, t.stride, i, ka, kb, j0, m, t.f)
+		t.sr.FoldSplitPanelRec(t.data, t.splits, t.rows, i, ka, kb, j0, m, t.f)
 	} else {
-		t.sr.RelaxSplitPanel(t.data, t.stride, i, ka, kb, j0, m, t.f)
+		t.sr.FoldSplitPanel(t.data, t.rows, i, ka, kb, j0, m, t.f)
 	}
 }
 
@@ -288,23 +285,25 @@ func (t *tileSolver[S]) closeTile(ctx context.Context, fbuf []cost.Cost, I, J in
 func (t *tileSolver[S]) closeTileKY(I, J int) int64 {
 	i0, i1 := t.lo(I), t.hi(I)
 	j0, j1 := t.lo(J), t.hi(J)
-	stride, splits := t.stride, t.splits
+	rows, splits := t.rows, t.splits
 	var work int64
 	for i := i1 - 1; i >= i0; i-- {
 		js := j0
 		if js < i+2 {
-			js = i + 2 // skip the lower triangle and the leaf
+			js = i + 2 // skip the spans below the diagonal and the leaf
 		}
+		// Row i's and row i+1's split windows, indexed by the column.
+		oi, oi1 := rows.Org(i), rows.Org(i+1)
 		for j := js; j < j1; j++ {
-			klo := int(splits[i*stride+j-1])
+			klo := int(splits[oi+j-1])
 			if klo < i+1 {
 				klo = i + 1
 			}
-			khi := int(splits[(i+1)*stride+j])
+			khi := int(splits[oi1+j])
 			if khi < klo || khi > j-1 {
 				khi = j - 1
 			}
-			t.sr.RelaxSplitCellRec(t.data, splits, stride, i, klo, khi+1, j, t.f)
+			t.sr.FoldSplitCellRec(t.data, splits, rows, i, klo, khi+1, j, t.f)
 			work += int64(khi - klo + 1)
 		}
 	}

@@ -9,7 +9,7 @@ import (
 // devirtualise generic method calls, so engine code that evaluates the
 // transition F per candidate inside a loop pays a dictionary call per
 // cell — the exact cliff the algebra.Kernel bulk primitives
-// (RelaxPanel, ReduceRelax, RelaxSplitPanel, ...) exist to amortise.
+// (RelaxPanel, ReduceRelax, FoldSplitPanel, ...) exist to amortise.
 // Engine packages therefore may not call `<instance>.F(...)` inside a
 // loop: candidate work flows through the bulk primitives (passing the
 // F *value* to a kernel is the sanctioned pattern and is not flagged).

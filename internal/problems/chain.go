@@ -39,10 +39,16 @@ func SegmentedLeastSquares(xs, ys []int64, penalty int64) *recurrence.Chain {
 	}
 	// Prefix moments over points 1..n make each segment error O(1), so
 	// F is evaluated on demand from O(n) state instead of an (n+1)^2
-	// table: mom[t] sums x, y, x², xy, y² over xs/ys[0..t-1].
+	// table: mom[t] sums x, y, x², xy, y² over xs/ys[0..t-1]. The x
+	// moments are centred on xs[0], which leaves every segment's fit
+	// unchanged but keeps the float sums as small as the span of x
+	// allows: raw sums of a series shifted far from 0 lose the low bits
+	// the errors are made of, so a shifted twin would get another cost.
+	// The offset is exact: xs is increasing, so xs[t]−xs[0] lies in
+	// [0, 2^64) and its uint64 form is the true difference.
 	mom := make([]moments, n+1)
 	for t := 1; t <= n; t++ {
-		x, y := float64(xs[t-1]), float64(ys[t-1])
+		x, y := float64(uint64(xs[t-1])-uint64(xs[0])), float64(ys[t-1])
 		p := mom[t-1]
 		mom[t] = moments{p.x + x, p.y + y, p.xx + x*x, p.xy + x*y, p.yy + y*y}
 	}

@@ -247,8 +247,9 @@ func TestChainBruteForceAgreement(t *testing.T) {
 }
 
 // eagerSegLSTable fills the full (n+1)^2 segls weight table up front,
-// one entry per (k,j) from separate prefix-sum arrays — the reference
-// the on-demand F and FRow must reproduce bitwise.
+// one entry per (k,j) from separate prefix-sum arrays over x centred on
+// xs[0] — the reference the on-demand F and FRow must reproduce
+// bitwise.
 func eagerSegLSTable(xs, ys []int64, penalty int64) []cost.Cost {
 	n := len(xs)
 	sx := make([]float64, n+1)
@@ -257,7 +258,7 @@ func eagerSegLSTable(xs, ys []int64, penalty int64) []cost.Cost {
 	sxy := make([]float64, n+1)
 	syy := make([]float64, n+1)
 	for t := 1; t <= n; t++ {
-		x, y := float64(xs[t-1]), float64(ys[t-1])
+		x, y := float64(xs[t-1]-xs[0]), float64(ys[t-1])
 		sx[t] = sx[t-1] + x
 		sy[t] = sy[t-1] + y
 		sxx[t] = sxx[t-1] + x*x

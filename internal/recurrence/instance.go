@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 
+	"sublineardp/internal/algebra"
 	"sublineardp/internal/cost"
 )
 
@@ -282,9 +283,19 @@ func (in *Instance) Materialize() *Instance {
 	}
 }
 
-// Table is a dense upper-triangular cost table over the node pairs (i,j),
-// 0 <= i <= j <= N, stored row-major in a flat slice. It is the common
-// result representation shared by all solvers.
+// Table is the cost table over the node pairs (i,j), 0 <= i < j <= N —
+// the only cells recurrence (*) reads or writes — and the common result
+// representation shared by all solvers. It stores the packed upper
+// triangle: row i holds its N−i cells j = i+1..N, rows back to back,
+// after one leading pad slot that makes row i's origin
+//
+//	Rows().Org(i) = i·(N−1) − i(i−1)/2
+//
+// non-negative, so cell (i,j) lives at Rows().Org(i)+j and the row
+// window Row(i) is indexed by the absolute column j. Consecutive origins
+// differ by N−i−1: a column walk c(k,j), c(k+1,j), … is a first-order
+// sequence whose step drops by one per row. A table holds
+// 1 + N(N+1)/2 cells, half of the dense (N+1)² square.
 type Table struct {
 	N    int
 	data []cost.Cost
@@ -292,27 +303,47 @@ type Table struct {
 
 // NewTable returns a table for objects 1..n with every entry Inf.
 func NewTable(n int) *Table {
-	size := n + 1
-	t := &Table{N: n, data: make([]cost.Cost, size*size)}
+	t := &Table{N: n, data: make([]cost.Cost, 1+n*(n+1)/2)}
 	for i := range t.data {
 		t.data[i] = cost.Inf
 	}
 	return t
 }
 
-// At returns the entry for node (i,j).
-func (t *Table) At(i, j int) cost.Cost { return t.data[i*(t.N+1)+j] }
+// Rows returns the table's row geometry — Rows{Step: N−1, Drop: 1} —
+// in the form the algebra split primitives address it by.
+func (t *Table) Rows() algebra.Rows { return algebra.Rows{Step: t.N - 1, Drop: 1} }
 
-// Data exposes the flat row-major backing slice (cell (i,j) lives at
-// i*Stride()+j) — the kernel-facing escape hatch the bulk primitives
-// operate on. Mutating it mutates the table.
+// At returns the entry for node (i,j); spans with j <= i are not
+// stored and read Inf.
+func (t *Table) At(i, j int) cost.Cost {
+	if j <= i {
+		return cost.Inf
+	}
+	return t.data[t.Rows().Org(i)+j]
+}
+
+// Data exposes the flat packed backing slice (cell (i,j), i < j, lives
+// at Rows().Org(i)+j; data[0] is the pad slot, and data[1:] holds the
+// cells in row-major order) — the kernel-facing escape hatch the bulk
+// primitives operate on. Mutating it mutates the table.
 func (t *Table) Data() []cost.Cost { return t.data }
 
-// Stride returns the row length N+1 of the flat layout behind Data.
-func (t *Table) Stride() int { return t.N + 1 }
+// Row returns row i's window of Data, indexed by the absolute column:
+// Row(i)[j] is cell (i,j) for i < j <= N. Its entries at j <= i belong
+// to other rows (or the pad slot) and must not be used.
+func (t *Table) Row(i int) []cost.Cost {
+	o := t.Rows().Org(i)
+	return t.data[o : o+t.N+1]
+}
 
-// Set stores v at node (i,j).
-func (t *Table) Set(i, j int, v cost.Cost) { t.data[i*(t.N+1)+j] = v }
+// Set stores v at node (i,j). Spans with j <= i have no storage: Set
+// drops them, and At keeps reading Inf there.
+func (t *Table) Set(i, j int, v cost.Cost) {
+	if j > i {
+		t.data[t.Rows().Org(i)+j] = v
+	}
+}
 
 // Root returns c(0,N), the value the recurrence asks for.
 func (t *Table) Root() cost.Cost { return t.At(0, t.N) }
@@ -323,11 +354,9 @@ func (t *Table) Equal(o *Table) bool {
 	if t.N != o.N {
 		return false
 	}
-	for i := 0; i <= t.N; i++ {
-		for j := i + 1; j <= t.N; j++ {
-			if cost.Norm(t.At(i, j)) != cost.Norm(o.At(i, j)) {
-				return false
-			}
+	for c, v := range t.data[1:] {
+		if cost.Norm(v) != cost.Norm(o.data[1+c]) {
+			return false
 		}
 	}
 	return true

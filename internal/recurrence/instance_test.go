@@ -2,6 +2,7 @@ package recurrence
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -164,6 +165,102 @@ func TestTableDiff(t *testing.T) {
 	}
 	if len(a.Diff(NewTable(7), 0)) != 1 {
 		t.Fatal("size mismatch not reported")
+	}
+}
+
+// packedSizes are the table sizes the layout tests sweep: the
+// smallest tables, an odd and an even mid size, and one either side of
+// a 64-cell boundary.
+var packedSizes = []int{1, 2, 3, 17, 64, 65}
+
+// cellValue is a distinct value per cell, so an aliased write shows.
+func cellValue(n, i, j int) cost.Cost { return cost.Cost(i*(n+1) + j + 1) }
+
+// The packed layout stores exactly the cells i < j, each at its own
+// slot: Set/At/Row round-trip on every cell, the flat data holds them in
+// row-major order after the pad slot, and spans with j <= i read Inf
+// and take no writes.
+func TestTablePackedLayoutRoundTrip(t *testing.T) {
+	for _, n := range packedSizes {
+		tb := NewTable(n)
+		if got, want := len(tb.Data()), 1+n*(n+1)/2; got != want {
+			t.Fatalf("n=%d: %d cells stored, want %d", n, got, want)
+		}
+		for i := 0; i <= n; i++ {
+			for j := i + 1; j <= n; j++ {
+				tb.Set(i, j, cellValue(n, i, j))
+			}
+			for j := 0; j <= i; j++ {
+				tb.Set(i, j, -1) // no storage: dropped
+			}
+		}
+		next := 1
+		for i := 0; i <= n; i++ {
+			row := tb.Row(i)
+			if len(row) != n+1 {
+				t.Fatalf("n=%d: Row(%d) has %d entries, want %d", n, i, len(row), n+1)
+			}
+			for j := 0; j <= n; j++ {
+				if j <= i {
+					if got := tb.At(i, j); got != cost.Inf {
+						t.Fatalf("n=%d: At(%d,%d) = %d below the diagonal, want Inf", n, i, j, got)
+					}
+					continue
+				}
+				want := cellValue(n, i, j)
+				if got := tb.At(i, j); got != want {
+					t.Fatalf("n=%d: At(%d,%d) = %d, want %d", n, i, j, got, want)
+				}
+				if got := row[j]; got != want {
+					t.Fatalf("n=%d: Row(%d)[%d] = %d, want %d", n, i, j, got, want)
+				}
+				if got := tb.Data()[next]; got != want {
+					t.Fatalf("n=%d: data[%d] = %d, want cell (%d,%d) = %d", n, next, got, i, j, want)
+				}
+				if o := tb.Rows().Org(i) + j; o != next {
+					t.Fatalf("n=%d: cell (%d,%d) at %d, want %d", n, i, j, o, next)
+				}
+				next++
+			}
+		}
+		if tb.Data()[0] != cost.Inf {
+			t.Fatalf("n=%d: pad slot written: %d", n, tb.Data()[0])
+		}
+		if tb.Root() != cellValue(n, 0, n) {
+			t.Fatalf("n=%d: Root = %d", n, tb.Root())
+		}
+	}
+}
+
+// Clone, Equal and Diff see every packed cell, and nothing else.
+func TestTablePackedCloneEqualDiff(t *testing.T) {
+	for _, n := range packedSizes {
+		a := NewTable(n)
+		for i := 0; i <= n; i++ {
+			for j := i + 1; j <= n; j++ {
+				a.Set(i, j, cellValue(n, i, j))
+			}
+		}
+		b := a.Clone()
+		if !a.Equal(b) || len(a.Diff(b, 0)) != 0 {
+			t.Fatalf("n=%d: clone differs: %v", n, a.Diff(b, 0))
+		}
+		for i := 0; i <= n; i++ {
+			for j := i + 1; j <= n; j++ {
+				c := b.Clone()
+				c.Set(i, j, 0)
+				if a.Equal(c) {
+					t.Fatalf("n=%d: change at (%d,%d) not seen by Equal", n, i, j)
+				}
+				if d := a.Diff(c, 0); len(d) != 1 || !strings.HasPrefix(d[0], fmt.Sprintf("(%d,%d):", i, j)) {
+					t.Fatalf("n=%d: Diff after a change at (%d,%d) = %v", n, i, j, d)
+				}
+			}
+		}
+		b.Set(0, n, 0)
+		if a.Root() == 0 {
+			t.Fatalf("n=%d: Clone shares storage with its source", n)
+		}
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // work W used in processor-time product comparisons).
 type Result struct {
 	Table  *recurrence.Table
-	splits []int32 // split[k] choice per (i,j); -1 for leaves
+	splits []int32 // split choice per (i,j), in the table's packed layout; -1 for leaves
 	N      int
 	Work   int64
 	zero   cost.Cost // the algebra's "no solution" value, for Tree gating
@@ -58,13 +58,12 @@ func SolveSemiringCtx(ctx context.Context, in *recurrence.Instance, sr algebra.S
 		return nil, err
 	}
 	n := in.N
-	size := n + 1
 	res := &Result{
-		Table:  recurrence.NewTable(n),
-		splits: make([]int32, size*size),
-		N:      n,
-		zero:   k.Zero(),
+		Table: recurrence.NewTable(n),
+		N:     n,
+		zero:  k.Zero(),
 	}
+	res.splits = make([]int32, len(res.Table.Data()))
 	for i := range res.splits { //lint:allow ctxpoll O(n^2) split-matrix sentinel fill before the polled sweep
 		res.splits[i] = -1
 	}
@@ -95,10 +94,9 @@ func SolveSemiringCtx(ctx context.Context, in *recurrence.Instance, sr algebra.S
 // a tie.
 func sweep[K algebra.Kernel](ctx context.Context, in *recurrence.Instance, res *Result, sr K) error {
 	n := in.N
-	size := n + 1
-	data, zero := res.Table.Data(), sr.Zero()
+	tab, zero := res.Table, sr.Zero()
 	for i := n - 2; i >= 0; i-- {
-		ri, si := data[i*size:(i+1)*size], res.splits[i*size:(i+1)*size]
+		ri, si := tab.Row(i), res.splitRow(i)
 		for j := i + 2; j <= n; j++ {
 			ri[j] = zero
 		}
@@ -106,7 +104,7 @@ func sweep[K algebra.Kernel](ctx context.Context, in *recurrence.Instance, res *
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			cik, rk := ri[k], data[k*size:(k+1)*size]
+			cik, rk := ri[k], tab.Row(k)
 			for j := k + 1; j <= n; j++ {
 				v := sr.Extend3(in.F(i, k, j), cik, rk[j]) //lint:allow bulkonly the engine-independent reference scan every bulk kernel is conformance-pinned against
 				if sr.Better(v, ri[j]) {
@@ -134,9 +132,19 @@ func (r *Result) Feasible() bool {
 }
 
 // Split returns the optimal split point recorded for node (i,j), or -1
-// for leaves and never-computed spans.
+// for leaves, empty spans (j <= i) and never-computed spans.
 func (r *Result) Split(i, j int) int {
-	return int(r.splits[i*(r.N+1)+j])
+	if j <= i {
+		return -1
+	}
+	return int(r.splitRow(i)[j])
+}
+
+// splitRow is row i's window of the split matrix, indexed by the
+// absolute column like Table.Row.
+func (r *Result) splitRow(i int) []int32 {
+	o := r.Table.Rows().Org(i)
+	return r.splits[o : o+r.N+1]
 }
 
 // Tree reconstructs the optimal parenthesization tree from the split
@@ -169,13 +177,12 @@ func SolveKnuth(in *recurrence.Instance) *Result {
 		panic(fmt.Sprintf("seq: SolveKnuth requires min-plus, instance %q declares %q", in.Name, in.Algebra))
 	}
 	n := in.N
-	size := n + 1
 	res := &Result{
-		Table:  recurrence.NewTable(n),
-		splits: make([]int32, size*size),
-		N:      n,
-		zero:   cost.Inf,
+		Table: recurrence.NewTable(n),
+		N:     n,
+		zero:  cost.Inf,
 	}
+	res.splits = make([]int32, len(res.Table.Data()))
 	for i := range res.splits {
 		res.splits[i] = -1
 	}
@@ -183,13 +190,14 @@ func SolveKnuth(in *recurrence.Instance) *Result {
 		res.Table.Set(i, i+1, in.Init(i))
 		// Treat the leaf's "split" as its midpoint so the span-2 windows
 		// below are well defined.
-		res.splits[i*size+i+1] = int32(i) // lower bound sentinel: k >= i+1 enforced below
+		res.splitRow(i)[i+1] = int32(i) // lower bound sentinel: k >= i+1 enforced below
 	}
 	for span := 2; span <= n; span++ {
 		for i := 0; i+span <= n; i++ {
 			j := i + span
-			lo := int(res.splits[i*size+j-1])
-			hi := int(res.splits[(i+1)*size+j])
+			si := res.splitRow(i)
+			lo := int(si[j-1])
+			hi := int(res.splitRow(i + 1)[j])
 			if lo < i+1 {
 				lo = i + 1
 			}
@@ -207,7 +215,7 @@ func SolveKnuth(in *recurrence.Instance) *Result {
 			}
 			res.Work += int64(hi - lo + 1)
 			res.Table.Set(i, j, best)
-			res.splits[i*size+j] = bestK
+			si[j] = bestK
 		}
 	}
 	return res

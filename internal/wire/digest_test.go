@@ -68,10 +68,13 @@ func randomCost(rng *rand.Rand) cost.Cost {
 
 // TestBufferedDigestsMatchPerEntryStream pins the buffered digests to
 // the per-entry reference on random tables, vectors and paths whose
-// encodings span zero, one and many flush chunks.
+// encodings span zero, one and many flush chunks. The table sizes
+// include those the packed-layout tests sweep (1, 2, 3, 17, 64, 65):
+// TableDigest hashes the packed cell run in one pass, the reference
+// streams it cell by cell through At.
 func TestBufferedDigestsMatchPerEntryStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	for _, n := range []int{0, 1, 2, 7, 90, 300} {
+	for _, n := range []int{0, 1, 2, 3, 7, 17, 64, 65, 90, 300} {
 		for rep := 0; rep < 3; rep++ {
 			tab := recurrence.NewTable(n)
 			for i := 0; i <= n; i++ {

@@ -586,14 +586,12 @@ func NewChainResponse(r *Request, sol *sublineardp.ChainSolution) *Response {
 
 // TableDigest returns the hex SHA-256 over the table's size and every
 // normalised upper-triangle entry in row-major order — the bitwise
-// identity of a solve result.
+// identity of a solve result. The packed table stores exactly those
+// entries, in that order, as one run after its pad slot.
 func TableDigest(t *recurrence.Table) string {
 	d := newDigester("")
 	d.varint(int64(t.N))
-	data, stride := t.Data(), t.Stride()
-	for i := 0; i <= t.N; i++ {
-		d.costs(data[i*stride+i+1 : (i+1)*stride])
-	}
+	d.costs(t.Data()[1:])
 	return d.sum()
 }
 

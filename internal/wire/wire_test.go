@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -476,6 +477,47 @@ func TestChainResponsePath(t *testing.T) {
 	resp := NewChainResponse(&req, sol)
 	if resp.Tree != "0 4" {
 		t.Fatalf("collinear points produced breakpoints %q, want \"0 4\"", resp.Tree)
+	}
+}
+
+// Shifting every x of a segls body by a constant does not change the
+// segmentation problem, so the shifted twin must get the same answer:
+// the same cost, vector digest and breakpoints. A 64-point noisy
+// four-piece series at x = 0..63 and its twin at x = 1e8..1e8+63 once
+// got different costs from raw (uncentred) float moments.
+func TestSegLSShiftedTwinSameAnswer(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	slopes := []int64{3, -2, 5, 0}
+	base := make([]Point, 64)
+	y := int64(0)
+	for x := range base {
+		if x%16 == 0 {
+			y += int64(rng.Intn(41) - 20)
+		}
+		y += slopes[x/16]
+		base[x] = Point{X: int64(x), Y: y + int64(rng.Intn(7)-3)}
+	}
+	solve := func(shift int64) *Response {
+		req := Request{Kind: KindSegLS, Penalty: 50, WantTree: true, Points: make([]Point, len(base))}
+		for i, p := range base {
+			req.Points[i] = Point{X: p.X + shift, Y: p.Y}
+		}
+		if err := req.Validate(0); err != nil {
+			t.Fatalf("shift %d: %v", shift, err)
+		}
+		c, err := req.ChainInstance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := sublineardp.MustNewChainSolver("").Solve(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewChainResponse(&req, sol)
+	}
+	a, b := solve(0), solve(1e8)
+	if a.Cost != b.Cost || a.TableDigest != b.TableDigest || a.Tree != b.Tree {
+		t.Fatalf("shifted twin answers differently: cost %d vs %d, tree %q vs %q", a.Cost, b.Cost, a.Tree, b.Tree)
 	}
 }
 

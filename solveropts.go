@@ -146,7 +146,7 @@ type Config struct {
 	// RecordSplits asks the engine to record optimal split points during
 	// the solve, making Solution.Tree and Solution.Split O(n)
 	// reconstructions instead of table re-scans. Honoured by the blocked
-	// engine (one int32 matrix, 4·(n+1)^2 bytes, plus one compare+store
+	// engine (one packed int32 matrix, 2·n(n+1) bytes, plus one compare+store
 	// per candidate — the value table stays bitwise identical); the
 	// sequential engine always records; other engines ignore it and fall
 	// back to lazy table reconstruction.

@@ -79,7 +79,7 @@ import (
 type (
 	// Instance is one problem of the recurrence family (*).
 	Instance = recurrence.Instance
-	// Table is the upper-triangular cost table c(i,j).
+	// Table is the cost table c(i,j), stored as its packed upper triangle.
 	Table = recurrence.Table
 	// Cost is an exact integer dynamic-programming value.
 	Cost = cost.Cost
