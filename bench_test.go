@@ -8,6 +8,7 @@ package sublineardp_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"sublineardp"
@@ -348,15 +349,15 @@ func BenchmarkE14BlockedLargeN(b *testing.B) {
 	}
 }
 
-// E15 — the chain recurrence class: the LLP async engine vs the
+// E15 — the chain recurrence class: the tiled and LLP engines vs the
 // sequential reference over segmented-least-squares instances, the
-// committed comparison BENCH_core.json carries as chain-sequential /
-// chain-llp. Candidates grow as O(n^2) with an O(1) transition, so this
-// measures the engines' fold machinery (bulk FRow + ReduceRelax runs vs
-// the sequential scan's own loop over an FRow row), not instance
-// construction. The wis and subsetsum rows at n=4096 fold only their
-// declared support, O(n) and O(n·items) candidates. The CI bench job
-// smokes it at -benchtime 1x.
+// comparison dpbench's chain track writes to BENCH_core.json
+// (chain-sequential / chain-tiled / chain-llp). Candidates grow as O(n^2) with an O(1) transition, so this
+// measures the engines' schedules and fold machinery, not instance
+// construction. Every engine runs on GOMAXPROCS workers. The wis and
+// subsetsum rows at n=4096 fold only their declared support, O(n) and
+// O(n·items) candidates, on the sequential scan whichever engine is
+// named. The CI bench job smokes it at -benchtime 1x.
 func BenchmarkE15ChainLLP(b *testing.B) {
 	type row struct {
 		family string
@@ -372,9 +373,9 @@ func BenchmarkE15ChainLLP(b *testing.B) {
 		row{"subsetsum", workload.CoinFeasibility(4096, 1)})
 	for _, r := range rows {
 		c := r.c
-		for _, engine := range []string{sublineardp.ChainEngineSequential, sublineardp.ChainEngineLLP} {
+		for _, engine := range []string{sublineardp.ChainEngineSequential, sublineardp.ChainEngineTiled, sublineardp.ChainEngineLLP} {
 			b.Run(fmt.Sprintf("engine=chain-%s/%s/n=%d", engine, r.family, c.N), func(b *testing.B) {
-				solver := sublineardp.MustNewChainSolver(engine, sublineardp.WithWorkers(4))
+				solver := sublineardp.MustNewChainSolver(engine, sublineardp.WithWorkers(runtime.GOMAXPROCS(0)))
 				ctx := context.Background()
 				warm, err := solver.Solve(ctx, c) // warm the shared pool
 				if err != nil {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sublineardp/internal/algebra"
+	"sublineardp/internal/blocked"
 	"sublineardp/internal/llp"
 	"sublineardp/internal/problems"
 	"sublineardp/internal/recurrence"
@@ -27,18 +28,29 @@ type Vector = recurrence.Vector
 
 // Registry names of the built-in chain engines.
 const (
-	// ChainEngineAuto picks a chain engine. A chain that declares a
-	// Support, solved under its declared algebra, goes to the sequential
-	// scan at every n: its O(n·support) fold leaves LLP nothing to
-	// parallelise, since index j waits on j-1. Any other chain goes by
-	// size: n <= the cutoff (WithAutoCutoff, default
-	// DefaultChainAutoCutoff) to the sequential scan, larger chains to
-	// the asynchronous LLP engine.
+	// ChainEngineAuto picks a chain engine, and never picks "llp". A
+	// dense chain (one that folds its whole window) longer than the
+	// cutoff (WithAutoCutoff, default DefaultChainAutoCutoff; never
+	// below 64) goes to the tiled engine when the solve gets two or more
+	// workers (WithWorkers, else the pool's width, capped at
+	// GOMAXPROCS). Every other chain goes to the sequential scan: short
+	// ones, any chain on one worker, and a chain that declares a Support
+	// solved under its declared algebra, whose O(n·support) fold has
+	// nothing to tile (index j waits on j-1).
 	ChainEngineAuto = "auto"
 	// ChainEngineSequential is the prefix scan, O(sum of window sizes)
 	// or, for a chain that declares a Support, O(sum of support sizes)
 	// (records predecessors, so ChainSolution.Path is O(n)).
 	ChainEngineSequential = "sequential"
+	// ChainEngineTiled cuts the chain into blocks of WithTileSize
+	// indices (default about n/(8·workers), within [32, 128]) and runs
+	// it on the pool's task graph, the 1-D form of the interval tile
+	// engines' schedule (internal/blocked).
+	// Its work is the sequential scan's, and it records predecessors, so
+	// ChainSolution.Path is O(n). A chain that declares a Support,
+	// solved under its declared algebra, runs on the sequential scan
+	// instead, and the solution then names "sequential".
+	ChainEngineTiled = "tiled"
 	// ChainEngineLLP is the asynchronous Lattice-Linear-Predicate engine
 	// of internal/llp: workers advance any index whose predecessors are
 	// stable, with no global barriers, at exactly the sequential work.
@@ -46,15 +58,22 @@ const (
 )
 
 // DefaultChainAutoCutoff is the default size threshold of the "auto"
-// chain engine for dense chains: n <= 512 goes to the sequential prefix
-// scan, larger chains to LLP. A chain that folds only its declared
-// Support ignores it and always goes to the sequential scan. Since that
-// scan evaluates each window through FRow and folds it in a loop
-// specialised per kernel, it keeps up with LLP at 2 workers well above
-// 512 on a 2-core host (segls, medians: 4.0 vs 4.9 ms at n=1024, 92 vs
-// 97 ms at n=4096), but the threshold stays 512 — servebench picks its
-// independent chain oracle by this constant.
+// chain engine for dense chains: with two or more workers, n <= 512
+// goes to the sequential prefix scan and longer chains to the tiled
+// engine. A chain that folds only its declared Support ignores it and
+// always goes to the sequential scan. On a 2-core host (segls, medians
+// of 11 interleaved rounds) the tiled engine on two workers ran 1.4–1.8×
+// faster than the scan at n=512, 1.8× at n=1024 and 2.1× at n=4096,
+// but 0.7–0.9× at n <= 192; at n=256 it won (1.35×) only while the host
+// gave the solve two full cores. On one worker it runs about level with
+// the scan (0.84–1.04×), so auto keeps one-worker solves on the scan.
+// servebench picks its chain oracle by this constant.
 const DefaultChainAutoCutoff = 512
+
+// minTiledChain is the floor of the auto cutoff. On short chains the
+// task graph costs more than the parallel fold saves: segls at n=128
+// ran at 0.8× the sequential scan's speed on two workers.
+const minTiledChain = 64
 
 // ChainEngine is one algorithm for the chain recurrence behind the
 // ChainSolver API — the chain analogue of Engine, with the same
@@ -114,6 +133,7 @@ func init() {
 	for _, e := range []ChainEngine{
 		autoChainEngine{},
 		sequentialChainEngine{},
+		tiledChainEngine{},
 		llpChainEngine{},
 	} {
 		if err := RegisterChainEngine(e); err != nil {
@@ -139,21 +159,22 @@ type ChainSolution struct {
 	Values *Vector
 
 	// Work counts candidate folds — identical across engines on the same
-	// chain (the LLP engine is work-efficient by construction).
+	// chain (the tiled and LLP engines are work-efficient by
+	// construction).
 	Work int64
 
 	// Sweeps is the LLP engine's straggler metric: the largest number of
-	// relaxation sweeps any one worker ran (zero for the sequential
-	// engine, 1 when every index was ready on first visit).
+	// relaxation sweeps any one worker ran (zero for the other engines,
+	// 1 when every index was ready on first visit).
 	Sweeps int
 
 	// Elapsed is the wall-clock duration of the solve.
 	Elapsed time.Duration
 
-	// chain backs Path(); pathFn is the sequential engine's O(n)
-	// predecessor walk.
-	chain  *Chain
-	pathFn func() ([]int, error)
+	// chain backs Path(); preds holds the predecessors the sequential
+	// and tiled engines record (nil for llp).
+	chain *Chain
+	preds []int32
 }
 
 // Cost returns the computed optimum c(N). On a solution without a
@@ -195,27 +216,30 @@ func (s *ChainSolution) Feasible() bool {
 
 // Path returns the witness breakpoint sequence 0 = k_0 < k_1 < ... <
 // k_m = N (segment boundaries, the scheduled-job prefix lengths, the
-// running subset sums). The sequential engine recorded predecessors
-// during the solve. Every other engine recovers them from the converged
-// vector, one path node at a time: the predecessor of node j is the
-// smallest k whose candidate realises c(j), scanned over the chain's
-// declared support when the solve folded only that (Chain.UsesSupport),
-// else over j's window with the transition weights bulk-evaluated
-// through FRow into one scratch row. That is O(path length × support) or
-// the windows of the path nodes only, and the smallest-k rule is the
-// sequential engine's tie-break, so the two paths agree.
+// running subset sums). The sequential and tiled engines — every engine
+// "auto" picks — record the smallest-k predecessor of every index during
+// the solve, so Path walks them back from N in O(n) and evaluates no
+// transition weight. A solution without recorded predecessors (the
+// explicitly named "llp") recovers them from the converged vector, one
+// path node at a time: the predecessor of node j is the smallest k whose
+// candidate realises c(j), scanned over the chain's declared support
+// when the solve folded only that (Chain.UsesSupport), else over j's
+// window with the transition weights bulk-evaluated through FRow into
+// one scratch row. That is O(path length × support) or the windows of
+// the path nodes only, and the smallest-k rule is the recording engines'
+// tie-break, so every path agrees.
 func (s *ChainSolution) Path() ([]int, error) {
 	if s == nil {
 		return nil, errors.New("sublineardp: Path on a nil solution")
-	}
-	if s.pathFn != nil {
-		return s.pathFn()
 	}
 	if s.Values == nil || s.chain == nil {
 		return nil, errors.New("sublineardp: solution carries no chain to reconstruct from")
 	}
 	if !s.Feasible() {
 		return nil, errors.New("sublineardp: no chain optimum to reconstruct (root is the algebra's Zero)")
+	}
+	if s.preds != nil {
+		return recurrence.PredPath(s.preds)
 	}
 	k, err := algebra.Resolve(nil, s.Algebra)
 	if err != nil {
@@ -285,12 +309,36 @@ func (sequentialChainEngine) SolveChain(ctx context.Context, c *Chain, cfg *Conf
 		Values:  res.Values,
 		Work:    res.Work,
 		chain:   c,
-		pathFn: func() ([]int, error) {
-			if !res.Feasible() {
-				return nil, errors.New("sublineardp: no chain optimum to reconstruct (root is the algebra's Zero)")
-			}
-			return res.Path(), nil
-		},
+		preds:   res.Preds(),
+	}, nil
+}
+
+// tiledChainEngine wraps the tiled chain engine of internal/blocked.
+type tiledChainEngine struct{}
+
+func (tiledChainEngine) Name() string { return ChainEngineTiled }
+
+func (tiledChainEngine) SolveChain(ctx context.Context, c *Chain, cfg *Config) (*ChainSolution, error) {
+	alg := algebra.ResolveName(cfg.Semiring, c.Algebra)
+	if c.UsesSupport(alg) {
+		return sequentialChainEngine{}.SolveChain(ctx, c, cfg)
+	}
+	res, err := blocked.SolveChainCtx(ctx, c, blocked.Options{
+		Workers:  cfg.Workers,
+		Pool:     cfg.Pool,
+		TileSize: cfg.TileSize,
+		Semiring: cfg.Semiring,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &ChainSolution{
+		Engine:  ChainEngineTiled,
+		Algebra: alg,
+		Values:  res.Values,
+		Work:    res.Work,
+		chain:   c,
+		preds:   res.Preds,
 	}, nil
 }
 
@@ -318,10 +366,10 @@ func (llpChainEngine) SolveChain(ctx context.Context, c *Chain, cfg *Config) (*C
 	}, nil
 }
 
-// autoChainEngine is the chain selector: the sequential scan for chains
-// that fold only their declared support and for every chain up to the
-// cutoff, the LLP engine above it. The returned ChainSolution names the
-// engine actually chosen.
+// autoChainEngine is the chain selector: the tiled engine for dense
+// chains above the cutoff on two or more workers, the sequential scan
+// for everything else. The returned ChainSolution names the engine
+// actually chosen.
 type autoChainEngine struct{}
 
 func (autoChainEngine) Name() string { return ChainEngineAuto }
@@ -337,8 +385,9 @@ func pickChainAuto(c *Chain, cfg *Config) ChainEngine {
 		cutoff = DefaultChainAutoCutoff
 	}
 	name := ChainEngineSequential
-	if c.N > cutoff && !c.UsesSupport(algebra.ResolveName(cfg.Semiring, c.Algebra)) {
-		name = ChainEngineLLP
+	if c.N > max(cutoff, minTiledChain) && !c.UsesSupport(algebra.ResolveName(cfg.Semiring, c.Algebra)) &&
+		blocked.ChainWorkers(cfg.Pool, cfg.Workers) >= 2 {
+		name = ChainEngineTiled
 	}
 	e, ok := LookupChainEngine(name)
 	if !ok {

@@ -2,8 +2,12 @@ package sublineardp_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sublineardp"
@@ -29,53 +33,78 @@ func TestChainSolverRejectsInvalidChain(t *testing.T) {
 	}
 }
 
+// Auto sends a dense chain above the cutoff to the tiled engine when the
+// solve gets two or more workers, and everything else to the sequential
+// scan: short chains, chains on one worker, and — whatever the cutoff —
+// chains of at most 64 indices.
 func TestChainAutoRouting(t *testing.T) {
-	small := problems.RandomChain(10, 20, 0, 1)
-	s := sublineardp.MustNewChainSolver(sublineardp.ChainEngineAuto)
-	sol, err := s.Solve(context.Background(), small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Engine != sublineardp.ChainEngineSequential {
-		t.Fatalf("auto routed n=10 to %q, want sequential", sol.Engine)
-	}
-	// Lowering the cutoff reroutes the same chain to the LLP engine.
-	s = sublineardp.MustNewChainSolver(sublineardp.ChainEngineAuto, sublineardp.WithAutoCutoff(4))
-	if sol, err = s.Solve(context.Background(), small); err != nil {
-		t.Fatal(err)
-	}
-	if sol.Engine != sublineardp.ChainEngineLLP {
-		t.Fatalf("auto with cutoff 4 routed n=10 to %q, want llp", sol.Engine)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		n      int
+		opts   []sublineardp.Option
+		want   string
+		reason string
+	}{
+		{100, []sublineardp.Option{sublineardp.WithWorkers(2)}, sublineardp.ChainEngineSequential, "at the default cutoff"},
+		{100, []sublineardp.Option{sublineardp.WithWorkers(2), sublineardp.WithAutoCutoff(80)}, sublineardp.ChainEngineTiled, "above a lowered cutoff"},
+		{100, []sublineardp.Option{sublineardp.WithWorkers(1), sublineardp.WithAutoCutoff(80)}, sublineardp.ChainEngineSequential, "on one worker"},
+		{60, []sublineardp.Option{sublineardp.WithWorkers(2), sublineardp.WithAutoCutoff(4)}, sublineardp.ChainEngineSequential, "below the 64-index floor"},
+		{600, []sublineardp.Option{sublineardp.WithWorkers(2)}, sublineardp.ChainEngineTiled, "above the default cutoff"},
+		{600, []sublineardp.Option{sublineardp.WithWorkers(1)}, sublineardp.ChainEngineSequential, "above the default cutoff on one worker"},
+	} {
+		c := problems.RandomChain(tc.n, 20, 0, 1)
+		sol, err := sublineardp.MustNewChainSolver(sublineardp.ChainEngineAuto, tc.opts...).Solve(ctx, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := tc.want
+		if runtime.GOMAXPROCS(0) < 2 {
+			want = sublineardp.ChainEngineSequential // two workers cap at one processor
+		}
+		if sol.Engine != want {
+			t.Errorf("auto routed n=%d %s to %q, want %q", tc.n, tc.reason, sol.Engine, want)
+		}
 	}
 }
 
 // A chain that declares its support goes to the sequential scan at
-// every n under its declared algebra: LLP has nothing left to
-// parallelise. Dense chains, and support chains under an override that
-// voids the claim, keep the size cutoff.
+// every n under its declared algebra: its fold has nothing to tile.
+// Dense chains, and support chains under an override that voids the
+// claim, keep the size cutoff: the tiled engine on two workers, the
+// sequential scan on one.
 func TestChainAutoRoutesSupportChainsToSequential(t *testing.T) {
 	const n = 1024
 	xs, ys := problems.RandomSeries(n, 1)
 	s, e, w := problems.RandomJobs(n, 1)
-	auto := sublineardp.MustNewChainSolver(sublineardp.ChainEngineAuto, sublineardp.WithWorkers(2))
-	minPlus := sublineardp.MustNewChainSolver(sublineardp.ChainEngineAuto, sublineardp.WithWorkers(2),
-		sublineardp.WithSemiring(sublineardp.MinPlus))
-	for _, tc := range []struct {
-		solver *sublineardp.ChainSolver
-		c      *sublineardp.Chain
-		want   string
-	}{
-		{auto, problems.IntervalScheduling(s, e, w), sublineardp.ChainEngineSequential},
-		{auto, workload.CoinFeasibility(n, 1), sublineardp.ChainEngineSequential},
-		{auto, problems.SegmentedLeastSquares(xs, ys, 1000), sublineardp.ChainEngineLLP},
-		{minPlus, problems.IntervalScheduling(s, e, w), sublineardp.ChainEngineLLP},
-	} {
-		sol, err := tc.solver.Solve(context.Background(), tc.c)
-		if err != nil {
-			t.Fatal(err)
+	dense := sublineardp.ChainEngineTiled
+	if runtime.GOMAXPROCS(0) < 2 {
+		dense = sublineardp.ChainEngineSequential // two workers cap at one processor
+	}
+	for _, workers := range []int{2, 1} {
+		auto := sublineardp.MustNewChainSolver(sublineardp.ChainEngineAuto, sublineardp.WithWorkers(workers))
+		minPlus := sublineardp.MustNewChainSolver(sublineardp.ChainEngineAuto, sublineardp.WithWorkers(workers),
+			sublineardp.WithSemiring(sublineardp.MinPlus))
+		if workers == 1 {
+			dense = sublineardp.ChainEngineSequential
 		}
-		if sol.Engine != tc.want {
-			t.Errorf("auto routed %s under %s to %q, want %q", tc.c.Name, sol.Algebra, sol.Engine, tc.want)
+		for _, tc := range []struct {
+			solver *sublineardp.ChainSolver
+			c      *sublineardp.Chain
+			want   string
+		}{
+			{auto, problems.IntervalScheduling(s, e, w), sublineardp.ChainEngineSequential},
+			{auto, workload.CoinFeasibility(n, 1), sublineardp.ChainEngineSequential},
+			{auto, problems.SegmentedLeastSquares(xs, ys, 1000), dense},
+			{minPlus, problems.IntervalScheduling(s, e, w), dense},
+		} {
+			sol, err := tc.solver.Solve(context.Background(), tc.c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sol.Engine != tc.want {
+				t.Errorf("auto on %d workers routed %s under %s to %q, want %q",
+					workers, tc.c.Name, sol.Algebra, sol.Engine, tc.want)
+			}
 		}
 	}
 }
@@ -93,6 +122,7 @@ func TestChainSupportMatchesDenseScan(t *testing.T) {
 		{sublineardp.ChainEngineSequential, 1},
 		{sublineardp.ChainEngineLLP, 1},
 		{sublineardp.ChainEngineLLP, 3},
+		{sublineardp.ChainEngineTiled, 2},
 	}
 	for seed := int64(0); seed < 8; seed++ {
 		n := 10 + int(seed)*13
@@ -204,7 +234,7 @@ func TestChainPathDigestMatchesRecordedPredecessors(t *testing.T) {
 
 func TestChainEnginesRegistered(t *testing.T) {
 	got := sublineardp.ChainEngines()
-	for _, want := range []string{"auto", "llp", "sequential"} {
+	for _, want := range []string{"auto", "llp", "sequential", "tiled"} {
 		found := false
 		for _, name := range got {
 			if name == want {
@@ -259,5 +289,97 @@ func TestChainSolutionNilSafety(t *testing.T) {
 	zero := &sublineardp.ChainSolution{Algebra: "max-plus"}
 	if sr, _ := sublineardp.LookupSemiring("max-plus"); zero.Cost() != sr.Zero() {
 		t.Fatalf("vectorless max-plus solution Cost = %d, want the algebra's Zero", zero.Cost())
+	}
+}
+
+// Path on an auto solution is a walk of recorded predecessors: with F
+// and FRow of a segls n=1024 chain wrapped in counters, Path evaluates
+// no transition weight on any route auto takes (the tiled engine on two
+// workers, the sequential scan on one), and its digest is the
+// sequential engine's.
+func TestChainAutoPathEvaluatesNoTransition(t *testing.T) {
+	const n = 1024
+	xs, ys := problems.RandomSeries(n, 7)
+	c := problems.SegmentedLeastSquares(xs, ys, 2500)
+	var calls atomic.Int64
+	f, fRow := c.F, c.FRow
+	c.F = func(k, j int) sublineardp.Cost { calls.Add(1); return f(k, j) }
+	c.FRow = func(j, k0 int, dst []sublineardp.Cost) { calls.Add(1); fRow(j, k0, dst) }
+	want := wire.PathDigest(seq.SolveChain(c).Path())
+	for _, workers := range []int{2, 1} {
+		sol, err := sublineardp.MustNewChainSolver(sublineardp.ChainEngineAuto, sublineardp.WithWorkers(workers)).
+			Solve(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls.Store(0)
+		path, err := sol.Path()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := calls.Load(); got != 0 {
+			t.Errorf("Path on the %s solution made %d F/FRow calls, want 0", sol.Engine, got)
+		}
+		if got := wire.PathDigest(path); got != want {
+			t.Errorf("%s path digest %s, sequential %s", sol.Engine, got, want)
+		}
+	}
+}
+
+// Cancelling a tiled solve mid-run on a shared pool returns ctx.Err()
+// and no solution, while a sibling tiled solve on the same pool finishes
+// bitwise equal to the sequential scan.
+func TestTiledChainCancellationOnSharedPool(t *testing.T) {
+	pool := sublineardp.NewPool(2)
+	defer pool.Close()
+	xs, ys := problems.RandomSeries(4096, 3)
+	big := problems.SegmentedLeastSquares(xs, ys, 2500)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// At B = 64 the solve makes about n²/(2B) FRow calls, one per index
+	// and block of its window. Cancel from inside once a quarter are in.
+	const allRows = 4096 * 4096 / (2 * 64)
+	var rows atomic.Int64
+	fRow := big.FRow
+	big.FRow = func(j, k0 int, dst []sublineardp.Cost) {
+		if rows.Add(1) == allRows/4 {
+			cancel()
+		}
+		fRow(j, k0, dst)
+	}
+	xs2, ys2 := problems.RandomSeries(1024, 4)
+	small := problems.SegmentedLeastSquares(xs2, ys2, 2500)
+	want := seq.SolveChain(small)
+
+	opts := []sublineardp.Option{sublineardp.WithPool(pool), sublineardp.WithWorkers(2), sublineardp.WithTileSize(64)}
+	solver := sublineardp.MustNewChainSolver(sublineardp.ChainEngineTiled, opts...)
+	var wg sync.WaitGroup
+	var sibling *sublineardp.ChainSolution
+	var siblingErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		sibling, siblingErr = solver.Solve(context.Background(), small)
+	}()
+	sol, err := solver.Solve(ctx, big)
+	wg.Wait()
+	if !errors.Is(err, context.Canceled) || sol != nil {
+		t.Fatalf("cancelled solve returned (%v, %v), want (nil, context.Canceled)", sol, err)
+	}
+	if rows.Load() >= allRows/2 {
+		t.Errorf("cancelled solve ran %d FRow rows, about every row of the chain", rows.Load())
+	}
+	if siblingErr != nil {
+		t.Fatalf("sibling solve: %v", siblingErr)
+	}
+	if !sibling.Values.Equal(want.Values) || sibling.Work != want.Work {
+		t.Fatalf("sibling vector or work differs from the sequential scan: %v", sibling.Values.Diff(want.Values, 3))
+	}
+	path, err := sibling.Path()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(path, want.Path()) {
+		t.Fatalf("sibling path differs from the sequential scan")
 	}
 }

@@ -370,19 +370,18 @@ func benchCore(quick bool, workers int, outPath, ring string) error {
 	}
 
 	// Chain track: the 1D prefix recurrence class, sequential reference
-	// vs the LLP async engine over the same segmented-least-squares
+	// vs the tiled and LLP engines over the same segmented-least-squares
 	// instances. Candidate counts grow as O(n^2) with an O(1) transition
-	// (prefix moments), so n=4096 is ~8.4M folds — the regime where the
-	// LLP engine's parallel sweeps must be work-competitive.
-	chainConfigs := []config{
-		{sublineardp.ChainEngineSequential, []int{256, 1024, 4096}},
-		{sublineardp.ChainEngineLLP, []int{256, 1024, 4096}},
-	}
+	// (prefix moments), so n=4096 is ~8.4M folds — the regime where a
+	// parallel schedule must beat the scan.
+	chainSizes := []int{256, 1024, 4096}
 	if quick {
-		chainConfigs = []config{
-			{sublineardp.ChainEngineSequential, []int{64, 256}},
-			{sublineardp.ChainEngineLLP, []int{64, 256}},
-		}
+		chainSizes = []int{64, 256}
+	}
+	chainConfigs := []config{
+		{sublineardp.ChainEngineSequential, chainSizes},
+		{sublineardp.ChainEngineTiled, chainSizes},
+		{sublineardp.ChainEngineLLP, chainSizes},
 	}
 	chainSeqNs := map[int]int64{}
 	for _, cfg := range chainConfigs {

@@ -80,7 +80,8 @@ func main() {
 	}
 
 	// The chain problems route through the chain engine registry
-	// (auto | sequential | llp) and print value-vector instrumentation.
+	// (auto | sequential | tiled | llp) and print value-vector
+	// instrumentation.
 	switch *problem {
 	case "segls", "wis", "subsetsum":
 		if err := runChainProblem(*problem, *n, *seed, *engine, *ring, *workers, *timeout, *tree); err != nil {

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"sublineardp"
 	"sublineardp/internal/algebra"
+	"sublineardp/internal/blocked"
 	"sublineardp/internal/problems"
 	"sublineardp/internal/seq"
 	"sublineardp/internal/verify"
@@ -374,6 +376,76 @@ func TestChainEngineSemiringConformance(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// The tiled chain engine's matrix: dense segls under min-plus, and wis
+// and subset sum (windowed by its largest item) under max-plus and
+// bool-plan with their supports stripped, so the engine folds every
+// window — plus a segls copy without FRow for the per-candidate F path.
+// Across tile edges {1, 7, 64, > n} and workers {1, 2, 3}, values and
+// predecessors must equal seq.SolveChainSemiringCtx's bitwise and Work
+// the dense candidate count.
+func TestTiledChainConformanceMatrix(t *testing.T) {
+	const n = 150
+	xs, ys := problems.RandomSeries(n, 4)
+	s, e, w := problems.RandomJobs(n, 4)
+	segls := problems.SegmentedLeastSquares(xs, ys, 700)
+	noFRow := *segls
+	noFRow.FRow = nil
+	noFRow.Name = "segls-no-frow"
+	dense := func(c *sublineardp.Chain) *sublineardp.Chain {
+		d := *c
+		d.Support = nil
+		return &d
+	}
+	wis := dense(problems.IntervalScheduling(s, e, w))
+	coins := dense(workload.CoinFeasibility(n, 2))
+	if coins.Window <= 0 || coins.Window >= n {
+		t.Fatalf("subset sum fixture has window %d, want a proper window", coins.Window)
+	}
+	cases := []struct {
+		c   *sublineardp.Chain
+		alg string
+	}{
+		{segls, algebra.NameMinPlus},
+		{&noFRow, algebra.NameMinPlus},
+		{wis, algebra.NameMaxPlus},
+		{wis, algebra.NameBoolPlan},
+		{coins, algebra.NameMaxPlus},
+		{coins, algebra.NameBoolPlan},
+	}
+	ctx := context.Background()
+	for _, tc := range cases {
+		sr, ok := sublineardp.LookupSemiring(tc.alg)
+		if !ok {
+			t.Fatalf("semiring %q not registered", tc.alg)
+		}
+		want, err := seq.SolveChainSemiringCtx(ctx, tc.c, sr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Work != tc.c.NumCandidates() {
+			t.Fatalf("%s/%s: sequential work %d, dense count %d", tc.c.Name, tc.alg, want.Work, tc.c.NumCandidates())
+		}
+		for _, tile := range []int{1, 7, 64, n + 5} {
+			for _, workers := range []int{1, 2, 3} {
+				label := fmt.Sprintf("%s/%s B=%d w=%d", tc.c.Name, tc.alg, tile, workers)
+				got, err := blocked.SolveChainCtx(ctx, tc.c, blocked.Options{Workers: workers, TileSize: tile, Semiring: sr})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if !got.Values.Equal(want.Values) {
+					t.Fatalf("%s: vector differs from the sequential scan: %v", label, got.Values.Diff(want.Values, 3))
+				}
+				if !slices.Equal(got.Preds, want.Preds()) {
+					t.Fatalf("%s: predecessors differ from the sequential scan", label)
+				}
+				if got.Work != want.Work {
+					t.Fatalf("%s: work %d, sequential %d", label, got.Work, want.Work)
+				}
+			}
 		}
 	}
 }

@@ -3,7 +3,9 @@ package sublineardp_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	mrand "math/rand"
+	"slices"
 	"testing"
 
 	"sublineardp"
@@ -436,6 +438,87 @@ func FuzzPipelinedMatchesBlocked(f *testing.F) {
 		}
 		if rep := verify.Table(in, got.Table); !rep.OK() {
 			t.Fatalf("pipelined B=%d table not a fixed point (n=%d seed=%d): %v", b, n, seed, rep.Err())
+		}
+	})
+}
+
+// FuzzTiledChainMatchesSequential holds the tiled chain engine to the
+// sequential scan under every registered algebra, over tile edges from
+// one index per block past one block for the whole chain (0 = auto) and
+// 1–4 workers: values and predecessors bitwise, Path equal, and Work the
+// dense candidate count. The engine folds every window, so the shipped
+// supports are stripped; wis, subset sum and the random chain also run
+// windowed, and one family drops FRow for the per-candidate F path.
+func FuzzTiledChainMatchesSequential(f *testing.F) {
+	f.Add(int64(1), uint8(40), uint8(0), uint8(0), uint8(7), uint8(1))   // segls, B=7
+	f.Add(int64(2), uint8(64), uint8(3), uint8(1), uint8(1), uint8(3))   // windowed wis, one index per block
+	f.Add(int64(3), uint8(50), uint8(1), uint8(2), uint8(0), uint8(1))   // subset sum, its own window, auto B
+	f.Add(int64(4), uint8(77), uint8(9), uint8(3), uint8(16), uint8(2))  // windowed random chain
+	f.Add(int64(5), uint8(30), uint8(0), uint8(4), uint8(6), uint8(0))   // segls without FRow
+	f.Add(int64(6), uint8(0), uint8(0), uint8(3), uint8(2), uint8(3))    // n=1
+	f.Add(int64(7), uint8(20), uint8(2), uint8(3), uint8(200), uint8(2)) // one block
+	f.Fuzz(func(t *testing.T, seed int64, nn, window, family, tile, ww uint8) {
+		n := int(nn)%80 + 1
+		b := int(tile) % (n + 3)
+		workers := int(ww)%4 + 1
+		var c *sublineardp.Chain
+		switch family % 5 {
+		case 0:
+			xs, ys := problems.RandomSeries(n, seed)
+			c = problems.SegmentedLeastSquares(xs, ys, int64(window)*100)
+		case 1:
+			s, e, w := problems.RandomJobs(n, seed)
+			c = problems.IntervalScheduling(s, e, w)
+			c.Window = []int{0, 1, 3, 7}[window%4]
+		case 2:
+			c = problems.SubsetSum(int64(n), []int64{2, 5, int64(n)%7 + 1})
+			c.Window = []int{c.Window, 0, 1, 3, 7}[window%5]
+		case 3:
+			c = problems.RandomChain(n, 50, int(window)%(n+1), seed)
+		default:
+			xs, ys := problems.RandomSeries(n, seed)
+			c = problems.SegmentedLeastSquares(xs, ys, int64(window)*100)
+			c.FRow = nil
+		}
+		c.Support = nil
+		for _, algName := range sublineardp.Semirings() {
+			sr, ok := sublineardp.LookupSemiring(algName)
+			if !ok {
+				t.Fatalf("registered semiring %q not resolvable", algName)
+			}
+			label := fmt.Sprintf("%s window=%d alg=%s B=%d workers=%d", c.Name, c.Window, algName, b, workers)
+			want, err := seq.SolveChainSemiringCtx(context.Background(), c, sr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := blocked.SolveChainCtx(context.Background(), c, blocked.Options{Workers: workers, TileSize: b, Semiring: sr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Values.Equal(want.Values) {
+				t.Fatalf("%s: vector diverges from the sequential scan: %v", label, got.Values.Diff(want.Values, 3))
+			}
+			if !slices.Equal(got.Preds, want.Preds()) {
+				t.Fatalf("%s: predecessors diverge from the sequential scan", label)
+			}
+			if got.Work != c.NumCandidates() || got.Work != want.Work {
+				t.Fatalf("%s: work %d, candidates %d, sequential %d", label, got.Work, c.NumCandidates(), want.Work)
+			}
+			if !want.Feasible() {
+				continue
+			}
+			sol, err := sublineardp.MustNewChainSolver(sublineardp.ChainEngineTiled, sublineardp.WithSemiring(sr),
+				sublineardp.WithTileSize(b), sublineardp.WithWorkers(workers)).Solve(context.Background(), c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path, err := sol.Path()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if wantPath := want.Path(); !slices.Equal(path, wantPath) {
+				t.Fatalf("%s: path %v, sequential %v", label, path, wantPath)
+			}
 		}
 	})
 }

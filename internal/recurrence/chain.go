@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"sublineardp/internal/algebra"
 	"sublineardp/internal/cost"
@@ -244,6 +245,25 @@ func (c *Chain) validateSupport() error {
 type Vector struct {
 	N    int
 	data []cost.Cost
+}
+
+// PredPath walks a predecessor table back from its last index N: the
+// witness breakpoint sequence 0 = k_0 < k_1 < ... < k_m = N, where
+// preds[j] is the optimal predecessor of j. It fails when the walk meets
+// an index without a predecessor below it.
+func PredPath(preds []int32) ([]int, error) {
+	n := len(preds) - 1
+	path := []int{n}
+	for j := n; j > 0; {
+		p := int(preds[j])
+		if p < 0 || p >= j {
+			return nil, fmt.Errorf("recurrence: no recorded predecessor of c(%d)", j)
+		}
+		path = append(path, p)
+		j = p
+	}
+	slices.Reverse(path)
+	return path, nil
 }
 
 // NewVector returns a vector for indices 0..n with every entry Inf

@@ -2,7 +2,6 @@ package seq
 
 import (
 	"context"
-	"fmt"
 
 	"sublineardp/internal/algebra"
 	"sublineardp/internal/cost"
@@ -102,60 +101,13 @@ func SolveChainSemiringCtx(ctx context.Context, c *recurrence.Chain, sr algebra.
 					r[t] = c.F(lo+t, j) //lint:allow bulkonly per-candidate fallback when the chain supplies no FRow
 				}
 			}
-			best, bestK = foldRun(k, values[lo:j], r, lo, best, bestK)
+			best, bestK = algebra.FoldRun(k, values[lo:j], r, lo, best, bestK)
 			res.Work += int64(len(r))
 		}
 		values[j] = best
 		preds[j] = bestK
 	}
 	return res, nil
-}
-
-// foldRun folds the candidates Extend(c(lo+t), row[t]) into best in
-// ascending t. Strict improvement keeps the smallest k on ties, and best
-// advances by Combine, not replacement, so the fold matches the bulk
-// kernels bitwise even for non-selective algebras. The loop is spelled
-// out per shipped kernel so that its Extend/Better/Combine are static
-// calls the compiler inlines; through the Kernel interface (or a type
-// parameter, which go1.24 does not devirtualise) they cost three
-// indirect calls per candidate.
-func foldRun(k algebra.Kernel, prefix, row []cost.Cost, lo int, best cost.Cost, bestK int32) (cost.Cost, int32) {
-	prefix = prefix[:len(row)]
-	switch k := k.(type) {
-	case algebra.MinPlus:
-		for t, f := range row {
-			v := k.Extend(prefix[t], f)
-			if k.Better(v, best) {
-				bestK = int32(lo + t)
-			}
-			best = k.Combine(best, v)
-		}
-	case algebra.MaxPlus:
-		for t, f := range row {
-			v := k.Extend(prefix[t], f)
-			if k.Better(v, best) {
-				bestK = int32(lo + t)
-			}
-			best = k.Combine(best, v)
-		}
-	case algebra.BoolPlan:
-		for t, f := range row {
-			v := k.Extend(prefix[t], f)
-			if k.Better(v, best) {
-				bestK = int32(lo + t)
-			}
-			best = k.Combine(best, v)
-		}
-	default:
-		for t, f := range row {
-			v := k.Extend(prefix[t], f)
-			if k.Better(v, best) {
-				bestK = int32(lo + t)
-			}
-			best = k.Combine(best, v)
-		}
-	}
-	return best, bestK
 }
 
 // Cost returns the optimal value c(N).
@@ -175,6 +127,10 @@ func (r *ChainResult) Feasible() bool {
 // index 0 and indices no candidate realised.
 func (r *ChainResult) Pred(j int) int { return int(r.preds[j]) }
 
+// Preds returns the predecessor table: entry j is Pred(j). The slice is
+// the result's own; callers must not modify it.
+func (r *ChainResult) Preds() []int32 { return r.preds }
+
 // Path reconstructs the witness breakpoint sequence 0 = k_0 < k_1 < ...
 // < k_m = N by walking the predecessor table back from N. It panics when
 // the chain holds no solution (call Feasible first) or the predecessor
@@ -183,18 +139,9 @@ func (r *ChainResult) Path() []int {
 	if !r.Feasible() {
 		panic("seq: no chain optimum to reconstruct")
 	}
-	path := []int{r.N}
-	for j := r.N; j > 0; {
-		p := r.Pred(j)
-		if p < 0 || p >= j {
-			panic(fmt.Sprintf("seq: missing chain predecessor at index %d", j))
-		}
-		path = append(path, p)
-		j = p
-	}
-	// Reverse into ascending order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
+	path, err := recurrence.PredPath(r.preds)
+	if err != nil {
+		panic(err)
 	}
 	return path
 }

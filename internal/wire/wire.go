@@ -42,7 +42,8 @@ const (
 )
 
 // Chain kinds: 1D prefix recurrences (recurrence.Chain) solved by the
-// chain engine registry (sequential / llp) rather than the interval one.
+// chain engine registry (sequential / tiled / llp) rather than the
+// interval one.
 const (
 	// KindSegLS is segmented least squares over the points in
 	// Request.Points (x strictly increasing) with per-segment penalty
@@ -542,7 +543,7 @@ func NewResponse(r *Request, sol *sublineardp.Solution) *Response {
 // NewChainResponse renders a ChainSolution as the wire response for its
 // chain-kind request. TableDigest carries the VectorDigest of the value
 // vector (domain-separated from interval table digests); Iterations
-// carries the LLP engine's sweep count (0 for the sequential engine).
+// carries the LLP engine's sweep count (0 for the other engines).
 // WantTree returns the optimal breakpoint sequence ("0 4 9 ... n",
 // space-separated) in Tree when the instance is feasible.
 func NewChainResponse(r *Request, sol *sublineardp.ChainSolution) *Response {
