@@ -15,10 +15,13 @@ import (
 //	requests == ok + clientGone + rejectedFull + badRequests
 //	            + timeouts + solveErrors      (every request resolves once)
 //	ok       == cacheHits + coalesced + solved (every 200 is exactly one)
+//	exactHits <= cacheHits                     (an exact-body hit is a hit)
 //
 // so a new code path that finishes a request must increment exactly one
 // of the first-identity counters, and a path that produces a 200 exactly
-// one of hit / coalesced / solved.
+// one of hit / coalesced / solved. exactHits counts the hits the
+// exact-body tier answered before decoding; every one of them also
+// counts under cacheHits.
 type metrics struct {
 	requests     atomic.Int64 // /solve requests received
 	ok           atomic.Int64 // 200 responses written
@@ -28,7 +31,8 @@ type metrics struct {
 	timeouts     atomic.Int64 // 504s
 	solveErrors  atomic.Int64 // 500s from engine failures
 
-	cacheHits atomic.Int64 // served from the resident LRU
+	cacheHits atomic.Int64 // served from a resident entry (either tier)
+	exactHits atomic.Int64 // the subset of cacheHits the exact-body tier answered
 	coalesced atomic.Int64 // folded into an identical in-flight solve
 	solved    atomic.Int64 // led a flight: an engine actually ran
 
@@ -76,7 +80,9 @@ func (m *metrics) write(w io.Writer) {
 	counter("dpserved_bad_requests_total", "400 responses", m.badRequests.Load())
 	counter("dpserved_timeouts_total", "504 responses", m.timeouts.Load())
 	counter("dpserved_solve_errors_total", "500 responses from engine failures", m.solveErrors.Load())
-	counter("dpserved_cache_hits_total", "responses served from the resident solution cache", m.cacheHits.Load())
+	exactHits := m.exactHits.Load() // before cacheHits, which moves first
+	counter("dpserved_cache_hits_total", "responses served from a resident cache entry (either tier)", m.cacheHits.Load())
+	counter("dpserved_cache_exact_hits_total", "the subset of cache hits answered by the exact-body tier, without decoding", exactHits)
 	counter("dpserved_coalesced_total", "requests folded into an identical in-flight solve", m.coalesced.Load())
 	counter("dpserved_solved_total", "requests that led a flight (an engine ran)", m.solved.Load())
 	gauge("dpserved_queue_depth", "currently admitted in-flight requests", m.queueDepth.Load())

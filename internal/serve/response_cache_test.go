@@ -97,11 +97,22 @@ func TestCacheResidencyIsLinearInN(t *testing.T) {
 	}
 }
 
+// decodeResponse decodes a 200 body and pins its wire form: the bytes
+// must be exactly json.Marshal's encoding of what they decode to, plus a
+// newline — the field order, omissions and HTML-safe escaping the
+// golden responses freeze — however the server assembled them.
 func decodeResponse(t *testing.T, body []byte) wire.Response {
 	t.Helper()
 	var wr wire.Response
 	if err := json.Unmarshal(body, &wr); err != nil {
 		t.Fatalf("response does not decode: %v: %s", err, body)
+	}
+	want, err := json.Marshal(&wr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, append(want, '\n')) {
+		t.Fatalf("response is not json.Marshal's encoding of itself:\n got  %s\n want %s", body, want)
 	}
 	return wr
 }
@@ -120,9 +131,10 @@ func stripPerRequest(t *testing.T, wr wire.Response) []byte {
 
 // TestCacheHitBodyEqualsMiss pins that a hit answers with exactly the
 // body the miss rendered — for every golden wire request crossed with
-// each rendering variant — and that the rendering bits are keyed: a
-// plain solve never answers a later want_tree request for the same
-// instance.
+// each rendering variant, from both cache tiers — and that the rendering
+// bits are keyed: a plain solve never answers a later want_tree request
+// for the same instance. The miss carries an id that needs escaping, so
+// the spliced id must match json.Marshal's.
 func TestCacheHitBodyEqualsMiss(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "wire", "testdata", "request_*.json"))
 	if err != nil || len(paths) == 0 {
@@ -132,7 +144,7 @@ func TestCacheHitBodyEqualsMiss(t *testing.T) {
 		name                   string
 		wantTree, returnSplits bool
 	}{{"plain", false, false}, {"want_tree", true, false}, {"return_splits", false, true}}
-	_, hs := newTestServer(t, Config{})
+	srv, hs := newTestServer(t, Config{})
 	for _, path := range paths {
 		golden, err := os.ReadFile(path)
 		if err != nil {
@@ -145,28 +157,58 @@ func TestCacheHitBodyEqualsMiss(t *testing.T) {
 					t.Fatal(err)
 				}
 				req.WantTree, req.ReturnSplits = v.wantTree, v.returnSplits
-				resp, miss := postSolve(t, hs.URL, &req)
+				req.ID = "<&>" + req.ID
+				body, err := json.Marshal(&req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, miss := postRaw(t, hs.URL, body)
 				if resp.StatusCode != http.StatusOK {
 					t.Fatalf("miss: status %d: %s", resp.StatusCode, miss)
 				}
-				// The hit carries another ID: it must echo its own.
+				missResp := decodeResponse(t, miss)
+				if missResp.Cached || missResp.Coalesced || missResp.ID != req.ID {
+					t.Fatalf("miss cached=%v coalesced=%v id=%q: want a fresh solve echoing %q",
+						missResp.Cached, missResp.Coalesced, missResp.ID, req.ID)
+				}
+				want := stripPerRequest(t, missResp)
+
+				// The byte-identical body is an exact hit; the same
+				// instance under another id is a canonical hit, which
+				// must echo its own id.
+				exactBefore := srv.Metrics().ExactHits
+				resp, exact := postRaw(t, hs.URL, body)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("exact hit: status %d: %s", resp.StatusCode, exact)
+				}
+				if got := srv.Metrics().ExactHits; got != exactBefore+1 {
+					t.Fatalf("repeating the body moved exact hits %d -> %d, want an exact hit", exactBefore, got)
+				}
 				id := req.ID
 				req.ID = "hit-" + id
-				resp, hit := postSolve(t, hs.URL, &req)
+				resp, canon := postSolve(t, hs.URL, &req)
 				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("hit: status %d: %s", resp.StatusCode, hit)
+					t.Fatalf("canonical hit: status %d: %s", resp.StatusCode, canon)
 				}
-				missResp, hitResp := decodeResponse(t, miss), decodeResponse(t, hit)
-				if missResp.Cached || missResp.Coalesced || !hitResp.Cached {
-					t.Fatalf("miss cached=%v coalesced=%v, repeat cached=%v: want a miss then a hit",
-						missResp.Cached, missResp.Coalesced, hitResp.Cached)
+				if got := srv.Metrics().ExactHits; got != exactBefore+1 {
+					t.Fatalf("another id moved exact hits to %d, want a canonical hit", got)
 				}
-				if hitResp.ID != req.ID {
-					t.Fatalf("hit echoes id %q, want its own %q", hitResp.ID, req.ID)
-				}
-				hitResp.ID = id
-				if got, want := stripPerRequest(t, hitResp), stripPerRequest(t, missResp); !bytes.Equal(got, want) {
-					t.Fatalf("hit body differs from miss body:\n hit  %s\n miss %s", got, want)
+				for _, hit := range []struct {
+					name string
+					raw  []byte
+					id   string
+				}{{"exact", exact, id}, {"canonical", canon, req.ID}} {
+					hitResp := decodeResponse(t, hit.raw)
+					if !hitResp.Cached || hitResp.Coalesced {
+						t.Fatalf("%s hit cached=%v coalesced=%v, want cached", hit.name, hitResp.Cached, hitResp.Coalesced)
+					}
+					if hitResp.ID != hit.id {
+						t.Fatalf("%s hit echoes id %q, want its own %q", hit.name, hitResp.ID, hit.id)
+					}
+					hitResp.ID = id
+					if got := stripPerRequest(t, hitResp); !bytes.Equal(got, want) {
+						t.Fatalf("%s hit body differs from miss body:\n hit  %s\n miss %s", hit.name, got, want)
+					}
 				}
 			})
 		}

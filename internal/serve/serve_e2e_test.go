@@ -264,6 +264,9 @@ func TestE2EMixedTrafficBitwiseMatchesDirectSolve(t *testing.T) {
 		t.Fatalf("counter identity broken: hits %d + coalesced %d + solved %d != ok %d",
 			m.CacheHits, m.Coalesced, m.Solved, m.OK)
 	}
+	if m.ExactHits > m.CacheHits {
+		t.Fatalf("exact hits %d exceed cache hits %d", m.ExactHits, m.CacheHits)
+	}
 	// Each distinct key solves at most once... per residency; eviction
 	// cannot occur at this cache size, so solved == distinct keys.
 	if distinct := int64(len(reqs)); m.Solved != distinct {
@@ -639,6 +642,9 @@ func TestE2EOverloadCounterIdentity(t *testing.T) {
 		t.Errorf("200 identity broken under overload: hits %d + coalesced %d + solved %d != ok %d",
 			m.CacheHits, m.Coalesced, m.Solved, m.OK)
 	}
+	if m.ExactHits > m.CacheHits {
+		t.Errorf("exact hits %d exceed cache hits %d", m.ExactHits, m.CacheHits)
+	}
 	if m.QueueDepth != 0 {
 		t.Errorf("queue depth %d after drain", m.QueueDepth)
 	}
@@ -891,6 +897,9 @@ func TestE2EChainRoundTrip(t *testing.T) {
 		t.Fatalf("counter identity broken: hits %d + coalesced %d + solved %d != ok %d",
 			m.CacheHits, m.Coalesced, m.Solved, m.OK)
 	}
+	if m.ExactHits > m.CacheHits {
+		t.Fatalf("exact hits %d exceed cache hits %d", m.ExactHits, m.CacheHits)
+	}
 	// One solve per distinct (kind, parameters, options) key: 4 chain
 	// keys + 1 interval key.
 	if m.Solved != int64(len(reqs))+1 {
@@ -1049,6 +1058,9 @@ func TestE2EReconstructionRoundTrip(t *testing.T) {
 	if m.CacheHits+m.Coalesced+m.Solved != m.OK {
 		t.Fatalf("counter identity broken: hits %d + coalesced %d + solved %d != ok %d",
 			m.CacheHits, m.Coalesced, m.Solved, m.OK)
+	}
+	if m.ExactHits > m.CacheHits {
+		t.Fatalf("exact hits %d exceed cache hits %d", m.ExactHits, m.CacheHits)
 	}
 }
 

@@ -66,23 +66,27 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
-	resp, err = http.Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// A miss, an exact hit and a canonical hit.
+	for _, id := range []string{"m-1", "m-1", "m-2"} {
+		if resp, body := postSolve(t, hs.URL, &wire.Request{ID: id, Kind: wire.KindMatrixChain, Dims: []int{2, 3, 4}}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
 	}
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	resp.Body.Close()
-	text := buf.String()
+	text := scrapeMetrics(t, hs.URL)
 	for _, want := range []string{
 		"dpserved_requests_total",
 		"dpserved_cache_hits_total",
+		"dpserved_cache_exact_hits_total",
 		"dpserved_solve_latency_seconds_bucket{le=\"+Inf\"}",
 		"# TYPE dpserved_queue_depth gauge",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
+	}
+	exact, hits := metricValue(t, text, "dpserved_cache_exact_hits_total"), metricValue(t, text, "dpserved_cache_hits_total")
+	if exact > hits || exact != 1 || hits != 2 {
+		t.Errorf("exact hits %d, cache hits %d: want 1 of 2, exact hits a subset", exact, hits)
 	}
 }
 

@@ -8,11 +8,18 @@
 //     overload degrades by rejecting early instead of queueing without
 //     bound; admitted requests run under a server deadline
 //     (RequestTimeout) joined with the client's own disconnect.
-//   - a canonical-instance cache with single-flight dedup: requests are
-//     content-addressed by the instance's canonical encoding plus the
-//     solving options and rendering bits, so a resident rendered
-//     response answers without touching the pool and identical in-flight
-//     requests fold into one solve.
+//   - a two-key response cache with single-flight dedup. The exact tier
+//     is keyed by the SHA-256 of the raw body: a body already answered
+//     with a 200 is served by one hash and one write, without decoding.
+//     Behind it the canonical tier content-addresses the instance's
+//     canonical encoding plus the solving options and rendering bits,
+//     so the same instance spelled differently (another id, another key
+//     order) still answers without touching the pool, and identical
+//     in-flight requests fold into one solve.
+//
+// Entries hold rendered bytes: the leader of a solve encodes the
+// response once, and every answer built from it — hit, coalesced waiter
+// or the leader itself — splices in only its per-request fields.
 //
 // A cache miss is solved by its flight's leader, directly on the shared
 // pool, under the flight's context: only identical requests share it, so
@@ -20,14 +27,18 @@
 package serve
 
 import (
+	"bytes"
 	"cmp"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
+	"weak"
 
 	"sublineardp"
 	"sublineardp/internal/algebra"
@@ -60,9 +71,10 @@ type Config struct {
 	// admission at once (default 256). The full queue sheds with 503.
 	QueueDepth int
 	// CacheCapacity is the response LRU size in entries (default 4096;
-	// negative disables caching and single-flight entirely). Entries are
-	// rendered responses, O(n) bytes each, so residency is bounded by
-	// about CacheCapacity × O(MaxN) bytes per store.
+	// negative disables both cache tiers and single-flight entirely).
+	// Canonical entries are rendered responses, O(n) bytes each, so
+	// residency is bounded by about CacheCapacity × O(MaxN) bytes per
+	// store; the exact tier adds CacheCapacity entries of O(1) bytes.
 	CacheCapacity int
 	// RequestTimeout is the server-side deadline per admitted request
 	// (default 30s; negative = none).
@@ -100,23 +112,36 @@ func (c Config) withDefaults() Config {
 // Server is the serving layer. Build with New and mount Handler. It has
 // nothing to close: every request is answered inside its handler, so a
 // graceful http.Server.Shutdown drains it.
+//
+// A request is looked up under two keys: first the SHA-256 of its raw
+// body (the exact tier), then, once decoded and validated, its canonical
+// key. Both resolve to the same rendered-bytes entry.
 type Server struct {
 	cfg Config
 	met *metrics
 
-	// The stores hold rendered responses, not solutions: an entry is the
-	// O(n) body a client receives (cost, digest, tree or path), never
-	// the O(n^2) table behind it, so only in-flight solves hold solver
-	// state. Entries are immutable once stored; every request answers
-	// from a private shallow copy carrying its own per-request fields.
-	lru   *cache.Sharded[*wire.Response] // nil when caching disabled
-	group cache.Group[*wire.Response]
+	// The canonical stores hold rendered bytes, not solutions: an entry
+	// is the O(n) body a client receives (cost, digest, tree or path),
+	// encoded once by the solve's leader, never the O(n^2) table behind
+	// it, so only in-flight solves hold solver state. Entries are
+	// immutable once stored; every request answers by splicing its own
+	// per-request fields around them (entry.render).
+	lru   *cache.Sharded[*entry] // nil when caching disabled
+	group cache.Group[*entry]
 
 	// Chain requests (wire.IsChainKind) cache and single-flight in their
 	// own store, so the two recurrence classes can never collide on an
 	// entry and each gets the full configured capacity.
-	clru   *cache.Sharded[*wire.Response] // nil when caching disabled
-	cgroup cache.Group[*wire.Response]
+	clru   *cache.Sharded[*entry] // nil when caching disabled
+	cgroup cache.Group[*entry]
+
+	// exact is the tier in front of both stores, keyed by the SHA-256 of
+	// a raw body that has been answered with a 200. Its CacheCapacity
+	// entries hold no body and no rendered bytes: only the body's
+	// escaped id and a weak pointer to the canonical entry, so an exact
+	// entry never keeps an evicted canonical entry alive. Once that
+	// entry is collected, the body takes the full path again.
+	exact *cache.Sharded[exactEntry] // nil when caching disabled
 
 	slots chan struct{} // admission tokens; buffered to QueueDepth
 }
@@ -133,8 +158,9 @@ func New(cfg Config) (*Server, error) {
 		slots: make(chan struct{}, cfg.QueueDepth),
 	}
 	if cfg.CacheCapacity > 0 {
-		s.lru = cache.New[*wire.Response](cfg.CacheCapacity, 16)
-		s.clru = cache.New[*wire.Response](cfg.CacheCapacity, 16)
+		s.lru = cache.New[*entry](cfg.CacheCapacity, 16)
+		s.clru = cache.New[*entry](cfg.CacheCapacity, 16)
+		s.exact = cache.New[exactEntry](cfg.CacheCapacity, 16)
 	}
 	entries := func() int { return 0 }
 	if s.lru != nil {
@@ -153,18 +179,20 @@ type MetricsSnapshot struct {
 	ClientGone, RejectedFull, BadRequests int64
 	Timeouts, SolveErrors                 int64
 	CacheHits, Coalesced, Solved          int64
+	ExactHits                             int64 // the subset of CacheHits the exact tier answered
 	QueueDepth                            int64
 }
 
 func (s *Server) snapshot() MetricsSnapshot {
 	m := s.met
+	exactHits := m.exactHits.Load() // before cacheHits: see answer
 	return MetricsSnapshot{
 		Requests: m.requests.Load(), OK: m.ok.Load(),
 		ClientGone: m.clientGone.Load(), RejectedFull: m.rejectedFull.Load(),
 		BadRequests: m.badRequests.Load(), Timeouts: m.timeouts.Load(),
 		SolveErrors: m.solveErrors.Load(), CacheHits: m.cacheHits.Load(),
 		Coalesced: m.coalesced.Load(), Solved: m.solved.Load(),
-		QueueDepth: m.queueDepth.Load(),
+		ExactHits: exactHits, QueueDepth: m.queueDepth.Load(),
 	}
 }
 
@@ -186,12 +214,42 @@ func (s *Server) Handler() http.Handler {
 
 const maxBodyBytes = 8 << 20
 
+// maxExactIDBytes bounds the escaped id an exact entry stores, so the
+// exact tier's residency stays CacheCapacity × O(1) bytes whatever ids
+// clients send. A body with a longer id is still answered from the
+// canonical tier; it only never gets the exact fast path.
+const maxExactIDBytes = 256
+
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.met.requests.Add(1)
 
+	// Read the whole body once: an oversized one is a 400 here and never
+	// reaches the hash, and the exact tier keys the very bytes a miss
+	// decodes.
+	body, err := readBody(w, r)
+	if err != nil {
+		s.met.badRequests.Add(1)
+		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed request body: %w", err))
+		return
+	}
+	var exactKey cache.Key
+	if s.exact != nil {
+		exactKey = sha256.Sum256(body)
+		if x, ok := s.exact.Get(exactKey); ok {
+			if e := x.ent.Value(); e != nil {
+				if !s.admit(w) {
+					return
+				}
+				defer s.release()
+				s.answer(w, e, x.id, viaExactHit, start)
+				return
+			}
+		}
+	}
+
 	var req wire.Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		s.met.badRequests.Add(1)
@@ -264,20 +322,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Admission: take an in-flight slot or shed immediately.
-	select {
-	case s.slots <- struct{}{}:
-		s.met.queueDepth.Add(1)
-		defer func() {
-			<-s.slots
-			s.met.queueDepth.Add(-1)
-		}()
-	default:
-		s.met.rejectedFull.Add(1)
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("admission queue full (%d in flight)", s.cfg.QueueDepth))
+	if !s.admit(w) {
 		return
 	}
+	defer s.release()
 
 	ctx := r.Context()
 	if s.cfg.RequestTimeout > 0 {
@@ -286,12 +334,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	var shared *wire.Response
+	var e *entry
 	var route via
 	if isChain {
-		shared, route, err = s.solveChain(ctx, chain, engine, &req, opts)
+		e, route, err = s.solveChain(ctx, chain, engine, &req, opts)
 	} else {
-		shared, route, err = s.solve(ctx, in, engine, &req, opts)
+		e, route, err = s.solve(ctx, in, engine, &req, opts)
 	}
 	if err != nil {
 		switch {
@@ -309,32 +357,67 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	// The rendered response may be resident in the cache or shared by a
-	// flight's waiters: answer from a private copy and set only the
-	// per-request fields on it.
-	resp := *shared
-	resp.ID = req.ID
-	resp.Cached = route == viaCacheHit
-	resp.Coalesced = route == viaCoalesced
-	resp.ElapsedMicros = time.Since(start).Microseconds()
-	// Marshal before counting: a request must resolve as exactly one of
-	// ok / clientGone / shed / rejected / timeout / solveError for the
-	// /metrics identity to balance, so the ok and hit/coalesced/solved
-	// counters only move once the response bytes are actually written.
-	blob, err := json.Marshal(&resp)
-	if err != nil {
-		s.met.solveErrors.Add(1)
-		writeError(w, http.StatusInternalServerError, err)
-		return
+	id := idField(req.ID)
+	// Only a body answered with a 200 enters the exact tier, so every
+	// body it answers has passed validation and the policy checks above.
+	if s.answer(w, e, id, route, start) && s.exact != nil && len(id) <= maxExactIDBytes {
+		s.exact.Add(exactKey, exactEntry{id: id, ent: weak.Make(e)})
 	}
+}
+
+// readBody reads the request body whole, up to maxBodyBytes. A declared
+// Content-Length sizes the buffer only up to 64 KiB, so a header alone
+// never makes the server allocate more than that before bytes arrive.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 {
+		// ReadFrom keeps MinRead bytes free before each read, so a body
+		// within the hint is read into one allocation.
+		buf.Grow(int(min(n, 64<<10)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return buf.Bytes(), err
+}
+
+// admit takes an in-flight slot, or sheds the request with 503 and
+// reports false. An admitted request must call release when done.
+func (s *Server) admit(w http.ResponseWriter) bool {
+	select {
+	case s.slots <- struct{}{}:
+		s.met.queueDepth.Add(1)
+		return true
+	default:
+		s.met.rejectedFull.Add(1)
+		writeError(w, http.StatusServiceUnavailable,
+			fmt.Errorf("admission queue full (%d in flight)", s.cfg.QueueDepth))
+		return false
+	}
+}
+
+func (s *Server) release() {
+	<-s.slots
+	s.met.queueDepth.Add(-1)
+}
+
+// answer writes e's bytes with the request's own fields spliced in and
+// counts the 200, reporting whether it was written. A request must
+// resolve as exactly one of ok / clientGone / shed / rejected / timeout /
+// solveError for the /metrics identity to balance, so the ok and
+// hit/coalesced/solved counters only move once the bytes are written.
+func (s *Server) answer(w http.ResponseWriter, e *entry, id []byte, route via, start time.Time) bool {
 	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(append(blob, '\n')); err != nil {
+	if _, err := w.Write(e.render(id, route, time.Since(start))); err != nil {
 		s.met.clientGone.Add(1)
-		return
+		return false
 	}
 	s.met.ok.Add(1)
 	s.met.observeLatency(time.Since(start).Seconds())
 	switch route {
+	case viaExactHit:
+		// cacheHits first, and readers load exactHits first, so no
+		// scrape ever sees more exact hits than hits.
+		s.met.cacheHits.Add(1)
+		s.met.exactHits.Add(1)
 	case viaCacheHit:
 		s.met.cacheHits.Add(1)
 	case viaCoalesced:
@@ -342,6 +425,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.met.solved.Add(1)
 	}
+	return true
 }
 
 type via int
@@ -349,8 +433,89 @@ type via int
 const (
 	viaSolved via = iota
 	viaCacheHit
+	viaExactHit // a cache hit the exact tier answered, before decoding
 	viaCoalesced
 )
+
+// entry is one rendered response, encoded once by its solve's leader
+// and shared by every answer built from it. The per-request fields are
+// split out, so an answer is
+//
+//	{ ["id":…,] head ["cached":true, | "coalesced":true,] tail "elapsed_us":N}
+//
+// plus a newline: json.Marshal's field order for wire.Response, byte for
+// byte.
+type entry struct {
+	head []byte // the fields "kind" through "algebra", each ending in a comma
+	tail []byte // `"reconstruction":{…},`, or empty
+}
+
+// exactEntry is an exact-tier value. It holds the `"id":…,` field of the
+// body it is keyed by (empty without an id) and a weak pointer to the
+// canonical entry that answered it.
+type exactEntry struct {
+	id  []byte
+	ent weak.Pointer[entry]
+}
+
+// newEntry encodes resp as an entry, dropping its per-request fields.
+// Every byte is encoded once: the reconstruction on its own, the rest as
+// a response without it.
+func newEntry(resp *wire.Response) (*entry, error) {
+	rest := *resp
+	rest.ID, rest.Cached, rest.Coalesced, rest.ElapsedMicros = "", false, false, 0
+	rest.Reconstruction = nil
+	b, err := json.Marshal(&rest)
+	if err != nil {
+		return nil, err
+	}
+	head, open := bytes.CutPrefix(b, []byte("{"))
+	head, closed := bytes.CutSuffix(head, []byte(`"elapsed_us":0}`))
+	if !open || !closed {
+		return nil, fmt.Errorf("serve: response encodes as %s, want elapsed_us last", b)
+	}
+	e := &entry{head: head}
+	if resp.Reconstruction != nil {
+		rec, err := json.Marshal(resp.Reconstruction)
+		if err != nil {
+			return nil, err
+		}
+		e.tail = append(append([]byte(`"reconstruction":`), rec...), ',')
+	}
+	return e, nil
+}
+
+// render returns the response bytes for one request answered from e.
+func (e *entry) render(id []byte, route via, elapsed time.Duration) []byte {
+	const (
+		cached    = `"cached":true,`
+		coalesced = `"coalesced":true,`
+		elapsedUs = `"elapsed_us":`
+	)
+	// 22 = the longest int64, then '}' and '\n'.
+	b := make([]byte, 0, 1+len(id)+len(e.head)+len(coalesced)+len(e.tail)+len(elapsedUs)+22)
+	b = append(append(append(b, '{'), id...), e.head...)
+	switch route {
+	case viaCacheHit, viaExactHit:
+		b = append(b, cached...)
+	case viaCoalesced:
+		b = append(b, coalesced...)
+	}
+	b = append(append(b, e.tail...), elapsedUs...)
+	b = strconv.AppendInt(b, elapsed.Microseconds(), 10)
+	return append(b, '}', '\n')
+}
+
+// idField renders a request id as the `"id":…,` field that opens a
+// response, escaped exactly as json.Marshal escapes it (HTML-safe), or
+// nil for an empty id, which the response omits.
+func idField(id string) []byte {
+	if id == "" {
+		return nil
+	}
+	q, _ := json.Marshal(id) // a string always marshals
+	return append(append([]byte(`"id":`), q...), ',')
+}
 
 // heavyMemoryEngines names the built-ins whose working set grows as
 // O(n^4) — the ones Config.MaxNHeavy bounds. The auto engine never
@@ -417,10 +582,10 @@ func optionsSig(engine string, o wire.Options, declared string, splits bool) str
 }
 
 // solve runs the cache → single-flight → engine protocol for one
-// admitted interval request and returns its rendered response.
-func (s *Server) solve(ctx context.Context, in *sublineardp.Instance, engine string, req *wire.Request, opts []sublineardp.Option) (*wire.Response, via, error) {
+// admitted interval request and returns its rendered entry.
+func (s *Server) solve(ctx context.Context, in *sublineardp.Instance, engine string, req *wire.Request, opts []sublineardp.Option) (*entry, via, error) {
 	key, keyed := solveKey(in, optionsSig(engine, req.Options, in.Algebra, req.ReturnSplits), req)
-	render := func(fctx context.Context) (*wire.Response, error) {
+	render := func(fctx context.Context) (*entry, error) {
 		solver, err := sublineardp.NewSolver(engine, append(opts, sublineardp.WithPool(s.cfg.Pool))...)
 		if err != nil {
 			return nil, err
@@ -429,7 +594,7 @@ func (s *Server) solve(ctx context.Context, in *sublineardp.Instance, engine str
 		if err != nil {
 			return nil, err
 		}
-		return wire.NewResponse(req, sol), nil
+		return newEntry(wire.NewResponse(req, sol))
 	}
 	return fromCache(ctx, s.lru, &s.group, key, keyed, render)
 }
@@ -447,9 +612,9 @@ func chainSolveKey(c *sublineardp.Chain, sig string, req *wire.Request) (cache.K
 
 // solveChain runs the cache → single-flight → engine protocol for one
 // admitted chain request, against the chain store.
-func (s *Server) solveChain(ctx context.Context, c *sublineardp.Chain, engine string, req *wire.Request, opts []sublineardp.Option) (*wire.Response, via, error) {
+func (s *Server) solveChain(ctx context.Context, c *sublineardp.Chain, engine string, req *wire.Request, opts []sublineardp.Option) (*entry, via, error) {
 	key, keyed := chainSolveKey(c, optionsSig(engine, req.Options, c.Algebra, false), req)
-	render := func(fctx context.Context) (*wire.Response, error) {
+	render := func(fctx context.Context) (*entry, error) {
 		solver, err := sublineardp.NewChainSolver(engine, append(opts, sublineardp.WithPool(s.cfg.Pool))...)
 		if err != nil {
 			return nil, err
@@ -458,41 +623,40 @@ func (s *Server) solveChain(ctx context.Context, c *sublineardp.Chain, engine st
 		if err != nil {
 			return nil, err
 		}
-		return wire.NewChainResponse(req, csol), nil
+		return newEntry(wire.NewChainResponse(req, csol))
 	}
 	return fromCache(ctx, s.clru, &s.cgroup, key, keyed, render)
 }
 
 // fromCache answers a keyed request from the store, else from a
-// single-flight whose leader solves and renders once: the digest and
-// reconstruction are computed once per solve, never per hit or per
-// coalesced waiter, and the solution itself is garbage as soon as it is
-// rendered. The returned response is shared — callers copy it before
-// setting per-request fields.
-func fromCache(ctx context.Context, lru *cache.Sharded[*wire.Response], group *cache.Group[*wire.Response],
-	key cache.Key, keyed bool, render func(context.Context) (*wire.Response, error)) (*wire.Response, via, error) {
+// single-flight whose leader solves and renders once: the digest,
+// reconstruction and JSON encoding are computed once per solve, never
+// per hit or per coalesced waiter, and the solution itself is garbage as
+// soon as it is rendered. The returned entry is shared and immutable.
+func fromCache(ctx context.Context, lru *cache.Sharded[*entry], group *cache.Group[*entry],
+	key cache.Key, keyed bool, render func(context.Context) (*entry, error)) (*entry, via, error) {
 	if lru == nil || !keyed {
-		resp, err := render(ctx)
-		return resp, viaSolved, err
+		e, err := render(ctx)
+		return e, viaSolved, err
 	}
-	if resp, ok := lru.Get(key); ok {
-		return resp, viaCacheHit, nil
+	if e, ok := lru.Get(key); ok {
+		return e, viaCacheHit, nil
 	}
-	resp, joined, err := group.Do(ctx, key, func(fctx context.Context) (*wire.Response, error) {
-		resp, err := render(fctx)
+	e, joined, err := group.Do(ctx, key, func(fctx context.Context) (*entry, error) {
+		e, err := render(fctx)
 		if err != nil {
 			return nil, err
 		}
-		lru.Add(key, resp)
-		return resp, nil
+		lru.Add(key, e)
+		return e, nil
 	})
 	switch {
 	case err != nil:
 		return nil, viaSolved, err
 	case joined:
-		return resp, viaCoalesced, nil
+		return e, viaCoalesced, nil
 	}
-	return resp, viaSolved, nil
+	return e, viaSolved, nil
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
