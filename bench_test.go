@@ -326,8 +326,8 @@ func BenchmarkE13RuntimeServing(b *testing.B) {
 // iteration at sizes no partial-weight engine can load (hlv-dense would
 // need ~70 GB at n=256, ~18 TB at n=1024). "blocked" names the tile
 // task graph (blocked.SolvePipe), the engine the registry alias runs. Instances stay on their
-// constructor closure/FPanel form — an O(n^3) materialised F table
-// would itself be the memory ceiling here — so this measures exactly
+// constructor form (closures with a declared closed form of F) — an
+// O(n^3) materialised F table would itself be the memory ceiling here — so this measures exactly
 // what a serving process pays for a cold large instance. The CI bench
 // job smokes it at -benchtime 1x; BENCH_core.json carries the committed
 // trajectory including the sequential-baseline speedup.

@@ -134,8 +134,9 @@ type benchFile struct {
 
 // maxMaterializeN bounds the instances benchCore materialises: the flat
 // F table is O(n^3) memory, so sizes past it run on the constructors'
-// closure/FPanel form instead — which is also how a serving process
-// actually receives them. The bound is inclusive of n=1024 on purpose:
+// own form (closures with a declared closed form of F or a bulk FPanel)
+// instead — which is also how a serving process actually receives
+// them. The bound is inclusive of n=1024 on purpose:
 // that row is the committed blocked-vs-sequential comparison and both
 // engines must see the identical representation — but it means a full
 // (non -quick) `dpbench -json` run transiently allocates ~8.6 GB per

@@ -10,6 +10,7 @@ import (
 	"sublineardp"
 	"sublineardp/internal/algebra"
 	"sublineardp/internal/blocked"
+	"sublineardp/internal/cost"
 	"sublineardp/internal/problems"
 	"sublineardp/internal/seq"
 	"sublineardp/internal/verify"
@@ -636,6 +637,101 @@ func TestPipelinedConformanceMatrix(t *testing.T) {
 				if rep := verify.TableSemiring(sr, in, piped.Table); !rep.OK() {
 					t.Errorf("%s/%s tile=%d: table is not a fixed point: %v",
 						algName, in.Name, tile, rep.Err())
+				}
+			}
+		}
+	}
+}
+
+// scalarSemiring hides every Kernel method of the algebra it wraps, so
+// the engines see a third-party semiring whose derived kernel has no
+// fused body for a declared form of F.
+type scalarSemiring struct{ algebra.Semiring }
+
+// declaredFormInstances is one instance of each family that declares a
+// closed form of F: the product families (matrix chain, worst-case
+// chain, weighted triangulation) and the k-independent ones (OBST, the
+// convex family, forbidden splits — a sparse ban set and the span-2
+// wall). The second OBST's weights are near Inf/6, so most of its
+// sums reach Inf only once the span weight is added.
+func declaredFormInstances() []*sublineardp.Instance {
+	return []*sublineardp.Instance{
+		problems.RandomMatrixChain(29, 60, 21),
+		problems.WorstCaseMatrixChain(workload.WorstCaseChainDims(27, 22)),
+		problems.WeightedTriangulation([]int64{7, 3, 9, 2, 5, 8, 1, 6, 4, 9, 3, 7, 2, 8, 5, 6, 1, 4, 9, 2, 7, 3}),
+		problems.RandomOBST(26, 40, 23),
+		problems.RandomOBST(14, int(cost.Inf/6), 27),
+		problems.RandomConvex(25, 9, 24),
+		problems.ForbiddenSplits(30, workload.FeasibilitySpans(30, 1)),
+		problems.ForbiddenSplits(24, workload.FeasibilitySpans(24, 3)),
+	}
+}
+
+// The declared-form wall: blocked-pipe folds a product-form F inside its
+// kernel and applies a k-independent F once per cell, and both must stay
+// bitwise the sequential oracle — which keeps calling plain F — in
+// table, recorded splits and work, across tile edges {1, 7, 64, auto},
+// splits on and off, and one or two workers. The override arms take the
+// fallback the kernels have no body for (F runs the engine fills from
+// the declaration): a matrix chain under bool-plan, an OBST under
+// max-plus, both under a third-party min-plus, and chains whose
+// products pass Inf.
+func TestPipelinedDeclaredFormsConformance(t *testing.T) {
+	type arm struct {
+		in *sublineardp.Instance
+		sr algebra.Semiring
+	}
+	var arms []arm
+	for _, in := range declaredFormInstances() {
+		arms = append(arms, arm{in, nil})
+	}
+	chain, obst := problems.RandomMatrixChain(23, 40, 25), problems.RandomOBST(22, 30, 26)
+	// Dimensions near 1.4e6 put a product past Inf (below the int64
+	// wrap), which the product bodies do not admit: these chains take
+	// the fallback, whose F runs prune those candidates.
+	huge := []int{1400000, 3, 1400001, 1400002, 5, 2, 1400003, 1400004, 1400005, 7, 1, 1400006, 4, 1400007}
+	arms = append(arms,
+		arm{chain, algebra.BoolPlan{}}, arm{obst, algebra.MaxPlus{}},
+		arm{chain, scalarSemiring{algebra.MinPlus{}}}, arm{obst, scalarSemiring{algebra.MinPlus{}}},
+		arm{problems.MatrixChain(huge), nil}, arm{problems.WorstCaseMatrixChain(huge), nil})
+	ctx := context.Background()
+	for _, a := range arms {
+		var opts []sublineardp.Option
+		if a.sr != nil {
+			opts = append(opts, sublineardp.WithSemiring(a.sr))
+		}
+		want, err := sublineardp.MustNewSolver(sublineardp.EngineSequential, opts...).Solve(ctx, a.in)
+		if err != nil {
+			t.Fatalf("%s: sequential: %v", a.in.Name, err)
+		}
+		for _, tile := range []int{1, 7, 64, 0} {
+			for _, record := range []bool{false, true} {
+				for _, workers := range []int{1, 2} {
+					label := fmt.Sprintf("%s/%T tile=%d splits=%v workers=%d", a.in.Name, a.sr, tile, record, workers)
+					got, err := sublineardp.MustNewSolver(sublineardp.EngineBlockedPipe, append(opts,
+						sublineardp.WithTileSize(tile), sublineardp.WithSplits(record),
+						sublineardp.WithWorkers(workers))...).Solve(ctx, a.in)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					gd, wd := got.Table.Data(), want.Table.Data()
+					for c := range gd {
+						if gd[c] != wd[c] {
+							t.Fatalf("%s: table diverges from sequential bitwise: %v", label, got.Table.Diff(want.Table, 3))
+						}
+					}
+					if record {
+						for i := 0; i <= a.in.N; i++ {
+							for j := i + 2; j <= a.in.N; j++ {
+								if g, e := got.Split(i, j), want.Split(i, j); g != e {
+									t.Fatalf("%s: split(%d,%d) = %d, sequential %d", label, i, j, g, e)
+								}
+							}
+						}
+					}
+					if work := got.Acct.Work - int64(a.in.N); work != want.Work {
+						t.Fatalf("%s: work %d (beyond the %d leaf units), sequential %d", label, work, a.in.N, want.Work)
+					}
 				}
 			}
 		}

@@ -22,9 +22,9 @@
 // (I,K) and (K,J) with strictly smaller block distance. Each tile runs
 // two kinds of unit:
 //
-//   - phase A (J−I >= 2): off-tile accumulation. For every tile row i and
-//     every strictly interior block K, one FoldSplitPanel call folds the
-//     whole k-run of block K into the row — a GEMM-shaped sweep whose
+//   - phase A (J−I >= 2): off-tile accumulation. For every tile row i,
+//     one split-kernel call folds the whole k-run of the strictly
+//     interior blocks I < K < J into the row — a GEMM-shaped sweep whose
 //     three streams (destination row, left factors, right row) are
 //     contiguous or scalar, which is what makes the engine faster per
 //     candidate than the column-striding sequential scan.
@@ -44,18 +44,22 @@
 // share one graph. Solve is the serial reference: the same units in
 // diagonal order on the calling goroutine.
 //
-// The bulk primitives evaluate the instance's F inside the kernel body
-// (FoldSplitPanel), or consume a pre-evaluated f run when the instance
-// provides a bulk form (Instance.FPanel → FoldSplitRow), so every
-// registered algebra runs at one indirect call per panel and the
-// min-plus loops stay scalar-fast. Results are bitwise identical to
-// the sequential DP under every lawful algebra: candidates form the same
+// An instance that declares a closed form of F folds it inside the
+// kernel: a product form as s·w[j] with s = w[i]·w[k] in a register
+// (algebra.ProductFolder), a k-independent form not at all, its weight
+// Extended onto each cell once when the cell is final
+// (algebra.BareFolder); both bodies fold two splits per pass. Otherwise
+// the bulk primitives consume a pre-evaluated f run when the instance
+// provides a bulk form (Instance.FPanel → FoldSplitRow), or evaluate
+// the instance's F inside the kernel body (FoldSplitPanel). Either way
+// every registered algebra runs at one indirect call per panel and the
+// min-plus loops stay scalar-fast. Results are bitwise identical to the
+// sequential DP under every lawful algebra: candidates form the same
 // multiset and Combine is associative, commutative and idempotent.
 //
 // TileSize is the engine's processor knob: B ~ n/(4p) (the auto
 // default) gives p workers about four ready tiles each, larger B trades
-// parallelism for fewer, longer tasks and better in-tile and f-run
-// locality.
+// parallelism for fewer, longer tasks and longer contiguous panels.
 package blocked
 
 import (
@@ -73,8 +77,8 @@ import (
 // ~32 KB squares) stays cache-resident.
 const DefaultTileSize = 64
 
-// maxAutoTileSize caps the auto-sized block edge: past ~512 the f-run
-// locality gains flatten while the task count is already tiny.
+// maxAutoTileSize caps the auto-sized block edge: past ~512 longer
+// panels gain nothing while the task count is already tiny.
 const maxAutoTileSize = 512
 
 // Options configures a blocked solve. The zero value is a valid default
@@ -140,7 +144,7 @@ func (r *Result) Split(i, j int) int {
 // with on a machine with procs usable processors. An explicit tile
 // wins; otherwise B targets about four ready tiles per processor
 // ((n+1)/(4·procs) — enough tiles to balance, few enough tasks and
-// long enough contiguous f runs), clamped to
+// long enough contiguous panels), clamped to
 // [DefaultTileSize, maxAutoTileSize]. On few cores this grows B with n
 // (locality is all that matters); on wide machines it shrinks toward
 // the floor to keep every worker fed.

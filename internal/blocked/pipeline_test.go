@@ -322,12 +322,19 @@ func pipelineInstances() []*recurrence.Instance {
 	}
 }
 
-// A Zero left factor c(i,k) skips its F run before FPanel is called. On
-// the span-2 wall — every (i,i+2) banned, so every span of two or more
-// objects is infeasible — only the leaf splits k = i+1 have a non-Zero
-// left factor, so the runs evaluated cover at most one row of cells per
-// i: O(n²) F cells against the O(n³) a run per split would cost. Table
-// and splits stay bitwise those of the sequential DP.
+// scalarOnly hides every Kernel method of the algebra it wraps, so the
+// engine sees a third-party semiring: Promote derives the generic
+// kernel, which has no fused body for a declared form of F.
+type scalarOnly struct{ algebra.Semiring }
+
+// A Zero left factor c(i,k) skips its split before any F value is
+// computed. On the span-2 wall — every (i,i+2) banned, so every span of
+// two or more objects is infeasible — only the leaf splits k = i+1 have
+// a non-Zero left factor. The bool-plan bare body reads FSpan once per
+// cell. A third-party bool-plan has no bare body, so the engine fills F
+// runs from FSpan, and the skip keeps those runs to at most one row of
+// cells per i: O(n²) F cells against the O(n³) a run per split would
+// cost. Table and splits stay bitwise those of the sequential DP.
 func TestPipelinedSkipsZeroLeftRuns(t *testing.T) {
 	const n = 200
 	var wall [][2]int
@@ -336,32 +343,38 @@ func TestPipelinedSkipsZeroLeftRuns(t *testing.T) {
 	}
 	in := problems.ForbiddenSplits(n, wall)
 	var cells atomic.Int64
-	fPanel := in.FPanel
-	in.FPanel = func(i, k, j0 int, dst []cost.Cost) {
-		cells.Add(int64(len(dst)))
-		fPanel(i, k, j0, dst)
+	span := in.FSpan
+	in.FSpan = func(i, j int) cost.Cost {
+		cells.Add(1)
+		return span(i, j)
 	}
 	want := seq.Solve(in)
 	if want.Cost() != 0 {
 		t.Fatalf("span-2 wall is feasible: c(0,%d) = %d", n, want.Cost())
 	}
-	for _, record := range []bool{false, true} {
-		for _, tile := range []int{0, 7, 64} {
-			cells.Store(0)
-			got, err := SolvePipeCtx(context.Background(), in, Options{TileSize: tile, RecordSplits: record})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c := cells.Load(); c > (n+1)*(n+1) {
-				t.Errorf("record=%v tile=%d: %d F-run cells evaluated, want <= %d", record, tile, c, (n+1)*(n+1))
-			}
-			if !bitwiseEqual(got.Table, want.Table) {
-				t.Errorf("record=%v tile=%d: table differs: %v", record, tile, got.Table.Diff(want.Table, 3))
-			}
-			if record {
-				if i, j, ok := splitsDiffer(got, want, n); ok {
-					t.Errorf("tile=%d: split(%d,%d) = %d, sequential recorded %d",
-						tile, i, j, got.Split(i, j), want.Split(i, j))
+	for _, sr := range []algebra.Semiring{nil, scalarOnly{algebra.BoolPlan{}}} {
+		for _, record := range []bool{false, true} {
+			for _, tile := range []int{0, 7, 64} {
+				cells.Store(0)
+				got, err := SolvePipeCtx(context.Background(), in, Options{TileSize: tile, RecordSplits: record, Semiring: sr})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := cells.Load()
+				if c > (n+1)*(n+1) {
+					t.Errorf("semiring=%T record=%v tile=%d: %d F cells evaluated, want <= %d", sr, record, tile, c, (n+1)*(n+1))
+				}
+				if sr == nil && c != n*(n-1)/2 {
+					t.Errorf("record=%v tile=%d: FSpan read %d times, want once per non-leaf cell (%d)", record, tile, c, n*(n-1)/2)
+				}
+				if !bitwiseEqual(got.Table, want.Table) {
+					t.Errorf("semiring=%T record=%v tile=%d: table differs: %v", sr, record, tile, got.Table.Diff(want.Table, 3))
+				}
+				if record {
+					if i, j, ok := splitsDiffer(got, want, n); ok {
+						t.Errorf("semiring=%T tile=%d: split(%d,%d) = %d, sequential recorded %d",
+							sr, tile, i, j, got.Split(i, j), want.Split(i, j))
+					}
 				}
 			}
 		}

@@ -31,8 +31,17 @@ type tileSolver[S algebra.Kernel] struct {
 	data   []cost.Cost
 	splits []int32
 	f      algebra.SplitFunc
+	// fPanel fills one F run for FoldSplitRow: the instance's bulk F, or
+	// one filled from a declared closed form the kernel has no body for.
 	fPanel func(i, k, j0 int, dst []cost.Cost)
-	res    *Result
+	// product folds a product-form F with weights w inside the kernel;
+	// bare folds with no F, and span is Extended onto each cell once,
+	// when the cell is final (finish).
+	product algebra.ProductFolder
+	w       []cost.Cost
+	bare    algebra.BareFolder
+	span    func(i, j int) cost.Cost
+	res     *Result
 }
 
 // tiles erases tileSolver's kernel type parameter, so the schedules are
@@ -143,10 +152,48 @@ func newTileSolver[S algebra.Kernel](sr S, in *recurrence.Instance, b int, recor
 	res := &Result{Table: tbl, TileSize: b, Splits: splits}
 	res.Acct.ChargeUnit(int64(n)) // the leaf init step
 
-	return &tileSolver[S]{
+	t := &tileSolver[S]{
 		sr: sr, n: n, b: b, size: size, nb: (size + b - 1) / b,
 		rows: rows, data: data, splits: splits,
 		f: algebra.SplitFunc(in.F), fPanel: in.FPanel, res: res,
+	}
+	// A declared closed form of F runs inside the kernel when the kernel
+	// has a body for it (for a product form, one whose products all stay
+	// below Inf); otherwise the engine fills F runs from the declaration
+	// for FoldSplitRow, as for an instance's own FPanel.
+	switch {
+	case in.FProduct != nil:
+		if pf, ok := any(sr).(algebra.ProductFolder); ok && algebra.ProductFits(in.FProduct) {
+			t.product, t.w = pf, in.FProduct
+		} else {
+			t.fPanel = productRun(in.FProduct)
+		}
+	case in.FSpan != nil:
+		if bf, ok := any(sr).(algebra.BareFolder); ok {
+			t.bare, t.span = bf, in.FSpan
+		} else {
+			t.fPanel = spanRun(in.FSpan)
+		}
+	}
+	return t
+}
+
+// productRun fills F runs of a product-form F: dst[t] = w[i]·w[k]·w[j0+t].
+func productRun(w []cost.Cost) func(i, k, j0 int, dst []cost.Cost) {
+	return func(i, k, j0 int, dst []cost.Cost) {
+		s := w[i] * w[k]
+		for t, wj := range w[j0 : j0+len(dst)] {
+			dst[t] = s * wj
+		}
+	}
+}
+
+// spanRun fills F runs of a k-independent F: dst[t] = W(i, j0+t).
+func spanRun(span func(i, j int) cost.Cost) func(i, k, j0 int, dst []cost.Cost) {
+	return func(i, k, j0 int, dst []cost.Cost) {
+		for t := range dst {
+			dst[t] = span(i, j0+t)
+		}
 	}
 }
 
@@ -162,105 +209,113 @@ func (t *tileSolver[S]) hi(B int) int {
 	return v
 }
 
-// relaxRun folds split k into the m cells (i, j0..j0+m-1). With a bulk F
-// (Instance.FPanel) the f run fills in one tight loop and the
-// three-stream FoldSplitRow consumes it; otherwise FoldSplitPanel
-// evaluates F per candidate inside the kernel body. A Zero left factor
-// c(i,k) annihilates every candidate of the run, and every split-row
-// body returns on it without reading f, so the run is skipped before its
-// f values are computed: tables and splits are unchanged, and an
-// infeasible region (a bool-plan constraint wall) costs no F calls.
-func (t *tileSolver[S]) relaxRun(fbuf []cost.Cost, i, k, j0, m int) {
-	if m <= 0 || t.sr.IsZero(t.data[t.rows.Org(i)+k]) {
+// foldSplits folds the split run [ka,kb), k ascending, into the m cells
+// (i, j0..j0+m-1), recording when the solve does. A declared closed
+// form of F folds inside the kernel (two splits per pass). Otherwise,
+// with a bulk F (fPanel) each split's F run fills in one tight loop and
+// the three-stream FoldSplitRow consumes it; with neither,
+// FoldSplitPanel evaluates F per candidate. A Zero left factor c(i,k)
+// annihilates every candidate of its split, so every path skips the
+// split before its F values are computed: tables and splits are
+// unchanged, and an infeasible region (a bool-plan constraint wall)
+// costs no F calls.
+func (t *tileSolver[S]) foldSplits(fbuf []cost.Cost, i, ka, kb, j0, m int) {
+	if m <= 0 || ka >= kb {
 		return
 	}
-	if t.fPanel != nil {
-		t.fPanel(i, k, j0, fbuf[:m])
+	switch {
+	case t.product != nil:
 		if t.splits != nil {
-			t.sr.FoldSplitRowRec(t.data, t.splits, t.rows, i, k, j0, m, fbuf)
+			t.product.FoldProductRunRec(t.data, t.splits, t.rows, i, ka, kb, j0, m, t.w)
 		} else {
-			t.sr.FoldSplitRow(t.data, t.rows, i, k, j0, m, fbuf)
+			t.product.FoldProductRun(t.data, t.rows, i, ka, kb, j0, m, t.w)
 		}
-	} else if t.splits != nil {
-		t.sr.FoldSplitPanelRec(t.data, t.splits, t.rows, i, k, k+1, j0, m, t.f)
-	} else {
-		t.sr.FoldSplitPanel(t.data, t.rows, i, k, k+1, j0, m, t.f)
-	}
-}
-
-// relaxPanel folds the split run [ka,kb) into row i's cells j0..j0+m-1,
-// recording when the run asked for it — the multi-split form the phase A
-// sweep and the off-diagonal block-I fold share.
-func (t *tileSolver[S]) relaxPanel(i, ka, kb, j0, m int) {
-	if t.splits != nil {
+	case t.bare != nil:
+		if t.splits != nil {
+			t.bare.FoldBareRunRec(t.data, t.splits, t.rows, i, ka, kb, j0, m)
+		} else {
+			t.bare.FoldBareRun(t.data, t.rows, i, ka, kb, j0, m)
+		}
+	case t.fPanel != nil:
+		row := t.rows.Org(i)
+		for k := ka; k < kb; k++ {
+			if t.sr.IsZero(t.data[row+k]) {
+				continue
+			}
+			t.fPanel(i, k, j0, fbuf[:m])
+			if t.splits != nil {
+				t.sr.FoldSplitRowRec(t.data, t.splits, t.rows, i, k, j0, m, fbuf)
+			} else {
+				t.sr.FoldSplitRow(t.data, t.rows, i, k, j0, m, fbuf)
+			}
+		}
+	case t.splits != nil:
 		t.sr.FoldSplitPanelRec(t.data, t.splits, t.rows, i, ka, kb, j0, m, t.f)
-	} else {
+	default:
 		t.sr.FoldSplitPanel(t.data, t.rows, i, ka, kb, j0, m, t.f)
 	}
 }
 
+// finish Extends a k-independent F's weight W(i,j) onto cell (i,j), a
+// non-leaf cell whose every candidate has just been folded, before the
+// cell is first read as a left factor: Combine_k(W ⊗ c(i,k) ⊗ c(k,j)) =
+// W ⊗ Combine_k(c(i,k) ⊗ c(k,j)). A cell the weight leaves at Zero (a
+// ban, or a min-plus sum at or past Inf) holds no candidate, so its
+// recorded split resets to -1, as the sequential DP records it.
+func (t *tileSolver[S]) finish(i, j int) {
+	if t.span == nil || j < i+2 {
+		return
+	}
+	c := t.rows.Org(i) + j
+	v := t.sr.Norm(t.sr.Extend(t.span(i, j), t.data[c]))
+	t.data[c] = v
+	if t.splits != nil && t.sr.IsZero(v) {
+		t.splits[c] = -1
+	}
+}
+
 // foldRowInterior is the phase-A unit for one row i of tile (I, I+d),
-// d >= 2: fold every strictly interior split block K (I < K < J), K
+// d >= 2: fold every split of the strictly interior blocks I < K < J, k
 // ascending, into the row's block-J cells. Returns the candidate count
 // folded — identical under every schedule because the unit is the whole
 // row, never a partial K range.
 func (t *tileSolver[S]) foldRowInterior(fbuf []cost.Cost, i, I, J int) int64 {
 	j0, m := t.lo(J), t.hi(J)-t.lo(J)
-	for K := I + 1; K < J; K++ {
-		if t.fPanel != nil {
-			for k := t.lo(K); k < t.hi(K); k++ {
-				t.relaxRun(fbuf, i, k, j0, m)
-			}
-		} else {
-			t.relaxPanel(i, t.lo(K), t.hi(K), j0, m)
-		}
-	}
+	t.foldSplits(fbuf, i, t.hi(I), j0, j0, m)
 	return int64(m) * int64(j0-t.hi(I))
 }
 
 // closeTile runs the in-tile closure of tile (I,J) in dependency order
-// (rows bottom-up; within a row, splits left to right, each final cell
-// immediately forward-relaxed into the rest of its row — always
-// j-contiguous runs) and returns its candidate count. For I == J this is
-// the triangular DP of the block; off-diagonal tiles first fold their
-// block-I splits (the rows below, already final), then sweep the block-J
-// splits forward — the strictly interior blocks were folded in by
-// phase A. ctx is polled once per row: a cancelled close stops early
-// with a partial tile, and the caller must discard the table.
+// (rows bottom-up; within a row, splits left to right, each cell
+// finished the moment it is final and immediately forward-relaxed into
+// the rest of its row — always j-contiguous runs) and returns its
+// candidate count. For I == J this is the triangular DP of the block;
+// off-diagonal tiles first fold their block-I splits (the rows below,
+// already final), then sweep the block-J splits forward — the strictly
+// interior blocks were folded in by phase A. ctx is polled once per
+// row: a cancelled close stops early with a partial tile, and the
+// caller must discard the table.
 func (t *tileSolver[S]) closeTile(ctx context.Context, fbuf []cost.Cost, I, J int) int64 {
 	i0, i1 := t.lo(I), t.hi(I)
 	j0, j1 := t.lo(J), t.hi(J)
 	var work int64
-	if I == J {
-		for i := i1 - 2; i >= i0; i-- {
-			if ctx.Err() != nil {
-				return work
-			}
-			for k := i + 1; k < j1-1; k++ {
-				m := j1 - k - 1
-				t.relaxRun(fbuf, i, k, k+1, m)
-				work += int64(m)
-			}
-		}
-		return work
-	}
-	m := j1 - j0
 	for i := i1 - 1; i >= i0; i-- {
 		if ctx.Err() != nil {
 			return work
 		}
-		if t.fPanel != nil {
-			for k := i + 1; k < i1; k++ {
-				t.relaxRun(fbuf, i, k, j0, m)
-			}
-		} else if i+1 < i1 {
-			t.relaxPanel(i, i+1, i1, j0, m)
+		k0 := j0
+		if I == J {
+			k0 = i + 1
+		} else {
+			t.foldSplits(fbuf, i, i+1, i1, j0, j1-j0)
+			work += int64(i1-i-1) * int64(j1-j0)
 		}
-		work += int64(i1-i-1) * int64(m)
-		for k := j0; k < j1-1; k++ {
-			mk := j1 - k - 1
-			t.relaxRun(fbuf, i, k, k+1, mk)
-			work += int64(mk)
+		for k := k0; k < j1; k++ {
+			t.finish(i, k)
+			if m := j1 - k - 1; m > 0 {
+				t.foldSplits(fbuf, i, k, k+1, k+1, m)
+				work += int64(m)
+			}
 		}
 	}
 	return work

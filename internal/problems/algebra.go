@@ -30,26 +30,15 @@ func WorstCaseMatrixChain(dims []int) *recurrence.Instance {
 			panic(fmt.Sprintf("problems: nonpositive matrix dimension %d", d))
 		}
 	}
-	d := make([]int64, len(dims))
-	for i, v := range dims {
-		d[i] = int64(v)
-	}
+	d, w := dimWeights(dims)
 	return &recurrence.Instance{
-		N:       len(dims) - 1,
-		Name:    fmt.Sprintf("worstchain-n%d", len(dims)-1),
-		Algebra: algebra.NameMaxPlus,
-		Canon:   func() []byte { return canon("worstchain", d) },
-		Init:    func(i int) cost.Cost { return 0 },
-		F: func(i, k, j int) cost.Cost {
-			return cost.Cost(d[i] * d[k] * d[j])
-		},
-		FPanel: func(i, k, j0 int, dst []cost.Cost) {
-			dik := d[i] * d[k]
-			row := d[j0 : j0+len(dst)]
-			for t := range dst {
-				dst[t] = cost.Cost(dik * row[t])
-			}
-		},
+		N:        len(dims) - 1,
+		Name:     fmt.Sprintf("worstchain-n%d", len(dims)-1),
+		Algebra:  algebra.NameMaxPlus,
+		Canon:    func() []byte { return canon("worstchain", d) },
+		Init:     func(i int) cost.Cost { return 0 },
+		F:        func(i, k, j int) cost.Cost { return w[i] * w[k] * w[j] },
+		FProduct: w,
 	}
 }
 
@@ -63,9 +52,9 @@ func WorstCaseMatrixChain(dims []int) *recurrence.Instance {
 // canonical encoding is order-independent.
 //
 // The bans are kept as a sorted list per row (4 B per pair plus 4 B per
-// row): F and Init binary-search row i, and FPanel — F does not depend
-// on k — fills its run with 1 and zeroes the row's bans inside it, one
-// binary search per run rather than a lookup per candidate.
+// row), and F, FSpan and Init binary-search row i. F does not depend on
+// k, so the instance declares it as FSpan: the tile engines look a span
+// up once per cell, not once per candidate.
 func ForbiddenSplits(n int, forbidden [][2]int) *recurrence.Instance {
 	if n < 1 {
 		panic(fmt.Sprintf("problems: ForbiddenSplits needs n >= 1, got %d", n))
@@ -99,6 +88,12 @@ func ForbiddenSplits(n int, forbidden [][2]int) *recurrence.Instance {
 		_, bad := slices.BinarySearch(bans(i), int32(j))
 		return bad
 	}
+	allowed := func(i, j int) cost.Cost {
+		if banned(i, j) {
+			return 0
+		}
+		return 1
+	}
 	return &recurrence.Instance{
 		N:       n,
 		Name:    fmt.Sprintf("forbiddensplit-n%d-m%d", n, len(pairs)),
@@ -110,26 +105,8 @@ func ForbiddenSplits(n int, forbidden [][2]int) *recurrence.Instance {
 			}
 			return 1
 		},
-		F: func(i, k, j int) cost.Cost {
-			if banned(i, j) {
-				return 0
-			}
-			return 1
-		},
-		FPanel: func(i, k, j0 int, dst []cost.Cost) {
-			for t := range dst {
-				dst[t] = 1
-			}
-			row := bans(i)
-			first, _ := slices.BinarySearch(row, int32(j0))
-			for _, j := range row[first:] {
-				t := int(j) - j0
-				if t >= len(dst) {
-					break
-				}
-				dst[t] = 0
-			}
-		},
+		F:     func(i, k, j int) cost.Cost { return allowed(i, j) },
+		FSpan: allowed,
 	}
 }
 

@@ -67,14 +67,7 @@ func RandomConvex(n, maxD int, seed int64) *recurrence.Instance {
 		Convex: true,
 		Canon:  func() []byte { return canon("convexrand", flat) },
 		Init:   func(i int) cost.Cost { return cost.Cost(w[i*size+i+1]) },
-		F: func(i, k, j int) cost.Cost {
-			return cost.Cost(w[i*size+j])
-		},
-		FPanel: func(i, k, j0 int, dst []cost.Cost) {
-			row := w[i*size:]
-			for t := range dst {
-				dst[t] = cost.Cost(row[j0+t])
-			}
-		},
+		F:      func(i, k, j int) cost.Cost { return cost.Cost(w[i*size+j]) },
+		FSpan:  func(i, j int) cost.Cost { return cost.Cost(w[i*size+j]) },
 	}
 }

@@ -28,26 +28,27 @@ func MatrixChain(dims []int) *recurrence.Instance {
 			panic(fmt.Sprintf("problems: nonpositive matrix dimension %d", d))
 		}
 	}
-	d := make([]int64, len(dims))
-	for i, v := range dims {
-		d[i] = int64(v)
-	}
+	d, w := dimWeights(dims)
 	return &recurrence.Instance{
-		N:     len(dims) - 1,
-		Name:  fmt.Sprintf("matrixchain-n%d", len(dims)-1),
-		Canon: func() []byte { return canon("matrixchain", d) },
-		Init:  func(i int) cost.Cost { return 0 },
-		F: func(i, k, j int) cost.Cost {
-			return cost.Cost(d[i] * d[k] * d[j])
-		},
-		FPanel: func(i, k, j0 int, dst []cost.Cost) {
-			dik := d[i] * d[k]
-			row := d[j0 : j0+len(dst)]
-			for t := range dst {
-				dst[t] = cost.Cost(dik * row[t])
-			}
-		},
+		N:        len(dims) - 1,
+		Name:     fmt.Sprintf("matrixchain-n%d", len(dims)-1),
+		Canon:    func() []byte { return canon("matrixchain", d) },
+		Init:     func(i int) cost.Cost { return 0 },
+		F:        func(i, k, j int) cost.Cost { return w[i] * w[k] * w[j] },
+		FProduct: w,
 	}
+}
+
+// dimWeights snapshots positive matrix dimensions twice: as the int64
+// parameters the canonical encoding names, and as the product weights
+// F multiplies.
+func dimWeights(dims []int) ([]int64, []cost.Cost) {
+	d := make([]int64, len(dims))
+	w := make([]cost.Cost, len(dims))
+	for i, v := range dims {
+		d[i], w[i] = int64(v), cost.Cost(v)
+	}
+	return d, w
 }
 
 // CLRSMatrixChain returns the six-matrix textbook example (CLRS §15.2)

@@ -54,6 +54,11 @@ func OBST(alpha, beta []int64) *recurrence.Instance {
 	// from behaviour (F already reads only the prefix sums above).
 	alphaC := append([]int64(nil), alpha...)
 	betaC := append([]int64(nil), beta...)
+	// Keys i+1..j-1 are beta indices i..j-2; gaps i..j-1 are alpha
+	// indices i..j-1.
+	weight := func(i, j int) cost.Cost {
+		return cost.Cost((betaPre[j-1] - betaPre[i]) + (alphaPre[j] - alphaPre[i]))
+	}
 	return &recurrence.Instance{
 		N:    m + 1,
 		Name: fmt.Sprintf("obst-m%d", m),
@@ -65,20 +70,12 @@ func OBST(alpha, beta []int64) *recurrence.Instance {
 		Convex: true,
 		Canon:  func() []byte { return canon("obst", alphaC, betaC) },
 		Init:   func(i int) cost.Cost { return cost.Cost(alphaC[i]) },
+		// F repeats weight's sum rather than calling it: blocked-ky
+		// evaluates F once per candidate.
 		F: func(i, k, j int) cost.Cost {
-			// Keys i+1..j-1 are beta indices i..j-2; gaps i..j-1 are
-			// alpha indices i..j-1.
 			return cost.Cost((betaPre[j-1] - betaPre[i]) + (alphaPre[j] - alphaPre[i]))
 		},
-		FPanel: func(i, k, j0 int, dst []cost.Cost) {
-			// f is independent of k; same int64 sums as F, reassociated
-			// around the constant -(betaPre[i]+alphaPre[i]) term.
-			base := -(betaPre[i] + alphaPre[i])
-			for t := range dst {
-				j := j0 + t
-				dst[t] = cost.Cost(betaPre[j-1] + alphaPre[j] + base)
-			}
-		},
+		FSpan: weight,
 	}
 }
 

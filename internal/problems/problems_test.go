@@ -225,9 +225,10 @@ func TestRandomInstanceValid(t *testing.T) {
 	}
 }
 
-// Every constructor that ships a bulk FPanel must agree with its scalar
-// F on all arguments — Validate cross-checks the two cell by cell, and
-// materialisation must preserve the contract through its flat-copy form.
+// Every constructor that ships a bulk FPanel or a closed form of F
+// (FProduct, FSpan) must agree with its scalar F on all arguments —
+// Validate cross-checks them cell by cell, and materialisation must
+// preserve the contract through its flat-copy form.
 func TestFPanelAgreesWithF(t *testing.T) {
 	ins := []*recurrence.Instance{
 		RandomMatrixChain(13, 40, 3),
@@ -236,6 +237,7 @@ func TestFPanelAgreesWithF(t *testing.T) {
 		WeightedTriangulation([]int64{3, 1, 4, 1, 5, 9, 2, 6}),
 		WorstCaseMatrixChain([]int{7, 3, 9, 2, 5}),
 		ForbiddenSplits(9, [][2]int{{1, 3}, {2, 7}, {4, 5}}),
+		RandomConvex(9, 6, 2),
 		RandomMatrixChain(12, 25, 9).Materialize(),
 		Zigzag(10),
 		ShapedWithWeights(btree.Complete(9), 3, 2),
@@ -243,8 +245,8 @@ func TestFPanelAgreesWithF(t *testing.T) {
 		RandomInstance(10, 30, 6),
 	}
 	for _, in := range ins {
-		if in.FPanel == nil {
-			t.Errorf("%s: no FPanel", in.Name)
+		if in.FPanel == nil && in.FProduct == nil && in.FSpan == nil {
+			t.Errorf("%s: no FPanel, FProduct or FSpan", in.Name)
 			continue
 		}
 		if err := in.Validate(); err != nil {

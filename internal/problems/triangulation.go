@@ -79,21 +79,17 @@ func WeightedTriangulation(weights []int64) *recurrence.Instance {
 	}
 	n := len(weights) - 1
 	ws := append([]int64(nil), weights...)
+	w := make([]cost.Cost, len(ws))
+	for i, v := range ws {
+		w[i] = cost.Cost(v)
+	}
 	return &recurrence.Instance{
-		N:     n,
-		Name:  fmt.Sprintf("wtriangulation-n%d", n),
-		Canon: func() []byte { return canon("wtriangulation", ws) },
-		Init:  func(i int) cost.Cost { return 0 },
-		F: func(i, k, j int) cost.Cost {
-			return cost.Cost(ws[i] * ws[k] * ws[j])
-		},
-		FPanel: func(i, k, j0 int, dst []cost.Cost) {
-			wik := ws[i] * ws[k]
-			row := ws[j0 : j0+len(dst)]
-			for t := range dst {
-				dst[t] = cost.Cost(wik * row[t])
-			}
-		},
+		N:        n,
+		Name:     fmt.Sprintf("wtriangulation-n%d", n),
+		Canon:    func() []byte { return canon("wtriangulation", ws) },
+		Init:     func(i int) cost.Cost { return 0 },
+		F:        func(i, k, j int) cost.Cost { return w[i] * w[k] * w[j] },
+		FProduct: w,
 	}
 }
 

@@ -33,21 +33,44 @@ type Instance struct {
 	// into sons (i,k) and (k,j), for 0 <= i < k < j <= N.
 	F func(i, k, j int) cost.Cost
 
+	// FProduct and FSpan, when set, declare a closed form of F that the
+	// tile engines evaluate inside their split kernels instead of
+	// materialising an F run (at most one may be set; Validate checks the
+	// declaration against F on every argument). Both are semantically
+	// redundant with F, which every other engine keeps calling, and
+	// neither takes part in the canonical encoding.
+	//
+	// FProduct (length N+1) declares F(i,k,j) = FProduct[i]·FProduct[k]·
+	// FProduct[j], multiplied left to right in int64 — the vertex-weight
+	// product of matrix chains and weighted triangulations. A kernel then
+	// prices a candidate as c(i,k) + s·w[j] + c(k,j) with s = w[i]·w[k]
+	// held in a register, provided every product stays below cost.Inf;
+	// otherwise the engines fill F runs from the weights.
+	FProduct []cost.Cost
+
+	// FSpan declares F(i,k,j) = FSpan(i,j), independent of the split k
+	// (OBST weights, Knuth–Yao convex weights, feasibility bans). The
+	// engines fold c(i,k) ⊗ c(k,j) with no F at all and Extend FSpan(i,j)
+	// onto cell (i,j) once, when the cell is final; under an algebra with
+	// no F-free kernel body they fill F runs from it instead. It must be
+	// a pure function of its arguments, and may be called from several
+	// goroutines at once.
+	FSpan func(i, j int) cost.Cost
+
 	// FPanel, when non-nil, bulk-evaluates F over one j-run: it fills
 	// dst[t] = F(i, k, j0+t) for 0 <= t < len(dst), with every j0+t a
 	// valid third argument (i < k < j0). It is semantically redundant
 	// with F and must agree with it on every argument (Validate checks);
-	// engines that sweep j-contiguous candidate runs (the blocked
-	// engine's panels) use it to amortise the per-candidate closure call
-	// into one tight loop. Constructors whose f has a cheap row form set
-	// it; Materialize always provides one (a flat-table copy).
+	// the tile engines use it for an F with no closed form above
+	// (Euclidean triangulation, the shaped instances, Materialize's flat
+	// table), amortising the per-candidate closure call into one tight
+	// loop per split.
 	//
 	// Cost contract: O(1) per cell, with no hashing or search per cell —
-	// the engines' work counts price each candidate's f as one step. A
-	// k-independent f is a row fill (plus, for a sparse exception list,
-	// one search per run). Engines may skip a run whose left factor
-	// c(i,k) is the algebra's Zero, so FPanel must be a pure function of
-	// its arguments, and it may be called from several goroutines at once.
+	// the engines' work counts price each candidate's f as one step.
+	// Engines may skip a run whose left factor c(i,k) is the algebra's
+	// Zero, so FPanel must be a pure function of its arguments, and it
+	// may be called from several goroutines at once.
 	FPanel func(i, k, j0 int, dst []cost.Cost)
 
 	// Name labels the instance in experiment tables and error messages.
@@ -131,8 +154,10 @@ func (in *Instance) Canonical() ([]byte, bool) {
 }
 
 // Validate checks the structural preconditions the paper assumes:
-// N >= 1, callbacks present, and all init/f values nonnegative.
-// It evaluates every init value and every f triple, so it is O(N^3);
+// N >= 1, callbacks present, and all init/f values nonnegative, and
+// that every declared bulk or closed form of F (FPanel, FProduct,
+// FSpan) agrees with F. It evaluates every init value and every f
+// triple, so it is O(N^3);
 // intended for tests and small experiment sizes. When the instance
 // declares Convex it additionally runs a cheap sampled Knuth–Yao audit
 // (k-independence of f plus the quadrangle inequality and monotonicity
@@ -158,10 +183,17 @@ func (in *Instance) Validate() error {
 			return fmt.Errorf("recurrence: init(%d) = %d is negative", i, v)
 		}
 	}
+	if in.FProduct != nil && in.FSpan != nil {
+		return fmt.Errorf("recurrence: instance %q declares both FProduct and FSpan", in.Name)
+	}
+	if in.FProduct != nil && len(in.FProduct) != in.N+1 {
+		return fmt.Errorf("recurrence: instance %q has %d FProduct weights, need N+1 = %d", in.Name, len(in.FProduct), in.N+1)
+	}
 	var panelRow []cost.Cost
 	if in.FPanel != nil {
 		panelRow = make([]cost.Cost, in.N+1)
 	}
+	w := in.FProduct
 	for i := 0; i <= in.N; i++ {
 		for k := i + 1; k <= in.N; k++ {
 			if panelRow != nil && k < in.N {
@@ -175,6 +207,14 @@ func (in *Instance) Validate() error {
 				if panelRow != nil && panelRow[j-k-1] != v {
 					return fmt.Errorf("recurrence: FPanel(%d,%d,%d) = %d disagrees with F = %d",
 						i, k, j, panelRow[j-k-1], v)
+				}
+				if w != nil && w[i]*w[k]*w[j] != v {
+					return fmt.Errorf("recurrence: FProduct gives f(%d,%d,%d) = %d, F = %d",
+						i, k, j, w[i]*w[k]*w[j], v)
+				}
+				if in.FSpan != nil && in.FSpan(i, j) != v {
+					return fmt.Errorf("recurrence: FSpan(%d,%d) = %d disagrees with F(%d,%d,%d) = %d",
+						i, j, in.FSpan(i, j), i, k, j, v)
 				}
 			}
 		}

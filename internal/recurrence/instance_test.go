@@ -61,6 +61,68 @@ func TestValidateRejectsNegativeF(t *testing.T) {
 	}
 }
 
+// A declared closed form of F is checked against F on every argument:
+// a product or k-independent declaration that is off by one at a single
+// argument is rejected, naming that argument, while the exact
+// declarations pass. So are a product list of the wrong length and an
+// instance declaring both forms.
+func TestValidateChecksDeclaredForms(t *testing.T) {
+	const n = 6
+	w := []cost.Cost{3, 1, 4, 1, 5, 9, 2}
+	span := func(i, j int) cost.Cost { return cost.Cost(10*i + j) }
+	product := func() *Instance {
+		in := toy(n)
+		in.F = func(i, k, j int) cost.Cost { return w[i] * w[k] * w[j] }
+		in.FProduct = append([]cost.Cost(nil), w...)
+		return in
+	}
+	spanned := func() *Instance {
+		in := toy(n)
+		in.F = func(i, k, j int) cost.Cost { return span(i, j) }
+		in.FSpan = span
+		return in
+	}
+	for _, in := range []*Instance{product(), spanned()} {
+		if err := in.Validate(); err != nil {
+			t.Fatalf("exact declaration rejected: %v", err)
+		}
+	}
+
+	in := product()
+	f := in.F
+	in.F = func(i, k, j int) cost.Cost {
+		if i == 1 && k == 3 && j == 5 {
+			return f(i, k, j) + 1
+		}
+		return f(i, k, j)
+	}
+	if err := in.Validate(); err == nil || !strings.Contains(err.Error(), "f(1,3,5)") {
+		t.Errorf("FProduct off by one at (1,3,5) not caught: %v", err)
+	}
+
+	in = spanned()
+	in.F = func(i, k, j int) cost.Cost {
+		if i == 0 && k == 4 && j == 6 {
+			return span(i, j) + 1
+		}
+		return span(i, j)
+	}
+	if err := in.Validate(); err == nil || !strings.Contains(err.Error(), "F(0,4,6)") {
+		t.Errorf("FSpan off by one at (0,4,6) not caught: %v", err)
+	}
+
+	in = product()
+	in.FProduct = in.FProduct[:n]
+	if err := in.Validate(); err == nil || !strings.Contains(err.Error(), "FProduct") {
+		t.Errorf("short FProduct not caught: %v", err)
+	}
+	in = product()
+	in.FSpan = span
+	if err := in.Validate(); err == nil || !strings.Contains(err.Error(), "both") {
+		t.Errorf("two declared forms not caught: %v", err)
+	}
+}
+
 func TestNumNodes(t *testing.T) {
 	cases := map[int]int{1: 1, 2: 3, 3: 6, 10: 55}
 	for n, want := range cases {
